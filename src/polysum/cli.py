@@ -72,15 +72,17 @@ def _cmd_partial_sum(args) -> int:
     config = _load_config(args.config)
     P = fileio.load_polytope(_require(args, config, "polytope"))
     f = fileio.load_coefficients(_require(args, config, "coeffs"))
+    if args.out is None:
+        raise ValueError("partial-sum writes CSV; pass --out")
     lam = float(_resolve(args, config, "lam", 0.0))
     M = _resolve(args, config, "resolution", None)
     M = int(M) if M is not None else experiments.default_resolution(f.bandwidth)
+    if M < 1:
+        raise ValueError("resolution must be at least 1")
     pts = grid_points(f.dim, M)
     vals = partial_sum(f, P, lam, pts)
     samples = GridSamples(f.dim, M, np.asarray(vals).reshape((M,) * f.dim))
     resolved = {"lam": lam, "resolution": M, "dim": f.dim}
-    if args.out is None:
-        raise ValueError("partial-sum writes CSV; pass --out")
     fileio.write_grid_csv(samples, args.out, ["config " + json.dumps(resolved, sort_keys=True)])
     return 0
 
@@ -89,6 +91,8 @@ def _cmd_variation_field(args) -> int:
     config = _load_config(args.config)
     P = fileio.load_polytope(_require(args, config, "polytope"))
     f = fileio.load_coefficients(_require(args, config, "coeffs"))
+    if args.out is None:
+        raise ValueError("variation-field writes CSV; pass --out")
     r = float(_resolve(args, config, "r", 3.0))
     p = float(_resolve(args, config, "p", 2.0))
     M = _resolve(args, config, "resolution", None)
@@ -96,8 +100,6 @@ def _cmd_variation_field(args) -> int:
     field = v_r_field(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]
-    if args.out is None:
-        raise ValueError("variation-field writes CSV; pass --out")
     fileio.write_field_csv(field, args.out, comments)
     if args.norms_out is not None:
         samples = sample_grid(f, M)

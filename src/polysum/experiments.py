@@ -1,7 +1,9 @@
 """Seeded verification suites and the empirical variation-ratio experiments.
 
 ``run_verify`` executes every module's invariant suite on seeded random
-instances and reports one pass/fail row per check.  ``run_ratio_experiment``
+instances and reports one row per check with its margin.  The invariants
+that the acceptance gate and unit tests also check are plain functions here,
+each returning its worst margin, with their bounds in ``BOUNDS``.  ``run_ratio_experiment``
 sweeps random coefficient ensembles over a bandwidth ladder and tabulates the
 ratio of the r-variation field's L^p norm to the function's; the design of
 that experiment (ensemble law, ladder) is illustrative, there is no external
@@ -105,9 +107,8 @@ class RatioReport:
 
 
 def default_resolution(bandwidth: int) -> int:
-    """Alias-free grid size 2B+1, bumped to odd if a custom size is even."""
-    m = 2 * bandwidth + 1
-    return m if m % 2 == 1 else m + 1
+    """Alias-free grid size 2B+1."""
+    return 2 * bandwidth + 1
 
 
 def _config_comments(config: dict) -> list[str]:
@@ -119,11 +120,155 @@ def _config_comments(config: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# invariants shared with the acceptance gate and the unit tests
+#
+# Each returns its worst margin over the given instances and passes when that
+# margin is at most its BOUNDS entry; counts of violating points are margins too.
+
+BOUNDS = {
+    "cover": 0,
+    "disjoint": 0,
+    "piece_bounded": 1e-9,
+    "piecewise_equals_direct": 1e-12,
+    "freezing_identity": 1e-12,
+    "halfspace_cone_boundary": 0,
+    "dp_equals_bruteforce": 1e-12,
+    "r_monotonicity": 1e-12,
+    "scaling": 1e-12,
+    "maximal_control": 1e-12,
+    "weak_le_strong": 1e-12,
+    "fubini_slices": 1e-14,
+    "parseval": 1e-10,
+}
+
+
+def _piece_counts(P: HPolytope, pieces, X) -> np.ndarray:
+    return np.stack([piece_contains(pc, P, X) for pc in pieces]).sum(axis=0)
+
+
+def cover(P: HPolytope, pieces, X) -> float:
+    """Number of points of X (inside P) that lie in no closed piece."""
+    return float(np.sum(_piece_counts(P, pieces, X) < 1))
+
+
+def disjoint(P: HPolytope, pieces, X) -> float:
+    """Points of X off piece boundaries (top row ahead by > 1e-7) that lie in two pieces."""
+    srt = np.sort(X @ P.A.T, axis=1)
+    unique_arg = srt[:, -1] - srt[:, -2] > 1e-7
+    return float(np.sum(_piece_counts(P, pieces, X)[unique_arg] > 1))
+
+
+def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
+    """Largest gauge - 1 over ``count`` random points of each piece k (seed ``seed + k``)."""
+    return max(
+        float(np.max(gauge(P, random_piece_points(pc, count, seed=seed + k)))) - 1.0
+        for k, pc in enumerate(pieces)
+    )
+
+
+def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, pieces, X) -> float:
+    """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
+    return max(
+        float(np.max(np.abs(
+            partial_sum_by_pieces(f, P, pieces, float(lam), X)
+            - partial_sum(f, P, float(lam), X))))
+        for lam in breakpoints(f, P)
+    )
+
+
+def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
+    """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
+    grid point, on the pieces with facet normal +-e_1 (where freezing is defined)."""
+    M = resolution
+    bps = breakpoints(f, P)
+    xs = np.arange(M) / M
+    worst = 0.0
+    for pc in pieces:
+        if np.linalg.norm(pc.facet.a[1:]) > 1e-12:
+            continue
+        restricted = cone_multiplier(f, pc, P, pieces)
+        _, vals = family_values_on_grid(restricted, P, M, at=bps)
+        vals = vals.reshape((M,) * f.dim + (bps.shape[0],))
+        for jp in itertools.product(range(M), repeat=f.dim - 1):
+            g = freeze(f, P, pc, np.array(jp) / M)
+            for k, lam in enumerate(bps):
+                mu = frozen_threshold(pc, float(lam))
+                for i1 in range(M):
+                    frozen = frozen_partial_sum(g, mu, xs[i1])
+                    worst = max(worst, abs(vals[(i1,) + jp + (k,)] - frozen))
+    return worst
+
+
+def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
+    """Frequencies where the composed closed half-space cutoffs of a piece's cone
+    differ from its assigned cone cutoff other than on a boundary shared with a
+    lower-indexed piece."""
+    violations = 0
+    for pc in pieces:
+        composed = f
+        for a in cone_halfspaces(pc):
+            composed = halfspace_multiplier(composed, a, 0.0)
+        comp = composed.coeff_dict()
+        assg = cone_multiplier(f, pc, P, pieces).coeff_dict()
+        for n, c in assg.items():
+            violations += int(abs(comp.get(n, 0.0j) - c) > 0.0)
+        for n in set(comp) - set(assg):
+            vals = np.asarray(n, dtype=float) @ P.A.T
+            ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
+            violations += int(ties < 2 or np.argmax(vals) >= pc.index)
+    return violations
+
+
+def dp_equals_bruteforce(seqs, rs) -> float:
+    """Largest |DP - exhaustive| r-variation over the sequences and exponents."""
+    return max(abs(v_r_exact(v, r) - v_r_bruteforce(v, r)) for v in seqs for r in rs)
+
+
+def r_monotonicity(seqs) -> float:
+    """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4."""
+    ladders = [[v_r_exact(v, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)] for v in seqs]
+    return max(b - a for ladder in ladders for a, b in zip(ladder, ladder[1:]))
+
+
+def scaling(seqs, cs) -> float:
+    """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars."""
+    return max(
+        abs(v_r_exact(c * v, 3.0) - abs(c) * v_r_exact(v, 3.0)) / (1.0 + abs(c))
+        for v, c in zip(seqs, cs)
+    )
+
+
+def maximal_control(seqs) -> float:
+    """Largest sup_k |v_k| - |v_0| - V_3(v); the triangle inequality makes it <= 0."""
+    return max(sup_family(v) - abs(v[0]) - v_r_exact(v, 3.0) for v in seqs)
+
+
+def weak_le_strong(samples, ps) -> float:
+    """Largest weak-L^p minus L^p norm over nonnegative grid samples and exponents."""
+    return max(weak_lp_norm(h, p) - lp_norm(h, p) for h in samples for p in ps)
+
+
+def fubini_slices(h: GridSamples, alphas) -> float:
+    """Largest |global - slice-averaged| distribution function of h."""
+    return max(abs(a - b) for a, b in (fubini_slice_check(h, al) for al in alphas))
+
+
+def parseval(f: TrigPolynomial, samples: GridSamples) -> float:
+    """|mean of |f|^2 over its alias-free grid samples - sum of |c(n)|^2|."""
+    return abs(
+        float(np.mean(np.abs(samples.flat) ** 2)) - float(np.sum(np.abs(f.coeffs) ** 2))
+    )
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
-def _box_samples(rng, dim: int, count: int, half_width: float = 1.5) -> np.ndarray:
-    return rng.uniform(-half_width, half_width, size=(count, dim))
+def _record(results: list[CheckResult], suite: str, name: str, margin, bound,
+            key: str = "max") -> None:
+    results.append(
+        CheckResult(suite, name, bool(margin <= bound), f"{key}={float(margin):.3e}")
+    )
 
 
 def _label_seed(label: str) -> int:
@@ -133,58 +278,40 @@ def _label_seed(label: str) -> int:
 
 def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) -> None:
     suite = "geometry"
-    X = _box_samples(rng, P.dim, 2000)
+    X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
     g = gauge(P, X)
 
     t = rng.uniform(0.0, 50.0, size=X.shape[0])
     hom = np.abs(gauge(P, t[:, None] * X) - t * g) / (1.0 + t * g)
-    results.append(CheckResult(suite, f"gauge_homogeneity[{label}]",
-                               bool(np.max(hom) <= 1e-12), f"max={np.max(hom):.3e}"))
+    _record(results, suite, f"gauge_homogeneity[{label}]", np.max(hom), 1e-12)
 
-    ok = True
+    mismatches = 0
     for xi in X[:50]:
         gi = gauge(P, xi)
         for li in (0.5 * gi, gi, 1.5 * gi):  # includes the boundary dilate
-            member = bool(contains(P, xi, li))
-            if member != (gi <= li):
-                ok = False
-    results.append(CheckResult(suite, f"sublevel_identity[{label}]", ok, ""))
+            mismatches += int(bool(contains(P, xi, li)) != (gi <= li))
+    _record(results, suite, f"sublevel_identity[{label}]", mismatches, 0, "mismatches")
 
     Q = vertices_from_h(P)
     P2 = h_from_vertices(Q)
     g2 = gauge(P2, X)
-    rt = np.max(np.abs(g - g2) / (1.0 + g))
-    results.append(CheckResult(suite, f"roundtrip[{label}]",
-                               bool(rt <= 1e-9), f"max={rt:.3e}"))
+    _record(results, suite, f"roundtrip[{label}]", np.max(np.abs(g - g2) / (1.0 + g)), 1e-9)
 
     pieces = triangulate(P)
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
-    member = np.stack([piece_contains(pc, P, inside) for pc in pieces], axis=0)
-    counts = member.sum(axis=0)
-    results.append(CheckResult(suite, f"cover[{label}]",
-                               bool(np.all(counts >= 1)), f"min_count={counts.min()}"))
-
-    vals = inside @ P.A.T
-    srt = np.sort(vals, axis=1)
-    unique_arg = srt[:, -1] - srt[:, -2] > 1e-7
-    results.append(CheckResult(
-        suite, f"disjoint[{label}]",
-        bool(np.all(counts[unique_arg] == 1)),
-        f"points={int(unique_arg.sum())}",
-    ))
-
-    worst = 0.0
-    for k, pc in enumerate(pieces):
-        pts = random_piece_points(pc, 400, seed=_label_seed(label) + k)
-        worst = max(worst, float(np.max(gauge(P, pts)) - 1.0))
-    results.append(CheckResult(suite, f"piece_bounded[{label}]",
-                               bool(worst <= 1e-9), f"max_excess={worst:.3e}"))
+    _record(results, suite, f"cover[{label}]", cover(P, pieces, inside),
+            BOUNDS["cover"], "uncovered")
+    _record(results, suite, f"disjoint[{label}]", disjoint(P, pieces, inside),
+            BOUNDS["disjoint"], "overlaps")
+    _record(results, suite, f"piece_bounded[{label}]",
+            piece_bounded(P, pieces, 400, _label_seed(label)), BOUNDS["piece_bounded"],
+            "max_excess")
 
     assigned = np.array([piece_assign(pieces, P, x) for x in inside[:300]])
-    ok = all(
-        bool(piece_contains(pieces[a], P, x)) for a, x in zip(assigned, inside[:300])
+    misses = sum(
+        not piece_contains(pieces[a], P, x) for a, x in zip(assigned, inside[:300])
     )
-    results.append(CheckResult(suite, f"assign_in_piece[{label}]", ok, ""))
+    _record(results, suite, f"assign_in_piece[{label}]", misses, 0, "misses")
 
     rot_err = 0.0
     for pc in pieces:
@@ -202,20 +329,19 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
         sample = X[:200]
         rot_err = max(rot_err, float(np.max(np.abs(
             gauge(P, sample) - gauge(P_rot, sample @ R.T)))))
-    results.append(CheckResult(suite, f"rotation[{label}]",
-                               bool(rot_err <= 1e-9), f"max={rot_err:.3e}"))
+    _record(results, suite, f"rotation[{label}]", rot_err, 1e-9)
 
-    ok = True
+    vals = inside @ P.A.T
+    srt = np.sort(vals, axis=1)
+    gap = srt[:, -1] - srt[:, -2] > 1e-6
+    violations = 0
     for k, pc in enumerate(pieces):
         rows = cone_halfspaces(pc)
         own = random_piece_points(pc, 200, seed=_label_seed(label) + 31 * k)
-        if np.max(own @ rows.T) > 1e-9:
-            ok = False
-        gap = srt[:, -1] - srt[:, -2] > 1e-6
+        violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
         foreign = inside[gap & (np.argmax(vals, axis=1) != pc.index)]
-        if foreign.shape[0] and np.any(np.max(foreign @ rows.T, axis=1) <= 0.0):
-            ok = False
-    results.append(CheckResult(suite, f"cone_rows_agree[{label}]", ok, ""))
+        violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
+    _record(results, suite, f"cone_rows_agree[{label}]", violations, 0, "violations")
 
 
 def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed: int) -> None:
@@ -231,20 +357,13 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
         mid = 0.5 * (left + right)
         worst = max(worst, float(np.max(np.abs(
             partial_sum(f, P, mid, X) - partial_sum(f, P, left, X)))))
-    results.append(CheckResult(suite, f"step_constancy[{label}]",
-                               bool(worst <= 1e-14), f"max={worst:.3e}"))
+    _record(results, suite, f"step_constancy[{label}]", worst, 1e-14)
 
     sat = float(np.max(np.abs(partial_sum(f, P, float(bps[-1]), X) - f.evaluate(X))))
-    results.append(CheckResult(suite, f"saturation[{label}]",
-                               bool(sat <= 1e-12), f"max={sat:.3e}"))
+    _record(results, suite, f"saturation[{label}]", sat, 1e-12)
 
-    worst = 0.0
-    for lam in bps:
-        worst = max(worst, float(np.max(np.abs(
-            partial_sum_by_pieces(f, P, pieces, float(lam), X)
-            - partial_sum(f, P, float(lam), X)))))
-    results.append(CheckResult(suite, f"piecewise_equals_direct[{label}]",
-                               bool(worst <= 1e-12), f"max={worst:.3e}"))
+    _record(results, suite, f"piecewise_equals_direct[{label}]",
+            piecewise_equals_direct(f, P, pieces, X), BOUNDS["piecewise_equals_direct"])
 
     total = TrigPolynomial.zero(f.dim)
     for pc in pieces:
@@ -254,8 +373,7 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     for n, c in f:
         worst = max(worst, abs(diff.pop(n, 0.0j) - c))
     worst = max([worst] + [abs(c) for c in diff.values()])
-    results.append(CheckResult(suite, f"multiplier_partition[{label}]",
-                               bool(worst <= 1e-15), f"max={worst:.3e}"))
+    _record(results, suite, f"multiplier_partition[{label}]", worst, 1e-15)
 
     g2 = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed + 1)
     alpha, beta = 1.5 - 0.5j, -0.75 + 0.25j
@@ -263,112 +381,45 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     lin = np.max(np.abs(
         partial_sum(alpha * f + beta * g2, P, lam, X)
         - alpha * partial_sum(f, P, lam, X) - beta * partial_sum(g2, P, lam, X)))
-    results.append(CheckResult(suite, f"linearity[{label}]",
-                               bool(lin <= 1e-12), f"max={float(lin):.3e}"))
+    _record(results, suite, f"linearity[{label}]", lin, 1e-12)
 
-    M = default_resolution(f.bandwidth)
-    samples = sample_grid(f, M)
-    pars = abs(float(np.mean(np.abs(samples.flat) ** 2)) - float(np.sum(np.abs(f.coeffs) ** 2)))
-    results.append(CheckResult(suite, f"parseval[{label}]",
-                               bool(pars <= 1e-10), f"err={pars:.3e}"))
-
-
-def _freezing_check(results: list[CheckResult], seed: int) -> None:
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 6, 0.7, seed)
-    pieces = triangulate(P)
-    bps = breakpoints(f, P)
-    M = 13
-    pts = grid_points(2, M)
-    worst = 0.0
-    for pc in pieces:
-        if np.linalg.norm(pc.facet.a[1:]) > 1e-12:
-            continue  # freezing is defined only for facet normals +-e_1
-        restricted = cone_multiplier(f, pc, P, pieces)
-        for xp in np.unique(pts[:, 1]):
-            g = freeze(f, P, pc, [xp])
-            for lam in bps:
-                mu = frozen_threshold(pc, float(lam))
-                for x1 in np.unique(pts[:, 0]):
-                    direct = partial_sum(restricted, P, float(lam), np.array([x1, xp]))
-                    frozen = frozen_partial_sum(g, mu, x1)
-                    worst = max(worst, abs(direct - frozen))
-    results.append(CheckResult("spectral", "freezing_identity[square]",
-                               bool(worst <= 1e-12), f"max={worst:.3e}"))
-
-
-def _halfspace_boundary_check(results: list[CheckResult], seed: int) -> None:
-    # composition of closed half-space cutoffs = closed-cone cutoff, which can
-    # exceed the assigned (tie-broken) cone cutoff only on shared boundaries
-    P = hypercube(2)
-    pieces = triangulate(P)
-    f = random_trig_polynomial(2, 4, 1.0, seed)
-    ok = True
-    for pc in pieces:
-        rows = cone_halfspaces(pc)
-        composed = f
-        for a in rows:
-            composed = halfspace_multiplier(composed, a, 0.0)
-        assigned = cone_multiplier(f, pc, P, pieces)
-        comp = composed.coeff_dict()
-        assg = assigned.coeff_dict()
-        for n, c in assg.items():
-            if abs(comp.get(n, 0.0j) - c) > 0.0:
-                ok = False
-        for n in set(comp) - set(assg):
-            vals = np.asarray(n, dtype=float) @ P.A.T
-            ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
-            if ties < 2 or np.argmax(vals) >= pc.index:
-                ok = False
-    results.append(CheckResult("spectral", "halfspace_cone_boundary", ok, ""))
+    samples = sample_grid(f, default_resolution(f.bandwidth))
+    _record(results, suite, f"parseval[{label}]", parseval(f, samples), BOUNDS["parseval"],
+            "err")
 
 
 def _variation_checks(results: list[CheckResult], seed: int) -> None:
     suite = "variation"
     rng = np.random.default_rng(seed)
 
-    worst = 0.0
+    seqs = []
     for _ in range(60):
         L = rng.integers(2, 11)
-        v = rng.normal(size=L) + 1j * rng.normal(size=L)
-        for r in (1.0, 2.0, 3.0):
-            worst = max(worst, abs(v_r_exact(v, r) - v_r_bruteforce(v, r)))
-    results.append(CheckResult(suite, "dp_equals_bruteforce",
-                               bool(worst <= 1e-12), f"max={worst:.3e}"))
+        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
+    _record(results, suite, "dp_equals_bruteforce",
+            dp_equals_bruteforce(seqs, (1.0, 2.0, 3.0)), BOUNDS["dp_equals_bruteforce"])
 
-    mono_ok, scale_ok, sup_ok, concat_ok = True, True, True, True
+    seqs, cs, cuts = [], [], []
     for _ in range(40):
         L = int(rng.integers(2, 14))
-        v = rng.normal(size=L) + 1j * rng.normal(size=L)
-        ladder = [v_r_exact(v, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
-        if any(b > a + 1e-12 for a, b in zip(ladder, ladder[1:])):
-            mono_ok = False
-        c = complex(rng.normal(), rng.normal())
-        if abs(v_r_exact(c * v, 3.0) - abs(c) * v_r_exact(v, 3.0)) > 1e-12 * (1 + abs(c)):
-            scale_ok = False
-        if sup_family(v) > abs(v[0]) + v_r_exact(v, 3.0) + 1e-12:
-            sup_ok = False
-        cut = int(rng.integers(1, L))
-        whole = v_r_exact(v, 3.0)
-        if whole + 1e-12 < max(v_r_exact(v[: cut + 1], 3.0), v_r_exact(v[cut:], 3.0)):
-            concat_ok = False
-    results.append(CheckResult(suite, "r_monotonicity", mono_ok, ""))
-    results.append(CheckResult(suite, "scaling", scale_ok, ""))
-    results.append(CheckResult(suite, "maximal_control", sup_ok, ""))
-    results.append(CheckResult(suite, "concatenation", concat_ok, ""))
+        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
+        cs.append(complex(rng.normal(), rng.normal()))
+        cuts.append(int(rng.integers(1, L)))
+    _record(results, suite, "r_monotonicity", r_monotonicity(seqs), BOUNDS["r_monotonicity"])
+    _record(results, suite, "scaling", scaling(seqs, cs), BOUNDS["scaling"])
+    _record(results, suite, "maximal_control", maximal_control(seqs),
+            BOUNDS["maximal_control"])
+    concat = max(
+        max(v_r_exact(v[: cut + 1], 3.0), v_r_exact(v[cut:], 3.0)) - v_r_exact(v, 3.0)
+        for v, cut in zip(seqs, cuts)
+    )
+    _record(results, suite, "concatenation", concat, 1e-12)
 
     h = GridSamples(2, 9, rng.exponential(size=(9, 9)))
-    weak_ok = all(
-        weak_lp_norm(h, p) <= lp_norm(h, p) + 1e-12 for p in (1.0, 1.5, 2.0, 3.0)
-    )
-    results.append(CheckResult(suite, "weak_le_strong", weak_ok, ""))
-
-    fub = max(
-        abs(a - b)
-        for a, b in (fubini_slice_check(h, al) for al in (0.0, 0.3, 1.0, 2.5))
-    )
-    results.append(CheckResult(suite, "fubini_slices",
-                               bool(fub <= 1e-14), f"max={fub:.3e}"))
+    _record(results, suite, "weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)),
+            BOUNDS["weak_le_strong"])
+    _record(results, suite, "fubini_slices", fubini_slices(h, (0.0, 0.3, 1.0, 2.5)),
+            BOUNDS["fubini_slices"])
 
     P = hypercube(2)
     f = random_trig_polynomial(2, 3, 0.8, seed + 7)
@@ -379,15 +430,13 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
     for k in range(0, pts.shape[0], 7):
         fam = family_at_point(f, P, pts[k])
         worst = max(worst, abs(field.flat[k] - v_r_exact(fam.values, 3.0)))
-    results.append(CheckResult(suite, "field_vs_pointwise",
-                               bool(worst <= 1e-12), f"max={worst:.3e}"))
+    _record(results, suite, "field_vs_pointwise", worst, 1e-12)
 
-    dist_ok = True
-    for al in (0.0, 0.5, 1.0):
-        d1 = distribution_function(field, al)
-        if not 0.0 <= d1 <= 1.0:
-            dist_ok = False
-    results.append(CheckResult(suite, "distribution_range", dist_ok, ""))
+    excess = max(
+        max(0.0, -d, d - 1.0)
+        for d in (distribution_function(field, al) for al in (0.0, 0.5, 1.0))
+    )
+    _record(results, suite, "distribution_range", excess, 0, "excess")
 
 
 def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[CheckResult]]:
@@ -414,8 +463,14 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
         _geometry_checks(results, P, label, rng)
     for label, P in instances[:2] + instances[-2:]:
         _spectral_checks(results, P, label, seed + 17)
-    _freezing_check(results, seed + 23)
-    _halfspace_boundary_check(results, seed + 29)
+    square = hypercube(2)
+    f = random_trig_polynomial(2, 6, 0.7, seed + 23)
+    _record(results, "spectral", "freezing_identity[square]",
+            freezing_identity(f, square, triangulate(square), 13), BOUNDS["freezing_identity"])
+    f = random_trig_polynomial(2, 4, 1.0, seed + 29)
+    _record(results, "spectral", "halfspace_cone_boundary",
+            halfspace_cone_boundary(f, square, triangulate(square)),
+            BOUNDS["halfspace_cone_boundary"], "violations")
     _variation_checks(results, seed + 31)
 
     status = 0 if all(r.passed for r in results) else 1

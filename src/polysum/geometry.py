@@ -90,9 +90,6 @@ class HPolytope:
         """Number of half-space rows."""
         return self.A.shape[0]
 
-    def row(self, i: int) -> tuple[np.ndarray, float]:
-        return self.A[i], float(self.b[i])
-
     def validate(self) -> "HPolytope":
         """Certify irredundancy and boundedness by vertex enumeration (d <= 3).
 
@@ -165,10 +162,6 @@ class Facet:
     vertices: np.ndarray
 
     @property
-    def supporting(self) -> tuple[np.ndarray, float]:
-        return self.a, self.b
-
-    @property
     def normal(self) -> np.ndarray:
         """Unit outward normal of the supporting hyperplane."""
         return self.a / np.linalg.norm(self.a)
@@ -191,10 +184,6 @@ class TriangularPiece:
     @property
     def generators(self) -> np.ndarray:
         return self.facet.vertices
-
-    @property
-    def halfspace(self) -> tuple[np.ndarray, float]:
-        return self.facet.a, self.facet.b
 
 
 def hypercube(dim: int, radius: float = 1.0) -> HPolytope:

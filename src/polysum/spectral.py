@@ -71,6 +71,8 @@ class TrigPolynomial:
             co = np.asarray(coeffs, dtype=complex).reshape(-1)
         if fr.shape[0] != co.shape[0]:
             raise ValueError("frequency/coefficient count mismatch")
+        if not np.all(np.isfinite(co)):
+            raise ValueError("non-finite coefficient")
         if fr.shape[0]:
             uniq, inverse = np.unique(fr, axis=0, return_inverse=True)
             merged = np.zeros(uniq.shape[0], dtype=complex)

@@ -1,42 +1,22 @@
 """Acceptance gate: each criterion runs at its stated tolerance and runtime
 budget and prints one pass/fail line (visible with pytest -s)."""
 
-import itertools
 import time
 
 import numpy as np
 import pytest
 
-from polysum.geometry import gauge, hypercube, piece_contains, triangulate
-from polysum.generators import (
-    random_piece_points,
-    random_polytope,
-    random_trig_polynomial,
-)
+from polysum import experiments
+from polysum.geometry import gauge, hypercube, triangulate
+from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
-    breakpoints,
-    cone_multiplier,
     family_at_point,
-    family_values_on_grid,
-    freeze,
-    frozen_partial_sum,
-    frozen_threshold,
     grid_points,
     partial_sum,
-    partial_sum_by_pieces,
     sample_grid,
 )
-from polysum.variation import (
-    fubini_slice_check,
-    lp_norm,
-    sup_family,
-    v_r_bruteforce,
-    v_r_exact,
-    v_r_field,
-    weak_lp_norm,
-)
-from polysum.experiments import run_ratio_experiment
+from polysum.variation import lp_norm, v_r_field
 
 
 def _gate(num: int, name: str, t0: float, budget: float, ok: bool, detail: str):
@@ -49,13 +29,24 @@ def _gate(num: int, name: str, t0: float, budget: float, ok: bool, detail: str):
     assert in_budget, f"criterion {num} ({name}) took {elapsed:.1f}s > {budget:.0f}s"
 
 
+def _gate_margins(num: int, name: str, t0: float, budget: float, margins: dict, note: str):
+    """Gate on the worst margin of each shared check against its bound."""
+    ok = all(margin <= experiments.BOUNDS[check] for check, margin in margins.items())
+    worst = ", ".join(f"{check} {margin:.2e}" for check, margin in margins.items())
+    _gate(num, name, t0, budget, ok, f"{note}; worst {worst}")
+
+
+def _worst(margins: dict, **new) -> None:
+    for check, margin in new.items():
+        margins[check] = max(margins.get(check, -np.inf), margin)
+
+
 def test_criterion_1_triangulation():
     t0 = time.perf_counter()
     specs = [(2, 4 + k % 5, 300 + k) for k in range(12)]
     specs += [(3, 4 + k % 3, 400 + k) for k in range(8)]
     assert len(specs) == 20
-    ok = True
-    worst_excess = 0.0
+    margins = {}
     for dim, m, seed in specs:
         P = random_polytope(dim, m, seed=seed)
         assert P.m <= 8
@@ -63,130 +54,78 @@ def test_criterion_1_triangulation():
         rng = np.random.default_rng(seed + 1)
         X = rng.normal(size=(10_000, dim))
         X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-        member = np.stack([piece_contains(pc, P, X) for pc in pieces])
-        counts = member.sum(axis=0)
-        if not np.all(counts >= 1):
-            ok = False
-        vals = np.sort(X @ P.A.T, axis=1)
-        unique_arg = vals[:, -1] - vals[:, -2] > 1e-7
-        if not np.all(counts[unique_arg] == 1):
-            ok = False
-        for k, pc in enumerate(pieces):
-            pts = random_piece_points(pc, 500, seed=seed + 2 + k)
-            worst_excess = max(worst_excess, float(np.max(gauge(P, pts))) - 1.0)
-    ok = ok and worst_excess <= 1e-9
-    _gate(1, "triangulation cover/disjointness/boundedness", t0, 10.0, ok,
-          f"20 polytopes, 1e4 points each, max gauge excess {worst_excess:.2e}")
+        _worst(margins, cover=experiments.cover(P, pieces, X),
+               disjoint=experiments.disjoint(P, pieces, X),
+               piece_bounded=experiments.piece_bounded(P, pieces, 500, seed + 2))
+    _gate_margins(1, "triangulation cover/disjointness/boundedness", t0, 10.0, margins,
+                  "20 polytopes, 1e4 points each")
 
 
 def test_criterion_2_frequency_partition():
     t0 = time.perf_counter()
     rng = np.random.default_rng(500)
-    worst = 0.0
+    margins = {}
     for k in range(16):
         P = hypercube(2) if k % 2 == 0 else random_polytope(2, 4 + k % 5, seed=510 + k)
-        pieces = triangulate(P)
         f = random_trig_polynomial(2, 8, 1.0, seed=530 + k)
         X = rng.random(size=(100, 2))
-        for lam in breakpoints(f, P):
-            diff = np.abs(
-                partial_sum_by_pieces(f, P, pieces, float(lam), X)
-                - partial_sum(f, P, float(lam), X)
-            )
-            worst = max(worst, float(np.max(diff)))
-    _gate(2, "piecewise partial sums equal direct sums", t0, 30.0, worst <= 1e-12,
-          f"16 polynomials (B=8), all breakpoints, 100 points, max err {worst:.2e}")
+        _worst(margins, piecewise_equals_direct=experiments.piecewise_equals_direct(
+            f, P, triangulate(P), X))
+    _gate_margins(2, "piecewise partial sums equal direct sums", t0, 30.0, margins,
+                  "16 polynomials (B=8), all breakpoints, 100 points")
 
 
 def test_criterion_3_freezing_identity():
     t0 = time.perf_counter()
-    M = 17
-    xs = np.arange(M) / M
-    worst = 0.0
+    margins = {}
     for dim, density, seed in ((2, 1.0, 600), (3, 0.25, 601)):
         P = hypercube(dim)
-        pieces = triangulate(P)
         f = random_trig_polynomial(dim, 8, density, seed=seed)
-        bps = breakpoints(f, P)
-        for pc in pieces[:2]:  # the +-e1 facets, the lattice-compatible case
-            restricted = cone_multiplier(f, pc, P, pieces)
-            _, vals = family_values_on_grid(restricted, P, M, at=bps)
-            vals = vals.reshape((M,) * dim + (bps.shape[0],))
-            for jp in itertools.product(range(M), repeat=dim - 1):
-                g = freeze(f, P, pc, np.array(jp) / M)
-                for k, lam in enumerate(bps):
-                    mu = frozen_threshold(pc, float(lam))
-                    for i1 in range(M):
-                        frozen = frozen_partial_sum(g, mu, xs[i1])
-                        worst = max(worst, abs(vals[(i1,) + jp + (k,)] - frozen))
-    _gate(3, "freezing identity on cube pieces", t0, 60.0, worst <= 1e-12,
-          f"d=2 and d=3, M=17, all breakpoints and grid points, max err {worst:.2e}")
+        _worst(margins,
+               freezing_identity=experiments.freezing_identity(f, P, triangulate(P), 17))
+    _gate_margins(3, "freezing identity on cube pieces", t0, 60.0, margins,
+                  "d=2 and d=3, M=17, all breakpoints and grid points")
 
 
 def test_criterion_4_variation_dp_vs_bruteforce():
     t0 = time.perf_counter()
     rng = np.random.default_rng(700)
-    worst = 0.0
+    seqs = []
     for _ in range(200):
         L = int(rng.integers(2, 13))
-        v = rng.normal(size=L) + 1j * rng.normal(size=L)
-        for r in (1.0, 2.0, 2.5, 3.0, 4.0):
-            worst = max(worst, abs(v_r_exact(v, r) - v_r_bruteforce(v, r)))
-    _gate(4, "variation DP equals exhaustive enumeration", t0, 10.0, worst <= 1e-12,
-          f"200 sequences of length <= 12, five exponents, max err {worst:.2e}")
+        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
+    margins = {"dp_equals_bruteforce":
+               experiments.dp_equals_bruteforce(seqs, (1.0, 2.0, 2.5, 3.0, 4.0))}
+    _gate_margins(4, "variation DP equals exhaustive enumeration", t0, 10.0, margins,
+                  "200 sequences of length <= 12, five exponents")
 
 
 def test_criterion_5_analytic_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(800)
-    ok = True
-    details = []
-
-    # sequence identities on random families
+    seqs, cs = [], []
     for _ in range(60):
         L = int(rng.integers(2, 13))
-        v = rng.normal(size=L) + 1j * rng.normal(size=L)
-        ladder = [v_r_exact(v, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
-        if any(b > a + 1e-12 for a, b in zip(ladder, ladder[1:])):
-            ok = False
-            details.append("r-monotonicity")
-        c = complex(rng.normal(), rng.normal())
-        base = v_r_exact(v, 3.0)
-        if abs(v_r_exact(c * v, 3.0) - abs(c) * base) > 1e-12 * (1.0 + abs(c) * base):
-            ok = False
-            details.append("scaling")
+        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
+        cs.append(complex(rng.normal(), rng.normal()))
+    margins = {"r_monotonicity": experiments.r_monotonicity(seqs),
+               "scaling": experiments.scaling(seqs, cs)}
 
-    # grid identities on a seeded function ensemble
-    pars_worst, fub_worst = 0.0, 0.0
     for k in range(6):
         P = hypercube(2) if k % 2 == 0 else random_polytope(2, 6, seed=810 + k)
         f = random_trig_polynomial(2, 4, 0.8, seed=820 + k)
         M = 9
         field = v_r_field(f, P, M, 3.0)
         fsamp = sample_grid(f, M)
-        pars_worst = max(pars_worst, abs(
-            float(np.mean(np.abs(fsamp.flat) ** 2)) - float(np.sum(np.abs(f.coeffs) ** 2))))
-        for p in (1.5, 2.0, 3.0):
-            if weak_lp_norm(field, p) > lp_norm(field, p) + 1e-12:
-                ok = False
-                details.append("weak<=strong field")
-            if weak_lp_norm(fsamp.abs(), p) > lp_norm(fsamp, p) + 1e-12:
-                ok = False
-                details.append("weak<=strong samples")
-        for alpha in (0.0, 0.5, 1.5):
-            a, b = fubini_slice_check(field, alpha)
-            fub_worst = max(fub_worst, abs(a - b))
-        c0 = abs(f.coeff((0, 0)))
-        pts = grid_points(2, M)
-        for idx in range(0, pts.shape[0], 9):
-            fam = family_at_point(f, P, pts[idx])
-            if sup_family(fam.values) > c0 + v_r_exact(fam.values, 3.0) + 1e-12:
-                ok = False
-                details.append("maximal control")
-    ok = ok and fub_worst <= 1e-14 and pars_worst <= 1e-10
-    _gate(5, "analytic identities on every tested instance", t0, 60.0, ok,
-          f"fubini {fub_worst:.2e}, parseval {pars_worst:.2e}"
-          + (f", failures: {sorted(set(details))}" if details else ""))
+        families = [family_at_point(f, P, x).values for x in grid_points(2, M)[::9]]
+        _worst(margins,
+               weak_le_strong=experiments.weak_le_strong([field, fsamp.abs()],
+                                                         (1.5, 2.0, 3.0)),
+               fubini_slices=experiments.fubini_slices(field, (0.0, 0.5, 1.5)),
+               maximal_control=experiments.maximal_control(families),
+               parseval=experiments.parseval(f, fsamp))
+    _gate_margins(5, "analytic identities on every tested instance", t0, 60.0, margins,
+                  "60 sequences, 6 functions on the 9x9 grid")
 
 
 def test_criterion_6_closed_form_spot_checks():
@@ -214,7 +153,7 @@ def test_criterion_6_closed_form_spot_checks():
 
 def test_criterion_7_ratio_experiment_stability():
     t0 = time.perf_counter()
-    report = run_ratio_experiment(
+    report = experiments.run_ratio_experiment(
         bandwidths=(4, 8, 16), r=3.0, p=2.0, dim=2, ensemble=32, seed=42,
     )
     finite = all(np.isfinite(row.ratio) for row in report.rows)

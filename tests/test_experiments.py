@@ -15,8 +15,24 @@ def test_run_verify_all_green():
     status, results = run_verify(seed=42)
     failed = [r for r in results if not r.passed]
     assert status == 0 and not failed
-    suites = {r.suite for r in results}
-    assert suites == {"geometry", "spectral", "variation"}
+    geometry = ["gauge_homogeneity", "sublevel_identity", "roundtrip", "cover", "disjoint",
+                "piece_bounded", "assign_in_piece", "rotation", "cone_rows_agree"]
+    spectral = ["step_constancy", "saturation", "piecewise_equals_direct",
+                "multiplier_partition", "linearity", "parseval"]
+    expected = [("geometry", f"{check}[{label}]")
+                for label in ("square", "cross2", "cube3", "rand2a", "rand2b", "rand3")
+                for check in geometry]
+    expected += [("spectral", f"{check}[{label}]")
+                 for label in ("square", "cross2", "rand2b", "rand3") for check in spectral]
+    expected += [("spectral", "freezing_identity[square]"), ("spectral", "halfspace_cone_boundary")]
+    expected += [("variation", check) for check in (
+        "dp_equals_bruteforce", "r_monotonicity", "scaling", "maximal_control", "concatenation",
+        "weak_le_strong", "fubini_slices", "field_vs_pointwise", "distribution_range")]
+    assert len(expected) == 89
+    assert [(r.suite, r.name) for r in results] == expected
+    for r in results:
+        key, value = r.detail.split("=")
+        assert key and np.isfinite(float(value)), r
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

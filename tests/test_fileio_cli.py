@@ -158,6 +158,37 @@ def test_cli_missing_required_option_is_clean_error(capsys):
     assert "missing required option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_cli_rejects_non_finite_coefficients(square_file, tmp_path, capsys, value):
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text('{"dim": 2, "coeffs": [{"n": [1, 0], "re": %s, "im": 0.0}]}' % value)
+    out = tmp_path / "field.csv"
+    assert cli.main(["variation-field", "--polytope", str(square_file), "--coeffs",
+                     str(coeffs), "--out", str(out), "--norms-out", str(tmp_path / "n.csv")]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_partial_sum_rejects_empty_grid(square_file, coeff_file, tmp_path, capsys):
+    out = tmp_path / "ps.csv"
+    assert cli.main(["partial-sum", "--polytope", str(square_file), "--coeffs",
+                     str(coeff_file), "--resolution", "0", "--out", str(out)]) == 2
+    assert "resolution must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["partial-sum", "variation-field"])
+def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeypatch,
+                                                capsys, command):
+    def computed(*args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "partial_sum", computed)
+    monkeypatch.setattr(cli, "v_r_field", computed)
+    assert cli.main([command, "--polytope", str(square_file), "--coeffs", str(coeff_file)]) == 2
+    assert "pass --out" in capsys.readouterr().err
+
+
 def test_cli_verify_pass_and_report(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--seed", "42", "--out", str(out)]) == 0

@@ -23,6 +23,7 @@ from polysum.geometry import (
     triangulate,
     vertices_from_h,
 )
+from polysum import experiments
 from polysum.generators import random_piece_points, random_polytope
 
 
@@ -311,21 +312,17 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(10_000, dim))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-    member = np.stack([piece_contains(pc, P, X) for pc in pieces])
-    counts = member.sum(axis=0)
-    assert np.all(counts >= 1)  # cover
+    assert experiments.cover(P, pieces, X) == 0
     vals = np.sort(X @ P.A.T, axis=1)
-    unique_arg = vals[:, -1] - vals[:, -2] > 1e-7
-    assert unique_arg.sum() > 9000
-    assert np.all(counts[unique_arg] == 1)  # interior disjointness
+    assert np.sum(vals[:, -1] - vals[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
+    assert experiments.disjoint(P, pieces, X) == 0
 
 
 def test_piece_boundedness():
     P = random_polytope(3, 6, seed=41)
-    for k, pc in enumerate(triangulate(P)):
-        pts = random_piece_points(pc, 2000, seed=42 + k)
-        assert pc.generators.shape[0] >= 3
-        assert np.max(gauge(P, pts)) <= 1.0 + 1e-9
+    pieces = triangulate(P)
+    assert all(pc.generators.shape[0] >= 3 for pc in pieces)
+    assert experiments.piece_bounded(P, pieces, 2000, 42) <= 1e-9
 
 
 def test_piece_assign_lowest_index_rule():

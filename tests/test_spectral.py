@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from polysum import experiments
 from polysum.geometry import cross_polytope, gauge, hypercube, triangulate
 from polysum.generators import random_trig_polynomial
 from polysum.spectral import (
@@ -231,14 +232,7 @@ def test_piecewise_equals_direct_on_random_ensembles(seed):
     f = random_trig_polynomial(2, 5, 0.6, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     X = rng.random(size=(20, 2))
-    worst = 0.0
-    for lam in breakpoints(f, P):
-        diff = np.abs(
-            partial_sum_by_pieces(f, P, pieces, float(lam), X)
-            - partial_sum(f, P, float(lam), X)
-        )
-        worst = max(worst, float(np.max(diff)))
-    assert worst <= 1e-12
+    assert experiments.piecewise_equals_direct(f, P, pieces, X) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +353,9 @@ def test_halfspace_composition_equals_closed_cone_filter():
 
 
 def test_halfspace_composition_vs_assigned_cone_differs_only_on_boundaries():
-    from polysum.geometry import cone_halfspaces
-
     P = hypercube(2)
-    pieces = triangulate(P)
     f = random_trig_polynomial(2, 3, 1.0, seed=22)
-    for pc in pieces:
-        composed = f
-        for a in cone_halfspaces(pc):
-            composed = halfspace_multiplier(composed, a, 0.0)
-        assigned = cone_multiplier(f, pc, P, pieces)
-        comp, assg = composed.coeff_dict(), assigned.coeff_dict()
-        # the assigned cutoff is always a sub-multiset of the closed-cone cutoff
-        for n, c in assg.items():
-            assert comp[n] == c
-        # the surplus sits on shared sector boundaries, tie-broken to a lower index
-        for n in set(comp) - set(assg):
-            vals = np.asarray(n, dtype=float) @ P.A.T
-            assert np.sum(np.abs(vals - vals.max()) <= 1e-12) >= 2
-            assert int(np.argmax(vals)) < pc.index
+    assert experiments.halfspace_cone_boundary(f, P, triangulate(P)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +375,7 @@ def test_sample_grid_constant_and_roots_of_unity():
 def test_sample_grid_parseval():
     f = random_trig_polynomial(2, 6, 0.5, seed=23)
     s = sample_grid(f, 2 * f.bandwidth + 1)
-    lhs = float(np.mean(np.abs(s.flat) ** 2))
-    rhs = float(np.sum(np.abs(f.coeffs) ** 2))
-    assert abs(lhs - rhs) <= 1e-10
+    assert experiments.parseval(f, s) <= 1e-10
 
 
 def test_sample_grid_aliasing_guard():

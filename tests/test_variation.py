@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysum import experiments
 from polysum.geometry import hypercube
 from polysum.generators import random_trig_polynomial
 from polysum.spectral import TrigPolynomial, family_at_point, grid_points, sample_grid
@@ -60,22 +61,17 @@ def test_bruteforce_basics_and_cap():
 
 def test_dp_equals_bruteforce_on_random_complex_sequences():
     rng = np.random.default_rng(1)
-    worst = 0.0
+    seqs = []
     for _ in range(100):
         L = int(rng.integers(1, 13))
-        v = rng.normal(size=L) + 1j * rng.normal(size=L)
-        for r in R_LADDER:
-            worst = max(worst, abs(v_r_exact(v, r) - v_r_bruteforce(v, r)))
-    assert worst <= 1e-12
+        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
+    assert experiments.dp_equals_bruteforce(seqs, R_LADDER) <= 1e-12
 
 
 def test_variation_monotone_in_r():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        v = rng.normal(size=10) + 1j * rng.normal(size=10)
-        ladder = [v_r_exact(v, r) for r in R_LADDER]
-        for hi, lo in zip(ladder, ladder[1:]):
-            assert lo <= hi + 1e-12
+    seqs = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(50)]
+    assert experiments.r_monotonicity(seqs) <= 1e-12
 
 
 @given(
@@ -202,10 +198,8 @@ def test_lp_norm_examples_and_chebyshev():
     ind = GridSamples(1, 8, np.array([1.0] * 2 + [0.0] * 6))
     assert lp_norm(ind, 3.0) == pytest.approx(0.25 ** (1.0 / 3.0))
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        h = GridSamples(2, 7, rng.exponential(size=(7, 7)))
-        for p in (1.0, 2.0, 2.5):
-            assert weak_lp_norm(h, p) <= lp_norm(h, p) + 1e-12
+    hs = [GridSamples(2, 7, rng.exponential(size=(7, 7))) for _ in range(20)]
+    assert experiments.weak_le_strong(hs, (1.0, 2.0, 2.5)) <= 1e-12
 
 
 def test_norms_reject_bad_exponents_and_complex_input():
@@ -239,9 +233,7 @@ def test_fubini_slice_check_random_fields_exact():
     rng = np.random.default_rng(6)
     for dim in (2, 3):
         h = GridSamples(dim, 5, rng.exponential(size=(5,) * dim))
-        for alpha in (0.0, 0.4, 1.1, 3.0):
-            g, s = fubini_slice_check(h, alpha)
-            assert abs(g - s) <= 1e-14
+        assert experiments.fubini_slices(h, (0.0, 0.4, 1.1, 3.0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
