@@ -40,7 +40,6 @@ from .spectral import (
     TrigPolynomial,
     breakpoints,
     cone_multiplier,
-    family_at_point,
     family_values_on_grid,
     freeze,
     frozen_partial_sum,
@@ -143,19 +142,21 @@ BOUNDS = {
 
 
 def _piece_counts(P: HPolytope, pieces, X) -> np.ndarray:
+    """Number of closed pieces containing each point of X; ``cover`` and
+    ``disjoint`` both read it, so callers build it once."""
     return np.stack([piece_contains(pc, P, X) for pc in pieces]).sum(axis=0)
 
 
-def cover(P: HPolytope, pieces, X) -> float:
-    """Number of points of X (inside P) that lie in no closed piece."""
-    return float(np.sum(_piece_counts(P, pieces, X) < 1))
+def cover(counts) -> float:
+    """Number of sampled points (inside P) that lie in no closed piece."""
+    return float(np.sum(counts < 1))
 
 
-def disjoint(P: HPolytope, pieces, X) -> float:
+def disjoint(P: HPolytope, X, counts) -> float:
     """Points of X off piece boundaries (top row ahead by > 1e-7) that lie in two pieces."""
     srt = np.sort(X @ P.A.T, axis=1)
     unique_arg = srt[:, -1] - srt[:, -2] > 1e-7
-    return float(np.sum(_piece_counts(P, pieces, X)[unique_arg] > 1))
+    return float(np.sum(counts[unique_arg] > 1))
 
 
 def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
@@ -299,9 +300,9 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
 
     pieces = triangulate(P)
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
-    _record(results, suite, f"cover[{label}]", cover(P, pieces, inside),
-            BOUNDS["cover"], "uncovered")
-    _record(results, suite, f"disjoint[{label}]", disjoint(P, pieces, inside),
+    counts = _piece_counts(P, pieces, inside)
+    _record(results, suite, f"cover[{label}]", cover(counts), BOUNDS["cover"], "uncovered")
+    _record(results, suite, f"disjoint[{label}]", disjoint(P, inside, counts),
             BOUNDS["disjoint"], "overlaps")
     _record(results, suite, f"piece_bounded[{label}]",
             piece_bounded(P, pieces, 400, _label_seed(label)), BOUNDS["piece_bounded"],
@@ -425,11 +426,9 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
     f = random_trig_polynomial(2, 3, 0.8, seed + 7)
     M = default_resolution(3)
     field = v_r_field(f, P, M, 3.0)
-    pts = grid_points(2, M)
-    worst = 0.0
-    for k in range(0, pts.shape[0], 7):
-        fam = family_at_point(f, P, pts[k])
-        worst = max(worst, abs(field.flat[k] - v_r_exact(fam.values, 3.0)))
+    pts = grid_points(2, M)[::7]
+    fams = np.stack([partial_sum(f, P, float(lam), pts) for lam in breakpoints(f, P)], axis=1)
+    worst = max(abs(v - v_r_exact(fam, 3.0)) for v, fam in zip(field.flat[::7], fams))
     _record(results, suite, "field_vs_pointwise", worst, 1e-12)
 
     excess = max(

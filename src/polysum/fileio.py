@@ -62,7 +62,7 @@ def load_coefficients(path) -> TrigPolynomial:
     try:
         dim = int(data["dim"])
         entries = data["coeffs"]
-        freqs = np.array([e["n"] for e in entries], dtype=np.int64).reshape(-1, dim)
+        freqs = [e["n"] for e in entries]
         coeffs = np.array(
             [complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))) for e in entries]
         )

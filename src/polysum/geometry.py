@@ -401,8 +401,7 @@ def piece_assign(pieces: list[TriangularPiece], P: HPolytope, x) -> int:
 def piece_contains(piece: TriangularPiece, P: HPolytope, x, tol: float = GEO_TOL):
     """Closed membership in the piece: its row attains the gauge and a.x <= b."""
     x = np.asarray(x, dtype=float)
-    vals = x @ P.A.T
-    g = np.maximum(np.max(vals, axis=-1), 0.0)
+    g = gauge(P, x)
     row = x @ piece.facet.a
     return (row >= g - tol) & (row <= piece.facet.b + tol)
 

@@ -4,14 +4,16 @@ A cutoff at parameter ``lam`` keeps the frequencies whose gauge is at most
 ``lam`` (closed condition), so as ``lam`` sweeps the half-line the partial
 sums at a fixed point form a right-continuous step function whose jumps sit
 at the finitely many gauge values of the support; those values are the
-breakpoints.  Everything is evaluated directly, O(#coeffs * #points), which
-keeps every identity exact to rounding and doubles as the oracle for any
-faster path.
+breakpoints.  One shell plan decides each frequency's gauge, owner row (its
+fan piece) and shell order for every operator.  Everything is evaluated
+directly, O(#coeffs * #points), which keeps every identity exact to rounding
+and doubles as the oracle for any faster path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,18 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
+def _int_freqs(freqs) -> np.ndarray:
+    """Frequencies as int64.  Anything but an int64 array is checked entry by
+    entry: booleans, non-integers and integers beyond int64 raise ValueError."""
+    if isinstance(freqs, np.ndarray) and freqs.dtype == np.int64:
+        return freqs
+    entries = np.asarray(freqs, dtype=object)
+    for v in entries.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or abs(v) >= 2**63:
+            raise ValueError(f"frequency entry {v!r} is not a 64-bit integer")
+    return entries.astype(np.int64)
+
+
 class TrigPolynomial:
     """Finitely supported Fourier coefficients on the integer lattice.
 
@@ -64,25 +78,21 @@ class TrigPolynomial:
             raise ValueError("dimension must be a positive integer")
         if coeffs is None:
             items = freqs.items() if hasattr(freqs, "items") else list(freqs)
-            fr = np.array([n for n, _ in items], dtype=np.int64).reshape(-1, dim)
+            freqs = [n for n, _ in items]
             co = np.array([c for _, c in items], dtype=complex)
         else:
-            fr = np.asarray(freqs, dtype=np.int64).reshape(-1, dim)
             co = np.asarray(coeffs, dtype=complex).reshape(-1)
+        fr = _int_freqs(freqs).reshape(-1, dim)
         if fr.shape[0] != co.shape[0]:
             raise ValueError("frequency/coefficient count mismatch")
         if not np.all(np.isfinite(co)):
             raise ValueError("non-finite coefficient")
-        if fr.shape[0]:
-            uniq, inverse = np.unique(fr, axis=0, return_inverse=True)
-            merged = np.zeros(uniq.shape[0], dtype=complex)
-            np.add.at(merged, inverse.reshape(-1), co)
-            fr, co = uniq, merged
-        else:
-            fr = fr.reshape(0, dim)
+        fr, inverse = np.unique(fr, axis=0, return_inverse=True)
+        merged = np.zeros(fr.shape[0], dtype=complex)
+        np.add.at(merged, inverse.reshape(-1), co)
         self.dim = dim
         self.freqs = fr
-        self.coeffs = co
+        self.coeffs = merged
         self.freqs.setflags(write=False)
         self.coeffs.setflags(write=False)
 
@@ -100,7 +110,7 @@ class TrigPolynomial:
     @property
     def bandwidth(self) -> int:
         """Smallest B with every supported |n_j| <= B (0 for empty support)."""
-        return int(np.max(np.abs(self.freqs))) if len(self) else 0
+        return int(np.max(np.abs(self.freqs), initial=0))
 
     def coeff(self, n) -> complex:
         n = np.asarray(n, dtype=np.int64).reshape(-1)
@@ -114,9 +124,6 @@ class TrigPolynomial:
     def evaluate(self, x):
         """Evaluate at x of shape (..., dim); for dim = 1 bare scalars work too."""
         x = _as_points(x, self.dim)
-        if not len(self):
-            out = np.zeros(x.shape[:-1], dtype=complex)
-            return complex(out) if out.ndim == 0 else out
         out = np.exp(_TWO_PI_I * (x @ self.freqs.T)) @ self.coeffs
         return complex(out) if out.ndim == 0 else out
 
@@ -163,21 +170,64 @@ class FrozenFunction:
         self.coeffs1.setflags(write=False)
 
 
+class _Shells:
+    """Shell plan of f under P: each frequency's gauge, owner row (lowest index
+    attaining the gauge) and shell order (by gauge, then lex).  Fields are
+    computed on first use, so an operator pays only for what it reads."""
+
+    def __init__(self, f: TrigPolynomial, P: HPolytope):
+        if f.dim != P.dim:
+            raise ValueError("dimension mismatch between polynomial and polytope")
+        self.f = f
+        self.P = P
+        self.points = f.freqs.astype(float)
+
+    @cached_property
+    def gauge(self) -> np.ndarray:
+        return gauge(self.P, self.points)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        return assign_rows(self.P, self.points)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.lexsort(tuple(self.f.freqs.T[::-1]) + (self.gauge,))
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        return np.unique(np.concatenate([[0.0], self.gauge]))
+
+
+def _shell_sums(shells: _Shells, cutoffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Partial sums at each cutoff (columns) for each point (rows): shell-ordered
+    cumulative sums with a leading zero column, gathered at the shell counts."""
+    f, order = shells.f, shells.order
+    counts = np.searchsorted(shells.gauge[order], cutoffs, side="right")
+    freqs = f.freqs[order]
+    coeffs = f.coeffs[order]
+    values = np.empty((pts.shape[0], cutoffs.shape[0]), dtype=complex)
+    chunk = max(1, _CHUNK_BUDGET // max(len(f), 1))
+    for lo in range(0, pts.shape[0], chunk):
+        sl = slice(lo, lo + chunk)
+        terms = np.exp(_TWO_PI_I * (pts[sl] @ freqs.T)) * coeffs
+        csum = np.zeros((terms.shape[0], terms.shape[1] + 1), dtype=complex)
+        np.cumsum(terms, axis=1, out=csum[:, 1:])
+        values[sl] = csum[:, counts]
+    return values
+
+
 def partial_sum(f: TrigPolynomial, P: HPolytope, lam: float, x):
     """Partial sum over frequencies in the closed dilate: gauge(P, n) <= lam.
 
     For lam past the largest gauge of the support this is f(x) itself.
     Accepts a single point or a batch of shape (..., d).
     """
-    if f.dim != P.dim:
-        raise ValueError("dimension mismatch between polynomial and polytope")
+    shells = _Shells(f, P)
     if lam < 0.0:
         raise ValueError("cutoff parameter must be nonnegative")
     x = _as_points(x, f.dim)
-    if not len(f):
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        return complex(out) if out.ndim == 0 else out
-    mask = gauge(P, f.freqs.astype(float)) <= lam
+    mask = shells.gauge <= lam
     out = np.exp(_TWO_PI_I * (x @ f.freqs[mask].T)) @ f.coeffs[mask]
     return complex(out) if out.ndim == 0 else out
 
@@ -188,19 +238,7 @@ def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
     Partial sums are constant in lam on each interval between consecutive
     entries and right-continuous at each entry.
     """
-    if f.dim != P.dim:
-        raise ValueError("dimension mismatch between polynomial and polytope")
-    if not len(f):
-        return np.zeros(1)
-    g = gauge(P, f.freqs.astype(float))
-    return np.unique(np.concatenate([[0.0], g]))
-
-
-def _shell_order(f: TrigPolynomial, P: HPolytope):
-    """Frequencies sorted by (gauge, lex); returns order, sorted gauges."""
-    g = gauge(P, f.freqs.astype(float))
-    order = np.lexsort(tuple(f.freqs.T[::-1]) + (g,))
-    return order, g[order]
+    return _Shells(f, P).breakpoints
 
 
 def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
@@ -210,18 +248,12 @@ def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     whole family costs one pass over the support.  The first value is the
     constant coefficient, the last is f(x).
     """
-    bps = breakpoints(f, P)
-    if not len(f):
-        return StepFunction(bps[1:], np.zeros(1, dtype=complex))
+    shells = _Shells(f, P)
     x = _as_points(x, f.dim)
     if x.ndim != 1:
         raise ValueError("one point at a time; use family_values_on_grid for batches")
-    order, g_sorted = _shell_order(f, P)
-    terms = f.coeffs[order] * np.exp(_TWO_PI_I * (x @ f.freqs[order].T))
-    csum = np.cumsum(terms)
-    counts = np.searchsorted(g_sorted, bps, side="right")
-    values = np.where(counts > 0, csum[counts - 1], 0.0j)
-    return StepFunction(bps[1:], values)
+    bps = shells.breakpoints
+    return StepFunction(bps[1:], _shell_sums(shells, bps, x[None, :])[0])
 
 
 def grid_points(dim: int, resolution: int) -> np.ndarray:
@@ -240,25 +272,9 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=N
     """
     if resolution < 2 * f.bandwidth + 1:
         raise ValueError("aliasing: grid resolution must be at least 2B+1")
-    bps = breakpoints(f, P) if at is None else np.asarray(at, dtype=float).reshape(-1)
-    pts = grid_points(f.dim, resolution)
-    if not len(f):
-        return bps, np.zeros((pts.shape[0], bps.shape[0]), dtype=complex)
-    order, g_sorted = _shell_order(f, P)
-    counts = np.searchsorted(g_sorted, bps, side="right")
-    freqs = f.freqs[order]
-    coeffs = f.coeffs[order]
-    values = np.empty((pts.shape[0], bps.shape[0]), dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(len(f), 1))
-    for lo in range(0, pts.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        terms = np.exp(_TWO_PI_I * (pts[sl] @ freqs.T)) * coeffs
-        csum = np.cumsum(terms, axis=1)
-        block = np.zeros((terms.shape[0], bps.shape[0]), dtype=complex)
-        pos = counts > 0
-        block[:, pos] = csum[:, counts[pos] - 1]
-        values[sl] = block
-    return bps, values
+    shells = _Shells(f, P)
+    bps = shells.breakpoints if at is None else np.asarray(at, dtype=float).reshape(-1)
+    return bps, _shell_sums(shells, bps, grid_points(f.dim, resolution))
 
 
 def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, pieces, lam: float, x):
@@ -272,17 +288,12 @@ def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, pieces, lam: float, x
         raise ValueError("pieces do not match the polytope rows")
     if lam < 0.0:
         raise ValueError("cutoff parameter must be nonnegative")
+    shells = _Shells(f, P)
     x = _as_points(x, f.dim)
-    if not len(f):
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        return complex(out) if out.ndim == 0 else out
-    owner = assign_rows(P, f.freqs.astype(float))
-    g = gauge(P, f.freqs.astype(float))
+    inside = shells.gauge <= lam
     total = np.zeros(x.shape[:-1], dtype=complex)
     for piece in pieces:
-        mask = (owner == piece.index) & (g <= lam)
-        if not np.any(mask):
-            continue
+        mask = (shells.owner == piece.index) & inside
         total = total + np.exp(_TWO_PI_I * (x @ f.freqs[mask].T)) @ f.coeffs[mask]
     return complex(total) if total.ndim == 0 else total
 
@@ -312,14 +323,9 @@ def freeze(f: TrigPolynomial, P: HPolytope, piece: TriangularPiece, xprime) -> F
     xprime = np.asarray(xprime, dtype=float).reshape(-1)
     if xprime.shape[0] != f.dim - 1:
         raise ValueError("x' must have d-1 coordinates")
-    if not len(f):
-        return FrozenFunction(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex), sign)
-    owner = assign_rows(P, f.freqs.astype(float))
-    sel = owner == piece.index
-    n1 = f.freqs[sel, 0]
-    nprime = f.freqs[sel, 1:]
-    weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (nprime @ xprime))
-    uniq, inverse = np.unique(n1, return_inverse=True)
+    sel = _Shells(f, P).owner == piece.index
+    weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (f.freqs[sel, 1:] @ xprime))
+    uniq, inverse = np.unique(f.freqs[sel, 0], return_inverse=True)
     acc = np.zeros(uniq.shape[0], dtype=complex)
     np.add.at(acc, inverse, weights)
     return FrozenFunction(uniq, acc, sign)
@@ -339,8 +345,6 @@ def frozen_threshold(piece: TriangularPiece, lam: float) -> float:
 def frozen_partial_sum(g: FrozenFunction, mu: float, x1: float) -> complex:
     """1-d partial sum of the frozen function: sign * n_1 <= mu, closed."""
     mask = g.sign * g.freqs1 <= mu
-    if not np.any(mask):
-        return 0.0j
     return complex(
         (g.coeffs1[mask] * np.exp(_TWO_PI_I * g.freqs1[mask] * float(x1))).sum()
     )
@@ -356,10 +360,7 @@ def cone_multiplier(
     """
     if pieces is not None and len(pieces) != P.m:
         raise ValueError("pieces do not match the polytope rows")
-    if not len(f):
-        return TrigPolynomial.zero(f.dim)
-    owner = assign_rows(P, f.freqs.astype(float))
-    keep = owner == piece.index
+    keep = _Shells(f, P).owner == piece.index
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 
 
@@ -373,8 +374,6 @@ def halfspace_multiplier(f: TrigPolynomial, a, c: float) -> TrigPolynomial:
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.shape[0] != f.dim:
         raise ValueError("normal vector has wrong dimension")
-    if not len(f):
-        return TrigPolynomial.zero(f.dim)
     keep = f.freqs @ a <= c
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 

@@ -54,8 +54,9 @@ def test_criterion_1_triangulation():
         rng = np.random.default_rng(seed + 1)
         X = rng.normal(size=(10_000, dim))
         X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-        _worst(margins, cover=experiments.cover(P, pieces, X),
-               disjoint=experiments.disjoint(P, pieces, X),
+        counts = experiments._piece_counts(P, pieces, X)
+        _worst(margins, cover=experiments.cover(counts),
+               disjoint=experiments.disjoint(P, X, counts),
                piece_bounded=experiments.piece_bounded(P, pieces, 500, seed + 2))
     _gate_margins(1, "triangulation cover/disjointness/boundedness", t0, 10.0, margins,
                   "20 polytopes, 1e4 points each")

@@ -169,6 +169,17 @@ def test_cli_rejects_non_finite_coefficients(square_file, tmp_path, capsys, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["[1.7, 0]", "[true, 0]", "[1180591620717411303424, 0]"])
+def test_cli_rejects_non_integer_frequencies(square_file, tmp_path, capsys, n):
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text('{"dim": 2, "coeffs": [{"n": %s, "re": 1.0, "im": 0.0}]}' % n)
+    out = tmp_path / "ps.csv"
+    assert cli.main(["partial-sum", "--polytope", str(square_file), "--coeffs",
+                     str(coeffs), "--out", str(out)]) == 2
+    assert "is not a 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_partial_sum_rejects_empty_grid(square_file, coeff_file, tmp_path, capsys):
     out = tmp_path / "ps.csv"
     assert cli.main(["partial-sum", "--polytope", str(square_file), "--coeffs",

@@ -312,10 +312,11 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(10_000, dim))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-    assert experiments.cover(P, pieces, X) == 0
+    counts = experiments._piece_counts(P, pieces, X)
+    assert experiments.cover(counts) == 0
     vals = np.sort(X @ P.A.T, axis=1)
     assert np.sum(vals[:, -1] - vals[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
-    assert experiments.disjoint(P, pieces, X) == 0
+    assert experiments.disjoint(P, X, counts) == 0
 
 
 def test_piece_boundedness():

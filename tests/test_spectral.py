@@ -170,8 +170,9 @@ def test_family_values_on_grid_matches_pointwise_families():
     bps, values = family_values_on_grid(f, P, M)
     pts = grid_points(2, M)
     for k in (0, 17, 40, 80):
-        fam = family_at_point(f, P, pts[k])
-        assert np.max(np.abs(values[k] - fam.values)) <= 1e-12
+        # direct masked sums: family_at_point shares the grid evaluator's code
+        direct = np.array([partial_sum(f, P, float(lam), pts[k]) for lam in bps])
+        assert np.max(np.abs(values[k] - direct)) <= 1e-12
     with pytest.raises(ValueError):
         family_values_on_grid(f, P, 2 * f.bandwidth)  # aliasing
 
@@ -396,3 +397,37 @@ def test_partial_sum_linearity():
         combo = partial_sum(alpha * f + beta * g, P, lam, X)
         split = alpha * partial_sum(f, P, lam, X) + beta * partial_sum(g, P, lam, X)
         assert np.max(np.abs(combo - split)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shell plan: empty support and dimension checks
+
+_SQUARE = hypercube(2)
+_FAN = triangulate(_SQUARE)
+_PTS = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+_ZEROS = np.zeros(3, dtype=complex)
+
+
+def _plus_e1(pieces):
+    return next(pc for pc in pieces if pc.facet.a[0] > 0.5)
+
+
+@pytest.mark.parametrize("op,expected", [
+    (lambda f: partial_sum(f, _SQUARE, 1.0, _PTS), _ZEROS),
+    (lambda f: np.asarray(partial_sum(f, _SQUARE, 1.0, _PTS[0])), np.zeros((), dtype=complex)),
+    (lambda f: partial_sum_by_pieces(f, _SQUARE, _FAN, 1.0, _PTS), _ZEROS),
+    (lambda f: f.evaluate(_PTS), _ZEROS),
+    (lambda f: breakpoints(f, _SQUARE), np.zeros(1)),
+    (lambda f: family_at_point(f, _SQUARE, _PTS[0]).values, np.zeros(1, dtype=complex)),
+    (lambda f: family_values_on_grid(f, _SQUARE, 3)[1], np.zeros((9, 1), dtype=complex)),
+    (lambda f: freeze(f, _SQUARE, _plus_e1(_FAN), np.full(f.dim - 1, 0.3)).coeffs1,
+     np.zeros(0, dtype=complex)),
+    (lambda f: cone_multiplier(f, _FAN[0], _SQUARE, _FAN).freqs, np.zeros((0, 2), dtype=np.int64)),
+], ids=["partial_sum", "partial_sum_point", "partial_sum_by_pieces", "evaluate", "breakpoints",
+        "family_at_point", "family_values_on_grid", "freeze", "cone_multiplier"])
+def test_zero_polynomial_and_dimension_mismatch(op, expected):
+    out = op(TrigPolynomial.zero(2))
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
+    with pytest.raises(ValueError, match="dimension"):
+        op(TrigPolynomial(3, {(1, 0, 0): 1.0}))
