@@ -43,7 +43,7 @@ print("\nrandom 7-gon: max gauge difference after H -> V -> H round-trip:",
 pieces = triangulate(P)
 print(f"\nfan of the 7-gon: {len(pieces)} pieces")
 for pc in pieces[:3]:
-    print(f"  piece {pc.index}: generators {np.round(pc.generators, 3).tolist()}, "
+    print(f"  piece {pc.index}: generators {np.round(pc.vertices, 3).tolist()}, "
           f"cone rows {np.round(cone_halfspaces(pc), 3).tolist()}")
 
 # membership sampling: the pieces cover P and overlap only on boundaries
@@ -56,5 +56,5 @@ print("(every point covered; only shared sector boundaries see 2 pieces)")
 
 # the deterministic partition rule: lowest facet index attaining the gauge
 x = np.array([0.4, 0.4])
-print("\npiece_assign for", x.tolist(), "->", piece_assign(pieces, P, x))
-print("piece_assign for the origin ->", piece_assign(pieces, P, np.zeros(2)))
+print("\npiece_assign for", x.tolist(), "->", piece_assign(P, x))
+print("piece_assign for the origin ->", piece_assign(P, np.zeros(2)))

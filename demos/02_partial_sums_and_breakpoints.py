@@ -16,7 +16,6 @@ from polysum import (
     partial_sum_by_pieces,
     random_polytope,
     random_trig_polynomial,
-    triangulate,
 )
 
 # d = 1: cutting off |n| <= N reproduces the Dirichlet kernel
@@ -47,10 +46,9 @@ print("\nrandom hexagon: number of distinct breakpoints:", len(bps_rand),
       "(first few:", np.round(bps_rand[:5], 4).tolist(), ")")
 
 # the fan partition never double counts a frequency
-pieces = triangulate(P_rand)
 worst = 0.0
 for lam in bps_rand:
-    d = abs(partial_sum_by_pieces(f, P_rand, pieces, float(lam), x)
+    d = abs(partial_sum_by_pieces(f, P_rand, float(lam), x)
             - partial_sum(f, P_rand, float(lam), x))
     worst = max(worst, d)
 print("max |piecewise - direct| over all breakpoints:", worst)

@@ -25,10 +25,10 @@ pieces = triangulate(P)
 f = random_trig_polynomial(3, 6, 0.3, seed=9)
 bps = breakpoints(f, P)
 print("cube in d=3, random polynomial with", len(f), "frequencies")
-print("facet normals:", [np.round(pc.facet.a, 3).tolist() for pc in pieces])
+print("facet normals:", [np.round(pc.a, 3).tolist() for pc in pieces])
 
 piece = pieces[0]  # normal +e1
-restricted = cone_multiplier(f, piece, P, pieces)
+restricted = cone_multiplier(f, piece, P)
 print("\npiece 0 owns", len(restricted), "frequencies")
 
 rng = np.random.default_rng(10)

@@ -10,7 +10,6 @@ from .geometry import (
     GEO_TOL,
     Facet,
     HPolytope,
-    TriangularPiece,
     VPolytope,
     cone_halfspaces,
     contains,

@@ -100,8 +100,7 @@ def _cmd_variation_field(args) -> int:
     field = v_r_field(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]
-    fileio.write_field_csv(field, args.out, comments)
-    if args.norms_out is not None:
+    if args.norms_out is not None:  # norms first: a bad --p must write no file
         samples = sample_grid(f, M)
         f_lp = lp_norm(samples, p)
         entries = [
@@ -112,6 +111,8 @@ def _cmd_variation_field(args) -> int:
             ("f_lorentz_p1", p, r, lorentz_p1_norm(samples.abs(), p)),
             ("ratio", p, r, lp_norm(field, p) / f_lp if f_lp > 0 else 0.0),
         ]
+    fileio.write_field_csv(field, args.out, comments)
+    if args.norms_out is not None:
         fileio.write_norm_summary_csv(args.norms_out, entries, comments)
     return 0
 

@@ -38,6 +38,7 @@ from .geometry import (
 from .generators import random_piece_points, random_polytope, random_trig_polynomial
 from .spectral import (
     TrigPolynomial,
+    _Shells,
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
@@ -167,11 +168,11 @@ def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
     )
 
 
-def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, pieces, X) -> float:
+def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
     return max(
         float(np.max(np.abs(
-            partial_sum_by_pieces(f, P, pieces, float(lam), X)
+            partial_sum_by_pieces(f, P, float(lam), X)
             - partial_sum(f, P, float(lam), X))))
         for lam in breakpoints(f, P)
     )
@@ -185,9 +186,9 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
     xs = np.arange(M) / M
     worst = 0.0
     for pc in pieces:
-        if np.linalg.norm(pc.facet.a[1:]) > 1e-12:
+        if np.linalg.norm(pc.a[1:]) > 1e-12:
             continue
-        restricted = cone_multiplier(f, pc, P, pieces)
+        restricted = cone_multiplier(f, pc, P)
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
         vals = vals.reshape((M,) * f.dim + (bps.shape[0],))
         for jp in itertools.product(range(M), repeat=f.dim - 1):
@@ -210,7 +211,7 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
         for a in cone_halfspaces(pc):
             composed = halfspace_multiplier(composed, a, 0.0)
         comp = composed.coeff_dict()
-        assg = cone_multiplier(f, pc, P, pieces).coeff_dict()
+        assg = cone_multiplier(f, pc, P).coeff_dict()
         for n, c in assg.items():
             violations += int(abs(comp.get(n, 0.0j) - c) > 0.0)
         for n in set(comp) - set(assg):
@@ -308,7 +309,7 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
             piece_bounded(P, pieces, 400, _label_seed(label)), BOUNDS["piece_bounded"],
             "max_excess")
 
-    assigned = np.array([piece_assign(pieces, P, x) for x in inside[:300]])
+    assigned = np.array([piece_assign(P, x) for x in inside[:300]])
     misses = sum(
         not piece_contains(pieces[a], P, x) for a, x in zip(assigned, inside[:300])
     )
@@ -316,8 +317,8 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
 
     rot_err = 0.0
     for pc in pieces:
-        R = rotation_to_e1(pc.facet)
-        n = pc.facet.normal
+        R = rotation_to_e1(pc)
+        n = pc.normal
         e1 = np.zeros(P.dim)
         e1[0] = 1.0
         rot_err = max(
@@ -349,7 +350,6 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     suite = "spectral"
     rng = np.random.default_rng(seed)
     f = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed)
-    pieces = triangulate(P)
     bps = breakpoints(f, P)
     X = rng.random(size=(20, P.dim))
 
@@ -364,11 +364,11 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     _record(results, suite, f"saturation[{label}]", sat, 1e-12)
 
     _record(results, suite, f"piecewise_equals_direct[{label}]",
-            piecewise_equals_direct(f, P, pieces, X), BOUNDS["piecewise_equals_direct"])
+            piecewise_equals_direct(f, P, X), BOUNDS["piecewise_equals_direct"])
 
     total = TrigPolynomial.zero(f.dim)
-    for pc in pieces:
-        total = total + cone_multiplier(f, pc, P, pieces)
+    for pc in triangulate(P):
+        total = total + cone_multiplier(f, pc, P)
     diff = dict(total)
     worst = 0.0
     for n, c in f:
@@ -496,7 +496,6 @@ def run_ratio_experiment(
     ensemble: int = 32,
     density: float = 1.0,
     seed: int = 42,
-    polytope: HPolytope | None = None,
     out=None,
 ) -> RatioReport:
     """Tabulate ||V_r(S_lam f)||_p / ||f||_p over a random ensemble per bandwidth.
@@ -514,12 +513,12 @@ def run_ratio_experiment(
         "ensemble": ensemble,
         "density": density,
         "seed": seed,
-        "polytope": "custom" if polytope is not None else "hypercube",
+        "polytope": "hypercube",
     }
+    P = hypercube(dim)
     for B in bandwidths:
         M = default_resolution(B)
         ExperimentConfig(r=r, p=p, bandwidth=B, resolution=M, ensemble=ensemble, seed=seed)
-        P = polytope if polytope is not None else hypercube(dim)
         for member in range(ensemble):
             child = np.random.SeedSequence((seed, B, member))
             f = random_trig_polynomial(dim, B, density, child)
@@ -581,25 +580,19 @@ def smooth_polynomial(dim: int, bandwidth: int) -> TrigPolynomial:
     return TrigPolynomial(dim, freqs, coeffs.astype(complex))
 
 
-def run_convergence(
-    bandwidth: int = 8,
-    dim: int = 2,
-    polytope: HPolytope | None = None,
-    resolution: int | None = None,
-    out=None,
-) -> list[tuple]:
+def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     """Sup-norm error of partial sums along the breakpoint ladder.
 
     Returns rows (k, lam, sup_err, running_min, tail_bound); the final row's
     error is exactly zero (bandlimited saturation) and every error is bounded
     by the tail coefficient sum.
     """
-    P = polytope if polytope is not None else hypercube(dim)
+    P = hypercube(dim)
     f = smooth_polynomial(dim, bandwidth)
-    M = resolution if resolution is not None else default_resolution(bandwidth)
+    M = default_resolution(bandwidth)
     bps, values = family_values_on_grid(f, P, M)
     final = values[:, -1]
-    g = gauge(P, f.freqs.astype(float))
+    g = _Shells(f, P).gauge
     abs_c = np.abs(f.coeffs)
     rows = []
     running = np.inf

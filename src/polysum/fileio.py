@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import HPolytope, VPolytope, TriangularPiece, h_from_vertices, cone_halfspaces
+from .geometry import Facet, HPolytope, VPolytope, h_from_vertices, cone_halfspaces
 from .spectral import TrigPolynomial
 from .variation import GridSamples
 
@@ -81,16 +81,17 @@ def save_coefficients(f: TrigPolynomial, path) -> None:
         fh.write("\n")
 
 
-def pieces_as_dict(P: HPolytope, pieces: list[TriangularPiece]) -> dict:
-    """JSON-ready description of a fan: facets, generators, cone rows."""
+def pieces_as_dict(P: HPolytope, pieces: list[Facet]) -> dict:
+    """JSON-ready description of a fan: facet rows, their vertices (as the
+    cone "generators") and cone rows."""
     out = []
     for piece in pieces:
         out.append(
             {
                 "facet_index": piece.index,
-                "a": piece.facet.a.tolist(),
-                "b": piece.facet.b,
-                "generators": piece.generators.tolist(),
+                "a": piece.a.tolist(),
+                "b": piece.b,
+                "generators": piece.vertices.tolist(),
                 "cone_rows": cone_halfspaces(piece).tolist(),
             }
         )

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .geometry import HPolytope, TriangularPiece, h_from_vertices, VPolytope
+from .geometry import Facet, HPolytope, h_from_vertices, VPolytope
 from .spectral import TrigPolynomial
 
 __all__ = [
@@ -78,14 +78,14 @@ def random_trig_polynomial(
     return TrigPolynomial(dim, lattice[keep], coeffs)
 
 
-def random_piece_points(piece: TriangularPiece, count: int, seed) -> np.ndarray:
+def random_piece_points(piece: Facet, count: int, seed) -> np.ndarray:
     """Random points of the piece in its defining form t * (facet point).
 
-    Facet points are random convex combinations of the generators and t is
+    Facet points are random convex combinations of the facet vertices and t is
     uniform on [0, 1], so every sample lies in the piece by construction.
     """
     rng = np.random.default_rng(seed)
-    V = piece.generators
+    V = piece.vertices
     w = rng.exponential(size=(count, V.shape[0]))
     w /= w.sum(axis=1, keepdims=True)
     t = rng.random(size=(count, 1))

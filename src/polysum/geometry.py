@@ -22,7 +22,6 @@ __all__ = [
     "HPolytope",
     "VPolytope",
     "Facet",
-    "TriangularPiece",
     "hypercube",
     "cross_polytope",
     "interval",
@@ -91,27 +90,15 @@ class HPolytope:
         return self.A.shape[0]
 
     def validate(self) -> "HPolytope":
-        """Certify irredundancy and boundedness by vertex enumeration (d <= 3).
+        """Certify irredundancy and boundedness by facet enumeration (d <= 3).
 
-        A row is accepted as irredundant when at least ``dim`` vertices are
-        tight on it; duplicated rows and inputs where that criterion cannot
-        decide (no vertices, rank defects) raise ``ValueError``.
+        Duplicated rows, unbounded input and rows that are not facets (see
+        :func:`facets`) raise ``ValueError``.
         """
-        if self.dim not in _ENUM_DIMS:
-            raise ValueError("validate() requires d <= 3")
         dup = _duplicate_rows(self.A)
         if dup:
             raise ValueError(f"duplicate constraint rows: {dup}")
-        if not _bounded_rows(self.A):
-            raise ValueError("unbounded: row normals do not positively span R^d")
-        verts = vertices_from_h(self).vertices
-        vals = verts @ self.A.T
-        for i in range(self.m):
-            n_tight = int(np.sum(np.abs(vals[:, i] - self.b[i]) <= GEO_TOL))
-            if n_tight < self.dim:
-                raise ValueError(
-                    f"row {i} supports only {n_tight} vertices; redundant or degenerate"
-                )
+        facets(self, vertices_from_h(self))
         return self
 
 
@@ -154,7 +141,11 @@ class VPolytope:
 
 @dataclass(eq=False)
 class Facet:
-    """One bounding row together with the vertices tight on it."""
+    """One bounding row together with the vertices tight on it.
+
+    A facet is also its fan piece: the cone over the facet cut by its row,
+    ``{t x : x in facet, 0 <= t <= 1}``, whose index is the row index.
+    """
 
     index: int
     a: np.ndarray
@@ -165,25 +156,6 @@ class Facet:
     def normal(self) -> np.ndarray:
         """Unit outward normal of the supporting hyperplane."""
         return self.a / np.linalg.norm(self.a)
-
-
-@dataclass(eq=False)
-class TriangularPiece:
-    """Cone over one facet, cut by that facet's supporting half-space.
-
-    Equals ``{t x : x in facet, 0 <= t <= 1}``; the facet vertices generate
-    the cone.
-    """
-
-    facet: Facet
-
-    @property
-    def index(self) -> int:
-        return self.facet.index
-
-    @property
-    def generators(self) -> np.ndarray:
-        return self.facet.vertices
 
 
 def hypercube(dim: int, radius: float = 1.0) -> HPolytope:
@@ -263,13 +235,12 @@ def _bounded_rows(A: np.ndarray) -> bool:
     return True
 
 
-def _dedup_points(pts: np.ndarray) -> np.ndarray:
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
+def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy merge in lex order: keep p unless within tol * (1 + |p|) of a kept point."""
     kept: list[np.ndarray] = []
-    for p in pts:
-        tol = DEDUP_TOL * (1.0 + np.linalg.norm(p))
-        if all(np.linalg.norm(p - q) > tol for q in kept):
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        bound = tol * (1.0 + np.linalg.norm(p))
+        if all(np.linalg.norm(p - q) > bound for q in kept):
             kept.append(p)
     return np.array(kept)
 
@@ -294,7 +265,7 @@ def vertices_from_h(P: HPolytope) -> VPolytope:
             found.append(v)
     if not found:
         raise ValueError("degenerate input: no vertices found")
-    verts = _dedup_points(np.array(found))
+    verts = _dedup_points(np.array(found), DEDUP_TOL)
     if verts.shape[0] < P.dim + 1:
         raise ValueError("degenerate input: fewer than d+1 vertices")
     return VPolytope(P.dim, verts)
@@ -325,16 +296,9 @@ def h_from_vertices(Q: VPolytope) -> HPolytope:
     offsets = -hull.equations[:, -1]
     if np.any(offsets <= GEO_TOL):
         raise ValueError("origin not interior to the hull")
-    A = normals / offsets[:, None]
     # qhull may split a non-simplicial facet into coplanar pieces; after the
     # b = 1 scaling those produce identical rows, so merge them.
-    order = np.lexsort(A.T[::-1])
-    kept: list[np.ndarray] = []
-    for row in A[order]:
-        tol = 1e-9 * (1.0 + np.linalg.norm(row))
-        if all(np.linalg.norm(row - other) > tol for other in kept):
-            kept.append(row)
-    return HPolytope(Q.dim, np.array(kept))
+    return HPolytope(Q.dim, _dedup_points(normals / offsets[:, None], 1e-9))
 
 
 def facets(P: HPolytope, Q: VPolytope) -> list[Facet]:
@@ -367,14 +331,13 @@ def facets(P: HPolytope, Q: VPolytope) -> list[Facet]:
     return out
 
 
-def triangulate(P: HPolytope) -> list[TriangularPiece]:
-    """Fan triangulation: one cone-over-facet piece per H-row.
+def triangulate(P: HPolytope) -> list[Facet]:
+    """Fan triangulation: one cone-over-facet piece per H-row, as its :class:`Facet`.
 
     The pieces cover P, have pairwise disjoint interiors, and each equals the
     facet's cone intersected with its supporting half-space.
     """
-    Q = vertices_from_h(P)
-    return [TriangularPiece(f) for f in facets(P, Q)]
+    return facets(P, vertices_from_h(P))
 
 
 def assign_rows(P: HPolytope, x) -> int | np.ndarray:
@@ -386,24 +349,22 @@ def assign_rows(P: HPolytope, x) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def piece_assign(pieces: list[TriangularPiece], P: HPolytope, x) -> int:
+def piece_assign(P: HPolytope, x) -> int:
     """Deterministic piece label for x: lowest row index attaining the gauge.
 
     Total on all inputs; the zero vector goes to piece 0.  Together with the
     closed pieces this turns the fan into an exact partition rule for any
     finite point set (shared boundaries go to the lowest index).
     """
-    if len(pieces) != P.m:
-        raise ValueError("pieces do not match the polytope rows")
     return int(assign_rows(P, x))
 
 
-def piece_contains(piece: TriangularPiece, P: HPolytope, x, tol: float = GEO_TOL):
+def piece_contains(piece: Facet, P: HPolytope, x):
     """Closed membership in the piece: its row attains the gauge and a.x <= b."""
     x = np.asarray(x, dtype=float)
     g = gauge(P, x)
-    row = x @ piece.facet.a
-    return (row >= g - tol) & (row <= piece.facet.b + tol)
+    row = x @ piece.a
+    return (row >= g - GEO_TOL) & (row <= piece.b + GEO_TOL)
 
 
 def rotation_to_e1(facet) -> np.ndarray:
@@ -450,15 +411,15 @@ def _orthonormal_basis_of_plane(normal: np.ndarray) -> tuple[np.ndarray, np.ndar
     return u, np.cross(n, u)
 
 
-def cone_halfspaces(piece: TriangularPiece) -> np.ndarray:
+def cone_halfspaces(piece: Facet) -> np.ndarray:
     """Homogeneous rows a with a.x <= 0 cutting out the piece's cone (d <= 3).
 
-    The generators must span the ambient space together with the origin, i.e.
-    the cone is full-dimensional; degenerate cones raise ``ValueError``.
+    The facet vertices must span the ambient space together with the origin,
+    i.e. the cone is full-dimensional; degenerate cones raise ``ValueError``.
     Returned rows are unit-normalized, one per boundary ray (d = 2) or per
     facet-polygon edge (d = 3).
     """
-    V = piece.generators
+    V = piece.vertices
     d = V.shape[1]
     if d not in _ENUM_DIMS:
         raise ValueError("cone conversion supports d in {1, 2, 3}")
@@ -468,7 +429,7 @@ def cone_halfspaces(piece: TriangularPiece) -> np.ndarray:
         g = V[0, 0]
         return np.array([[-1.0]]) if g > 0 else np.array([[1.0]])
     if d == 2:
-        t = np.array([-piece.facet.a[1], piece.facet.a[0]])
+        t = np.array([-piece.a[1], piece.a[0]])
         proj = V @ t
         lo, hi = V[np.argmin(proj)], V[np.argmax(proj)]
         rows = []
@@ -482,7 +443,7 @@ def cone_halfspaces(piece: TriangularPiece) -> np.ndarray:
             rows.append(u / np.linalg.norm(u))
         return np.array(rows)
     # d == 3: one row per edge of the facet polygon, ordered around its centroid
-    u, w = _orthonormal_basis_of_plane(piece.facet.a)
+    u, w = _orthonormal_basis_of_plane(piece.a)
     c = V.mean(axis=0)
     ang = np.arctan2((V - c) @ w, (V - c) @ u)
     ordered = V[np.argsort(ang)]

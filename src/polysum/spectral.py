@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import HPolytope, TriangularPiece, assign_rows, gauge
+from .geometry import Facet, HPolytope, assign_rows, gauge
 from .variation import GridSamples, StepFunction
 
 __all__ = [
@@ -224,7 +224,7 @@ def partial_sum(f: TrigPolynomial, P: HPolytope, lam: float, x):
     Accepts a single point or a batch of shape (..., d).
     """
     shells = _Shells(f, P)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("cutoff parameter must be nonnegative")
     x = _as_points(x, f.dim)
     mask = shells.gauge <= lam
@@ -277,30 +277,28 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=N
     return bps, _shell_sums(shells, bps, grid_points(f.dim, resolution))
 
 
-def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, pieces, lam: float, x):
-    """Partial sum computed piece by piece over the fan.
+def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam: float, x):
+    """Partial sum computed piece by piece over the fan, one piece per row of P.
 
     Each supported frequency goes to exactly one piece (lowest row index
     attaining its gauge), so the per-piece sums add up to the direct partial
     sum with every frequency counted once.
     """
-    if len(pieces) != P.m:
-        raise ValueError("pieces do not match the polytope rows")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("cutoff parameter must be nonnegative")
     shells = _Shells(f, P)
     x = _as_points(x, f.dim)
     inside = shells.gauge <= lam
     total = np.zeros(x.shape[:-1], dtype=complex)
-    for piece in pieces:
-        mask = (shells.owner == piece.index) & inside
+    for k in range(P.m):
+        mask = (shells.owner == k) & inside
         total = total + np.exp(_TWO_PI_I * (x @ f.freqs[mask].T)) @ f.coeffs[mask]
     return complex(total) if total.ndim == 0 else total
 
 
-def _axis_alignment(piece: TriangularPiece) -> tuple[int, float]:
+def _axis_alignment(piece: Facet) -> tuple[int, float]:
     """(sign, |a_1|) of an e_1-aligned facet row; raises otherwise."""
-    a = piece.facet.a
+    a = piece.a
     if a.shape[0] >= 2 and np.linalg.norm(a[1:]) > 1e-12 * abs(a[0]):
         raise ValueError(
             "freezing needs a facet normal of +-e_1; rotations do not preserve "
@@ -311,7 +309,7 @@ def _axis_alignment(piece: TriangularPiece) -> tuple[int, float]:
     return (1 if a[0] > 0 else -1), abs(float(a[0]))
 
 
-def freeze(f: TrigPolynomial, P: HPolytope, piece: TriangularPiece, xprime) -> FrozenFunction:
+def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> FrozenFunction:
     """Collapse the piece's frequencies onto n_1 at a fixed x'.
 
     The coefficient at n_1 is the sum over assigned frequencies (n_1, n') of
@@ -331,15 +329,14 @@ def freeze(f: TrigPolynomial, P: HPolytope, piece: TriangularPiece, xprime) -> F
     return FrozenFunction(uniq, acc, sign)
 
 
-def frozen_threshold(piece: TriangularPiece, lam: float) -> float:
+def frozen_threshold(piece: Facet, lam: float) -> float:
     """Cutoff mu for the frozen 1-d sum matching the dilate lam of the piece.
 
     An assigned frequency lies in lam*P exactly when sign * n_1 <= mu with
     mu = lam * b / |a_1|.
     """
-    sign, a1 = _axis_alignment(piece)
-    del sign
-    return lam * piece.facet.b / a1
+    _, a1 = _axis_alignment(piece)
+    return lam * piece.b / a1
 
 
 def frozen_partial_sum(g: FrozenFunction, mu: float, x1: float) -> complex:
@@ -350,16 +347,12 @@ def frozen_partial_sum(g: FrozenFunction, mu: float, x1: float) -> complex:
     )
 
 
-def cone_multiplier(
-    f: TrigPolynomial, piece: TriangularPiece, P: HPolytope, pieces=None
-) -> TrigPolynomial:
+def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolynomial:
     """Sharp cone cutoff: keep exactly the coefficients assigned to the piece.
 
     Idempotent; summing the outputs over all pieces of a fan reproduces f
     coefficient for coefficient.
     """
-    if pieces is not None and len(pieces) != P.m:
-        raise ValueError("pieces do not match the polytope rows")
     keep = _Shells(f, P).owner == piece.index
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 

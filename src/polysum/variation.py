@@ -134,8 +134,8 @@ def v_r_exact(values, r: float) -> float:
     cutoff sweeps this equals the supremum over all real parameter sequences,
     because every difference is realized at jump points.
     """
-    if r < 1.0:
-        raise ValueError("variation exponent must be >= 1")
+    if not 1.0 <= r < np.inf:
+        raise ValueError("variation exponent must satisfy 1 <= r < inf")
     v = np.asarray(values, dtype=complex).reshape(-1)
     L = v.shape[0]
     if L <= 1:
@@ -153,8 +153,8 @@ def v_r_bruteforce(values, r: float) -> float:
     Visits every increasing index chain once (2^L - 1 of them), so the length
     is capped at 16.
     """
-    if r < 1.0:
-        raise ValueError("variation exponent must be >= 1")
+    if not 1.0 <= r < np.inf:
+        raise ValueError("variation exponent must satisfy 1 <= r < inf")
     v = np.asarray(values, dtype=complex).reshape(-1)
     L = v.shape[0]
     if L > BRUTE_FORCE_CAP:
@@ -215,8 +215,8 @@ def weak_lp_norm(h: GridSamples, p: float) -> float:
     The distribution function is a right-continuous step function on a grid,
     so the supremum is attained at a distinct sample value.
     """
-    if p < 1.0:
-        raise ValueError("norm exponent must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("norm exponent must satisfy 1 <= p < inf")
     vals = _nonneg_values(h)
     levels = np.unique(vals)
     frac = _level_fractions(vals, levels)
@@ -229,8 +229,8 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
     The distribution function is constant between consecutive distinct sample
     values, so the integral is a finite sum.
     """
-    if p < 1.0:
-        raise ValueError("norm exponent must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("norm exponent must satisfy 1 <= p < inf")
     vals = _nonneg_values(h)
     levels = np.unique(vals)
     levels = levels[levels > 0.0]
@@ -243,8 +243,8 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
 
 def lp_norm(h: GridSamples, p: float) -> float:
     """L^p norm (cell volume * sum |h|^p)^{1/p}; accepts complex samples."""
-    if p < 1.0:
-        raise ValueError("norm exponent must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("norm exponent must satisfy 1 <= p < inf")
     vals = np.abs(h.flat)
     return float((h.cell_volume * np.sum(vals**p)) ** (1.0 / p))
 

@@ -71,7 +71,7 @@ def test_criterion_2_frequency_partition():
         f = random_trig_polynomial(2, 8, 1.0, seed=530 + k)
         X = rng.random(size=(100, 2))
         _worst(margins, piecewise_equals_direct=experiments.piecewise_equals_direct(
-            f, P, triangulate(P), X))
+            f, P, X))
     _gate_margins(2, "piecewise partial sums equal direct sums", t0, 30.0, margins,
                   "16 polynomials (B=8), all breakpoints, 100 points")
 

@@ -188,6 +188,23 @@ def test_cli_partial_sum_rejects_empty_grid(square_file, coeff_file, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("variation-field", ["--r", "nan"]),
+    ("variation-field", ["--r", "inf"]),
+    ("variation-field", ["--p", "nan", "--norms-out"]),
+    ("variation-field", ["--p", "0.5", "--norms-out"]),
+    ("partial-sum", ["--lam", "nan"]),
+], ids=["r_nan", "r_inf", "p_nan", "p_below_one", "lam_nan"])
+def test_cli_rejects_bad_exponent_or_cutoff_writing_nothing(square_file, coeff_file, tmp_path,
+                                                            command, flags):
+    out, norms = tmp_path / "out.csv", tmp_path / "norms.csv"
+    if flags[-1] == "--norms-out":
+        flags = flags + [str(norms)]
+    assert cli.main([command, "--polytope", str(square_file), "--coeffs", str(coeff_file),
+                     *flags, "--out", str(out)]) == 2
+    assert not out.exists() and not norms.exists()
+
+
 @pytest.mark.parametrize("command", ["partial-sum", "variation-field"])
 def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeypatch,
                                                 capsys, command):

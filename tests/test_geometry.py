@@ -285,10 +285,10 @@ def test_triangulate_square_is_the_classic_fan():
     pieces = triangulate(P)
     assert len(pieces) == 4
     for pc in pieces:
-        assert pc.generators.shape == (2, 2)
-        assert np.allclose(pc.generators @ pc.facet.a, 1.0, atol=1e-12)
+        assert pc.vertices.shape == (2, 2)
+        assert np.allclose(pc.vertices @ pc.a, 1.0, atol=1e-12)
         # apex at the origin: scaled-down generators stay in the piece
-        assert bool(piece_contains(pc, P, 0.5 * pc.generators.mean(axis=0)))
+        assert bool(piece_contains(pc, P, 0.5 * pc.vertices.mean(axis=0)))
         assert bool(piece_contains(pc, P, np.zeros(2)))
 
 
@@ -296,9 +296,9 @@ def test_triangulate_interval():
     P = interval(-2.0, 3.0)
     pieces = triangulate(P)
     assert len(pieces) == 2
-    gens = sorted(float(pc.generators[0, 0]) for pc in pieces)
+    gens = sorted(float(pc.vertices[0, 0]) for pc in pieces)
     assert gens == pytest.approx([-2.0, 3.0])
-    up = pieces[0] if pieces[0].generators[0, 0] > 0 else pieces[1]
+    up = pieces[0] if pieces[0].vertices[0, 0] > 0 else pieces[1]
     down = pieces[1] if up is pieces[0] else pieces[0]
     assert bool(piece_contains(up, P, [1.5])) and not bool(piece_contains(up, P, [-0.5]))
     assert bool(piece_contains(down, P, [-1.5])) and not bool(piece_contains(down, P, [0.5]))
@@ -322,19 +322,16 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
 def test_piece_boundedness():
     P = random_polytope(3, 6, seed=41)
     pieces = triangulate(P)
-    assert all(pc.generators.shape[0] >= 3 for pc in pieces)
+    assert all(pc.vertices.shape[0] >= 3 for pc in pieces)
     assert experiments.piece_bounded(P, pieces, 2000, 42) <= 1e-9
 
 
 def test_piece_assign_lowest_index_rule():
     P = hypercube(2)  # rows ordered +e1, -e1, +e2, -e2
-    pieces = triangulate(P)
-    assert piece_assign(pieces, P, [1.0, 1.0]) == 0  # rows 0 and 2 tie
-    assert piece_assign(pieces, P, [0.0, 0.0]) == 0
-    assert piece_assign(pieces, P, [-1.0, -1.0]) == 1  # rows 1 and 3 tie
-    assert piece_assign(pieces, P, [0.0, 0.5]) == 2
-    with pytest.raises(ValueError):
-        piece_assign(pieces[:2], P, [1.0, 0.0])
+    assert piece_assign(P, [1.0, 1.0]) == 0  # rows 0 and 2 tie
+    assert piece_assign(P, [0.0, 0.0]) == 0
+    assert piece_assign(P, [-1.0, -1.0]) == 1  # rows 1 and 3 tie
+    assert piece_assign(P, [0.0, 0.5]) == 2
 
 
 def test_piece_assign_matches_definitional_membership():
@@ -344,13 +341,13 @@ def test_piece_assign_matches_definitional_membership():
     X = rng.normal(size=(500, 2))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(500)[:, None]
     for x in X:
-        pc = pieces[piece_assign(pieces, P, x)]
+        pc = pieces[piece_assign(P, x)]
         g = gauge(P, x)
         assert g <= 1.0 + 1e-12
         if g < 1e-12:
             continue
         y = x / g  # the facet point in the form x = g * y
-        v0, v1 = pc.generators[0], pc.generators[1]
+        v0, v1 = pc.vertices[0], pc.vertices[1]
         t = (y - v0) @ (v1 - v0) / ((v1 - v0) @ (v1 - v0))
         assert -1e-9 <= t <= 1.0 + 1e-9
         assert np.linalg.norm(v0 + t * (v1 - v0) - y) <= 1e-9
@@ -362,7 +359,7 @@ def test_piece_assignment_is_a_partition():
     rng = np.random.default_rng(62)
     X = rng.normal(size=(2000, 2))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(2000)[:, None]
-    assigned = np.array([piece_assign(pieces, P, x) for x in X])
+    assigned = np.array([piece_assign(P, x) for x in X])
     one_hot = np.zeros((len(pieces), X.shape[0]))
     one_hot[assigned, np.arange(X.shape[0])] = 1.0
     assert np.all(one_hot.sum(axis=0) == 1.0)
@@ -438,7 +435,7 @@ def test_cone_halfspaces_first_quadrant():
 def test_cone_halfspaces_halfline_1d():
     P = interval(-2.0, 3.0)
     pieces = triangulate(P)
-    up = pieces[0] if pieces[0].generators[0, 0] > 0 else pieces[1]
+    up = pieces[0] if pieces[0].vertices[0, 0] > 0 else pieces[1]
     assert np.allclose(cone_halfspaces(up), [[-1.0]])
     down = pieces[1] if up is pieces[0] else pieces[0]
     assert np.allclose(cone_halfspaces(down), [[1.0]])
@@ -467,4 +464,4 @@ def test_cone_halfspaces_cube_faces():
     for pc in triangulate(P):
         rows = cone_halfspaces(pc)
         assert rows.shape == (4, 3)
-        assert np.max(pc.generators @ rows.T) <= 1e-12
+        assert np.max(pc.vertices @ rows.T) <= 1e-12

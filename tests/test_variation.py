@@ -54,10 +54,11 @@ def test_variation_of_monotone_sequence_is_total_increment():
 
 
 def test_variation_exponent_below_one_rejected():
-    with pytest.raises(ValueError):
-        v_r_exact([0.0, 1.0], 0.5)
-    with pytest.raises(ValueError):
-        v_r_bruteforce([0.0, 1.0], 0.5)
+    for r in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            v_r_exact([0.0, 1.0], r)
+        with pytest.raises(ValueError):
+            v_r_bruteforce([0.0, 1.0], r)
 
 
 def test_bruteforce_basics_and_cap():
@@ -212,8 +213,9 @@ def test_lp_norm_examples_and_chebyshev():
 def test_norms_reject_bad_exponents_and_complex_input():
     h = GridSamples(1, 4, np.ones(4))
     for fn in (weak_lp_norm, lorentz_p1_norm, lp_norm):
-        with pytest.raises(ValueError):
-            fn(h, 0.5)
+        for p in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fn(h, p)
     with pytest.raises(ValueError):
         distribution_function(GridSamples(1, 4, np.ones(4, dtype=complex)), 0.0)
 
