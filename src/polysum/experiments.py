@@ -39,6 +39,7 @@ from .generators import random_piece_points, random_polytope, random_trig_polyno
 from .spectral import (
     TrigPolynomial,
     _Shells,
+    _shell_sums,
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
@@ -590,9 +591,10 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     P = hypercube(dim)
     f = smooth_polynomial(dim, bandwidth)
     M = default_resolution(bandwidth)
-    bps, values = family_values_on_grid(f, P, M)
+    shells = _Shells(f, P)
+    bps, g = shells.breakpoints, shells.gauge
+    values = _shell_sums(shells, bps, grid_points(dim, M))
     final = values[:, -1]
-    g = _Shells(f, P).gauge
     abs_c = np.abs(f.coeffs)
     rows = []
     running = np.inf

@@ -196,7 +196,7 @@ def gauge(P: HPolytope, x) -> float | np.ndarray:
 
 def contains(P: HPolytope, x, lam: float):
     """Closed-dilate membership: x in lam*P, i.e. gauge(P, x) <= lam."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("dilate parameter must be nonnegative")
     return gauge(P, x) <= lam
 

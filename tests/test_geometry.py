@@ -79,8 +79,9 @@ def test_contains_boundary_and_errors():
     assert not contains(P, [1.0, 1.0], 0.999)
     assert contains(P, [0.0, 0.0], 0.0)
     assert not contains(P, [1e-9, 0.0], 0.0)
-    with pytest.raises(ValueError):
-        contains(P, [0.0, 0.0], -0.1)
+    for lam in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            contains(P, [0.0, 0.0], lam)
 
 
 def test_sublevel_identity_including_boundary():

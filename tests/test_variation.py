@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysum import experiments
-from polysum.geometry import hypercube
-from polysum.generators import random_trig_polynomial
+from polysum import experiments, variation
+from polysum.geometry import cross_polytope, hypercube
+from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
     breakpoints,
     family_at_point,
+    family_values_on_grid,
     grid_points,
     partial_sum,
     sample_grid,
@@ -54,11 +55,14 @@ def test_variation_of_monotone_sequence_is_total_increment():
 
 
 def test_variation_exponent_below_one_rejected():
+    f = random_trig_polynomial(2, 2, 1.0, seed=0)
     for r in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError):
             v_r_exact([0.0, 1.0], r)
         with pytest.raises(ValueError):
             v_r_bruteforce([0.0, 1.0], r)
+        with pytest.raises(ValueError):
+            v_r_field(f, hypercube(2), 5, r)
 
 
 def test_bruteforce_basics_and_cap():
@@ -286,6 +290,27 @@ def test_v_r_field_matches_pointwise_dp():
     fams = np.stack([partial_sum(f, P, float(lam), pts) for lam in breakpoints(f, P)], axis=1)
     for k in range(pts.shape[0]):
         assert abs(field.flat[k] - v_r_exact(fams[k], 2.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [None, 400])
+def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
+    # the batched DP must reproduce v_r_exact exactly, root included; a budget
+    # of 400 entries splits every grid into several point chunks
+    if budget is not None:
+        monkeypatch.setattr(variation, "_DP_BUDGET", budget)
+    cases = [
+        (hypercube(1), random_trig_polynomial(1, 6, 0.8, seed=11)),
+        (cross_polytope(2), random_trig_polynomial(2, 3, 0.8, seed=12)),
+        (random_polytope(2, 7, seed=13), random_trig_polynomial(2, 3, 0.8, seed=13)),
+        (hypercube(3), random_trig_polynomial(3, 2, 0.8, seed=14)),
+        (cross_polytope(3), random_trig_polynomial(3, 2, 0.8, seed=15)),
+        (hypercube(2), TrigPolynomial(2, {(0, 0): 4.0 - 2.0j})),  # L = 1
+    ]
+    for P, f in cases:
+        M = 2 * f.bandwidth + 3
+        _, values = family_values_on_grid(f, P, M)
+        for r in (1.0, 2.0, 2.5, 3.0):
+            assert v_r_field(f, P, M, r).flat.tolist() == [v_r_exact(row, r) for row in values]
 
 
 def test_v_r_field_aliasing_guard():
