@@ -42,7 +42,6 @@ from .spectral import (
     sample_grid,
 )
 from .variation import (
-    ExperimentConfig,
     GridSamples,
     StepFunction,
     distribution_function,

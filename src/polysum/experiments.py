@@ -53,7 +53,6 @@ from .spectral import (
     sample_grid,
 )
 from .variation import (
-    ExperimentConfig,
     GridSamples,
     distribution_function,
     fubini_slice_check,
@@ -505,6 +504,12 @@ def run_ratio_experiment(
     per-bandwidth medians, reported alongside maxima so a single outlier draw
     cannot dominate the table.
     """
+    if not r > 2.0:
+        raise ValueError("variation exponent must exceed 2")
+    if not np.isfinite(p) or p < r / (r - 1.0):
+        raise ValueError("norm exponent must satisfy r' <= p < inf")
+    if ensemble < 1:
+        raise ValueError("ensemble must be nonempty")
     rows: list[RatioRow] = []
     config = {
         "bandwidths": list(bandwidths),
@@ -519,7 +524,6 @@ def run_ratio_experiment(
     P = hypercube(dim)
     for B in bandwidths:
         M = default_resolution(B)
-        ExperimentConfig(r=r, p=p, bandwidth=B, resolution=M, ensemble=ensemble, seed=seed)
         for member in range(ensemble):
             child = np.random.SeedSequence((seed, B, member))
             f = random_trig_polynomial(dim, B, density, child)

@@ -3,10 +3,12 @@ Minkowski gauges, facet enumeration, and the fan triangulation over facets.
 
 Half-space data is ``A x <= b`` with every offset positive; constructors
 rescale each row so ``b = 1``, which makes the gauge of a point simply
-``max(A @ x, 0)`` and makes rows comparable entrywise.  Vertex and facet
-enumeration solve pairwise (d = 2) or triple (d = 3) hyperplane intersections
-exactly and are deliberately capped at d <= 3; gauges, membership, and piece
-assignment work in any dimension.
+``max(A @ x, 0)`` and makes rows comparable entrywise.  Vertex enumeration
+solves pairwise (d = 2) or triple (d = 3) hyperplane intersections exactly and
+is deliberately capped at d <= 3.  The same enumerator serves the other
+direction: the b = 1 facet rows of a vertex set are the vertices of its polar
+``{y : v.y <= 1}``.  Gauges, membership, and piece assignment work in any
+dimension.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ GEO_TOL = 1e-9    # tightness tolerance for enumeration and membership
 DEDUP_TOL = 1e-7  # relative distance below which enumerated vertices merge
 
 _ENUM_DIMS = (1, 2, 3)
+# float entries of one block of candidate-times-rows products in the
+# enumeration, so memory stays bounded however many rows there are
+_ENUM_BUDGET = 1_000_000
 
 
 @dataclass(eq=False)
@@ -121,21 +126,12 @@ class VPolytope:
         self.vertices.setflags(write=False)
 
     def validate(self) -> "VPolytope":
-        """Check minimality (every point is extreme) and the interior origin."""
-        if self.dim == 1:
-            pts = np.unique(self.vertices.ravel())
-            if pts.size != 2:
-                raise ValueError("a 1-d vertex set must be two distinct points")
-        else:
-            from scipy.spatial import ConvexHull, QhullError
+        """Check minimality (every point is extreme) and the interior origin.
 
-            try:
-                hull = ConvexHull(self.vertices)
-            except QhullError as exc:
-                raise ValueError(f"degenerate hull: {exc}") from exc
-            if len(hull.vertices) != len(self.vertices):
-                raise ValueError("vertex set is not minimal: some point is interior")
-        h_from_vertices(self)  # raises unless the origin is interior
+        These are the irredundancy and boundedness of the polar, whose rows
+        are the points: see :meth:`HPolytope.validate`.
+        """
+        HPolytope(self.dim, self.vertices).validate()
         return self
 
 
@@ -224,25 +220,26 @@ def _bounded_rows(A: np.ndarray) -> bool:
     if d == 2:
         cands = np.stack([-A[:, 1], A[:, 0]], axis=1)
     else:
-        pairs = list(itertools.combinations(range(A.shape[0]), 2))
-        cands = np.array([np.cross(A[i], A[j]) for i, j in pairs])
-    for u in np.concatenate([cands, -cands]):
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            continue
-        if np.max(A @ (u / nu)) <= 1e-9:
-            return False
-    return True
+        i, j = np.triu_indices(A.shape[0], 1)
+        cands = np.cross(A[i], A[j])
+    cands = np.concatenate([cands, -cands])
+    nu = np.linalg.norm(cands, axis=1)
+    cands = cands[nu >= 1e-12] / nu[nu >= 1e-12, None]
+    step = max(1, _ENUM_BUDGET // A.shape[0])
+    return all(np.all(np.max(cands[s:s + step] @ A.T, axis=1) > 1e-9)
+               for s in range(0, cands.shape[0], step))
 
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """Greedy merge in lex order: keep p unless within tol * (1 + |p|) of a kept point."""
-    kept: list[np.ndarray] = []
-    for p in pts[np.lexsort(pts.T[::-1])]:
-        bound = tol * (1.0 + np.linalg.norm(p))
-        if all(np.linalg.norm(p - q) > bound for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    bound = tol * (1.0 + np.linalg.norm(pts, axis=1))
+    kept: list[int] = []
+    rest = np.arange(pts.shape[0])
+    while rest.size:  # the first undecided point is kept; it absorbs its near copies
+        kept.append(rest[0])
+        rest = rest[np.linalg.norm(pts[rest] - pts[rest[0]], axis=1) > bound[rest]]
+    return pts[kept]
 
 
 def vertices_from_h(P: HPolytope) -> VPolytope:
@@ -254,18 +251,19 @@ def vertices_from_h(P: HPolytope) -> VPolytope:
         raise ValueError("vertex enumeration supports d in {1, 2, 3}")
     if not _bounded_rows(P.A):
         raise ValueError("unbounded: row normals do not positively span R^d")
+    tuples = itertools.combinations(range(P.m), P.dim)
+    step = max(1, _ENUM_BUDGET // P.m)
     found = []
-    for rows in itertools.combinations(range(P.m), P.dim):
-        M = P.A[list(rows)]
-        scale = np.prod(np.linalg.norm(M, axis=1))
-        if abs(np.linalg.det(M)) <= 1e-12 * max(scale, 1e-30):
-            continue
-        v = np.linalg.solve(M, P.b[list(rows)])
-        if np.all(P.A @ v <= P.b + GEO_TOL):
-            found.append(v)
-    if not found:
+    while (rows := np.array(list(itertools.islice(tuples, step)))).size:
+        M = P.A[rows]
+        scale = np.prod(np.linalg.norm(M, axis=2), axis=1)
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * np.maximum(scale, 1e-30)
+        cands = np.linalg.solve(M[ok], P.b[rows[ok]][..., None])[..., 0]
+        found.append(cands[np.all(cands @ P.A.T <= P.b + GEO_TOL, axis=1)])
+    found = np.concatenate(found)
+    if not found.size:
         raise ValueError("degenerate input: no vertices found")
-    verts = _dedup_points(np.array(found), DEDUP_TOL)
+    verts = _dedup_points(found, DEDUP_TOL)
     if verts.shape[0] < P.dim + 1:
         raise ValueError("degenerate input: fewer than d+1 vertices")
     return VPolytope(P.dim, verts)
@@ -274,31 +272,15 @@ def vertices_from_h(P: HPolytope) -> VPolytope:
 def h_from_vertices(Q: VPolytope) -> HPolytope:
     """Irredundant half-space form of a vertex set, rows normalized to b = 1.
 
-    Requires the origin interior to the hull; round-trips with
-    :func:`vertices_from_h` up to row and vertex order.
+    The rows are the vertices of the polar ``{y : v.y <= 1 for each vertex v}``,
+    found by :func:`vertices_from_h`, so one enumerator serves both
+    directions.  Requires the origin interior to the hull (else the polar is
+    unbounded); round-trips with :func:`vertices_from_h` up to row and vertex
+    order.
     """
-    if Q.dim not in _ENUM_DIMS:
-        raise ValueError("hull conversion supports d in {1, 2, 3}")
-    pts = Q.vertices
-    if Q.dim == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        if not lo < 0.0 < hi:
-            raise ValueError("origin not interior")
-        return HPolytope(1, [[1.0 / hi], [1.0 / lo]])
-
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise ValueError(f"degenerate hull: {exc}") from exc
-    normals = hull.equations[:, :-1]
-    offsets = -hull.equations[:, -1]
-    if np.any(offsets <= GEO_TOL):
-        raise ValueError("origin not interior to the hull")
-    # qhull may split a non-simplicial facet into coplanar pieces; after the
-    # b = 1 scaling those produce identical rows, so merge them.
-    return HPolytope(Q.dim, _dedup_points(normals / offsets[:, None], 1e-9))
+    if Q.dim == 1:  # keep interval's row order: it fixes the owner of n = 0
+        return interval(float(Q.vertices.min()), float(Q.vertices.max()))
+    return HPolytope(Q.dim, vertices_from_h(HPolytope(Q.dim, Q.vertices)).vertices)
 
 
 def facets(P: HPolytope, Q: VPolytope) -> list[Facet]:

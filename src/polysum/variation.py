@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "StepFunction",
     "GridSamples",
-    "ExperimentConfig",
     "v_r_exact",
     "v_r_bruteforce",
     "sup_family",
@@ -99,36 +98,6 @@ class GridSamples:
 
     def abs(self) -> "GridSamples":
         return GridSamples(self.dim, self.resolution, np.abs(self.values))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parameters of a variation-ratio experiment and their admissibility.
-
-    The conjugate exponent of ``r`` bounds ``p`` from below, and the grid must
-    resolve the bandwidth without aliasing.
-    """
-
-    r: float
-    p: float
-    bandwidth: int
-    resolution: int
-    ensemble: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.r > 2.0:
-            raise ValueError("variation exponent must exceed 2")
-        if not np.isfinite(self.p) or self.p < self.rprime:
-            raise ValueError("norm exponent must satisfy r' <= p < inf")
-        if self.resolution < 2 * self.bandwidth + 1:
-            raise ValueError("grid resolution below 2B+1 aliases")
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be nonempty")
-
-    @property
-    def rprime(self) -> float:
-        return self.r / (self.r - 1.0)
 
 
 def v_r_exact(values, r: float) -> float:

@@ -166,18 +166,43 @@ def test_h_from_vertices_rejects_origin_outside():
 
 
 def test_h_from_vertices_merges_split_cube_faces():
-    # cube faces are non-simplicial, so the hull library splits each into two
-    # coplanar triangles; the merged half-space form must have exactly 6 rows
+    # the cube's rows are the vertices of its polar, the octahedron; each of
+    # those lies on four polar rows (one per cube vertex of the face), so the
+    # enumeration finds it four times and must merge them into exactly 6 rows
     P = h_from_vertices(vertices_from_h(hypercube(3)))
     assert P.m == 6
     expect = np.array(sorted([r for r in np.vstack([np.eye(3), -np.eye(3)]).tolist()]))
     assert np.allclose(_sorted_rows(P.A), expect, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,m,seed", [(2, 6, 7), (2, 8, 8), (3, 6, 9)])
+def test_h_from_vertices_keeps_interval_row_order():
+    # row order fixes the lowest-index owner of n = 0, so 1-d rows stay [1/hi], [1/lo]
+    assert np.array_equal(h_from_vertices(VPolytope(1, [[-2.0], [3.0]])).A,
+                          interval(-2.0, 3.0).A)
+
+
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [1, 0], [0, 1]],                # origin at a vertex
+    [[-1, 0], [1, 0], [0, 1]],               # origin on an edge
+    [[1, 1], [2, 1], [1, 2]],                # origin outside
+    [[-1, -1], [0.5, 0.5], [1, 1]],          # collinear
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],  # flat in 3-d
+    np.vstack([np.eye(4), -np.eye(4)]),      # d = 4
+])
+def test_degenerate_vertex_sets_raise(pts):
+    Q = VPolytope(np.shape(pts)[1], pts)
+    with pytest.raises(ValueError):
+        h_from_vertices(Q)
+    with pytest.raises(ValueError):
+        Q.validate()
+
+
+@pytest.mark.parametrize("dim,m,seed", [(2, 6, 7), (2, 8, 8), (3, 6, 9), (3, 12, 10), (2, 12, 11)])
 def test_roundtrip_membership_agreement(dim, m, seed):
     P = random_polytope(dim, m, seed=seed)
     P2 = h_from_vertices(vertices_from_h(P))
+    # rows come back in lex order, and random_polytope's rows are already in it
+    assert P2.m == P.m and np.max(np.abs(P2.A - P.A)) <= 1e-12
     rng = np.random.default_rng(seed + 100)
     X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
     g1, g2 = gauge(P, X), gauge(P2, X)
@@ -275,6 +300,13 @@ def test_vpolytope_validate():
         VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 0]]).validate()
     with pytest.raises(ValueError):  # origin on the boundary
         VPolytope(2, [[0, 0], [1, 0], [0, 1]]).validate()
+    with pytest.raises(ValueError):  # interior point
+        VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1], [0.5, 0]]).validate()
+    with pytest.raises(ValueError):  # duplicate point
+        VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 1]]).validate()
+    with pytest.raises(ValueError):  # duplicate point in 1-d
+        VPolytope(1, [[-1], [-1], [2]]).validate()
+    VPolytope(1, [[-1], [2]]).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""Every name a polysum module exports in ``__all__`` exists, so star imports work."""
+"""The package surface: every name a polysum module exports in ``__all__``
+exists, so star imports work, and polysum runs without loading SciPy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import polysum
 
@@ -15,3 +20,21 @@ def test_all_entries_resolve():
         if absent:
             missing[name] = absent
     assert len(names) > 5 and missing == {}
+
+
+def test_polysum_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import polysum, polysum.cli\n"
+        "from polysum.geometry import VPolytope, h_from_vertices\n"
+        "polysum.run_verify(1)\n"
+        "h_from_vertices(VPolytope(3, np.vstack([np.eye(3), -np.eye(3)])))\n"
+        "print('scipy' in {m.split('.')[0] for m in sys.modules})\n"
+    )
+    src = str(Path(polysum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "False"

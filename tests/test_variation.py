@@ -16,7 +16,6 @@ from polysum.spectral import (
     sample_grid,
 )
 from polysum.variation import (
-    ExperimentConfig,
     GridSamples,
     StepFunction,
     distribution_function,
@@ -326,17 +325,11 @@ def test_parseval_under_the_grid_measure():
 
 
 # ---------------------------------------------------------------------------
-# experiment config
+# ratio experiment arguments
 
 
-def test_experiment_config_contract():
-    cfg = ExperimentConfig(r=3.0, p=2.0, bandwidth=4, resolution=9, ensemble=8, seed=1)
-    assert cfg.rprime == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(r=2.0, p=2.0, bandwidth=4, resolution=9, ensemble=8, seed=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(r=3.0, p=1.4, bandwidth=4, resolution=9, ensemble=8, seed=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(r=3.0, p=2.0, bandwidth=4, resolution=8, ensemble=8, seed=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(r=3.0, p=2.0, bandwidth=4, resolution=9, ensemble=0, seed=1)
+def test_ratio_experiment_rejects_bad_arguments():
+    bad = [{"r": 2.0}, {"r": float("nan")}, {"p": 1.4}, {"p": float("inf")}, {"ensemble": 0}]
+    for kwargs in bad:  # r > 2, r' = 1.5 <= p < inf, ensemble >= 1
+        with pytest.raises(ValueError):
+            experiments.run_ratio_experiment(**{"bandwidths": (2,), "ensemble": 1, **kwargs})
