@@ -44,7 +44,7 @@ pieces = triangulate(P)
 print(f"\nfan of the 7-gon: {len(pieces)} pieces")
 for pc in pieces[:3]:
     print(f"  piece {pc.index}: generators {np.round(pc.vertices, 3).tolist()}, "
-          f"cone rows {np.round(cone_halfspaces(pc), 3).tolist()}")
+          f"cone rows {np.round(cone_halfspaces(pc, P), 3).tolist()}")
 
 # membership sampling: the pieces cover P and overlap only on boundaries
 inside = X / np.maximum(gauge(P, X), 1e-12)[:, None]

@@ -34,14 +34,19 @@ __all__ = [
 
 
 def load_polytope(path) -> HPolytope:
-    """Read a polytope file; vertex data is converted to half-space form."""
+    """Read a polytope file; vertex data is converted to half-space form.
+
+    Half-space data is validated (bounded, every row a facet, no duplicated
+    row) where vertex enumeration exists, d <= 3.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         dim = int(data["dim"])
         if "H" in data:
-            return HPolytope(dim, np.array(data["H"]["A"], dtype=float),
-                             np.array(data["H"]["b"], dtype=float))
+            P = HPolytope(dim, np.array(data["H"]["A"], dtype=float),
+                          np.array(data["H"]["b"], dtype=float))
+            return P.validate() if dim <= 3 else P
         if "V" in data:
             return h_from_vertices(VPolytope(dim, np.array(data["V"]["vertices"], dtype=float)))
     except (KeyError, TypeError) as exc:
@@ -92,7 +97,7 @@ def pieces_as_dict(P: HPolytope, pieces: list[Facet]) -> dict:
                 "a": piece.a.tolist(),
                 "b": piece.b,
                 "generators": piece.vertices.tolist(),
-                "cone_rows": cone_halfspaces(piece).tolist(),
+                "cone_rows": cone_halfspaces(piece, P).tolist(),
             }
         )
     return {"dim": P.dim, "pieces": out}

@@ -7,8 +7,9 @@ rescale each row so ``b = 1``, which makes the gauge of a point simply
 solves pairwise (d = 2) or triple (d = 3) hyperplane intersections exactly and
 is deliberately capped at d <= 3.  The same enumerator serves the other
 direction: the b = 1 facet rows of a vertex set are the vertices of its polar
-``{y : v.y <= 1}``.  Gauges, membership, and piece assignment work in any
-dimension.
+``{y : v.y <= 1}``.  Piece i of the fan is where row i attains the gauge,
+so its cone walls are ``(a_j - a_i).x <= 0`` over the neighbouring rows j.
+Gauges, membership, piece assignment and cone walls work in any dimension.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
 GEO_TOL = 1e-9    # tightness tolerance for enumeration and membership
 DEDUP_TOL = 1e-7  # relative distance below which enumerated vertices merge
 
-_ENUM_DIMS = (1, 2, 3)
 # float entries of one block of candidate-times-rows products in the
 # enumeration, so memory stays bounded however many rows there are
 _ENUM_BUDGET = 1_000_000
@@ -97,12 +97,9 @@ class HPolytope:
     def validate(self) -> "HPolytope":
         """Certify irredundancy and boundedness by facet enumeration (d <= 3).
 
-        Duplicated rows, unbounded input and rows that are not facets (see
+        Unbounded input, rows that are not facets and duplicated rows (see
         :func:`facets`) raise ``ValueError``.
         """
-        dup = _duplicate_rows(self.A)
-        if dup:
-            raise ValueError(f"duplicate constraint rows: {dup}")
         facets(self, vertices_from_h(self))
         return self
 
@@ -197,14 +194,6 @@ def contains(P: HPolytope, x, lam: float):
     return gauge(P, x) <= lam
 
 
-def _duplicate_rows(A: np.ndarray, tol: float = 1e-9) -> list[tuple[int, int]]:
-    dups = []
-    for i, j in itertools.combinations(range(A.shape[0]), 2):
-        if np.linalg.norm(A[i] - A[j]) <= tol * (1.0 + np.linalg.norm(A[i])):
-            dups.append((i, j))
-    return dups
-
-
 def _bounded_rows(A: np.ndarray) -> bool:
     """True iff the recession cone {u : A u <= 0} is trivial (d <= 3).
 
@@ -247,7 +236,7 @@ def vertices_from_h(P: HPolytope) -> VPolytope:
 
     Raises ``ValueError`` on unbounded or lower-dimensional input.
     """
-    if P.dim not in _ENUM_DIMS:
+    if not 1 <= P.dim <= 3:
         raise ValueError("vertex enumeration supports d in {1, 2, 3}")
     if not _bounded_rows(P.A):
         raise ValueError("unbounded: row normals do not positively span R^d")
@@ -286,9 +275,10 @@ def h_from_vertices(Q: VPolytope) -> HPolytope:
 def facets(P: HPolytope, Q: VPolytope) -> list[Facet]:
     """One facet per H-row: the row plus the vertices of Q tight on it.
 
-    ``P`` and ``Q`` must describe the same polytope; rows supported by fewer
-    than d vertices (redundant rows) and vertices violating a row raise
-    ``ValueError``.
+    ``P`` and ``Q`` must describe the same polytope.  A vertex violating a
+    row, a row whose tight vertices do not span a (d-1)-dimensional set (a
+    redundant row) and a row with the same tight vertices as an earlier row
+    (a duplicated row) raise ``ValueError``.
     """
     if P.dim != Q.dim:
         raise ValueError("dimension mismatch")
@@ -296,20 +286,19 @@ def facets(P: HPolytope, Q: VPolytope) -> list[Facet]:
     vals = V @ P.A.T
     if np.any(vals > P.b + GEO_TOL):
         raise ValueError("inconsistent representations: a vertex violates a row")
+    tight = np.abs(vals - P.b) <= GEO_TOL  # (vertex, row)
+    first: dict[bytes, int] = {}
     out = []
     for i in range(P.m):
-        tight = V[np.abs(vals[:, i] - P.b[i]) <= GEO_TOL]
-        if tight.shape[0] < P.dim:
-            raise ValueError(
-                f"row {i} supports fewer than d vertices; redundant or inconsistent"
-            )
-        if P.dim >= 2:
-            rank = np.linalg.matrix_rank(tight - tight[0], tol=1e-8)
-            if rank != P.dim - 1:
-                raise ValueError(f"facet {i} does not span a (d-1)-dimensional set")
+        on = V[tight[:, i]]
+        if on.shape[0] < P.dim or np.linalg.matrix_rank(on - on[0], tol=1e-8) != P.dim - 1:
+            raise ValueError(f"row {i} is not a facet; redundant or inconsistent")
+        j = first.setdefault(tight[:, i].tobytes(), i)
+        if j != i:
+            raise ValueError(f"rows {j} and {i} are duplicates")
         a = P.A[i].copy()
         a.setflags(write=False)
-        out.append(Facet(index=i, a=a, b=float(P.b[i]), vertices=tight))
+        out.append(Facet(index=i, a=a, b=float(P.b[i]), vertices=on))
     return out
 
 
@@ -383,64 +372,14 @@ def rotation_to_e1(facet) -> np.ndarray:
     return R
 
 
-def _orthonormal_basis_of_plane(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = normal / np.linalg.norm(normal)
-    k = int(np.argmin(np.abs(n)))
-    u = np.zeros(3)
-    u[k] = 1.0
-    u = u - (u @ n) * n
-    u /= np.linalg.norm(u)
-    return u, np.cross(n, u)
+def cone_halfspaces(piece: Facet, P: HPolytope) -> np.ndarray:
+    """Unit rows r with r.x <= 0 cutting out the piece's cone, in any dimension.
 
-
-def cone_halfspaces(piece: Facet) -> np.ndarray:
-    """Homogeneous rows a with a.x <= 0 cutting out the piece's cone (d <= 3).
-
-    The facet vertices must span the ambient space together with the origin,
-    i.e. the cone is full-dimensional; degenerate cones raise ``ValueError``.
-    Returned rows are unit-normalized, one per boundary ray (d = 2) or per
-    facet-polygon edge (d = 3).
+    The piece is where its row attains the gauge, so its walls are
+    ``(a_j - a_i).x <= 0`` over the neighbouring rows j: those tight on at
+    least d-1 of the piece's vertices.  Rows come in row order.
     """
-    V = piece.vertices
-    d = V.shape[1]
-    if d not in _ENUM_DIMS:
-        raise ValueError("cone conversion supports d in {1, 2, 3}")
-    if np.linalg.matrix_rank(V, tol=1e-9) < d:
-        raise ValueError("degenerate cone: generators do not span the space")
-    if d == 1:
-        g = V[0, 0]
-        return np.array([[-1.0]]) if g > 0 else np.array([[1.0]])
-    if d == 2:
-        t = np.array([-piece.a[1], piece.a[0]])
-        proj = V @ t
-        lo, hi = V[np.argmin(proj)], V[np.argmax(proj)]
-        rows = []
-        for v, other in ((lo, hi), (hi, lo)):
-            u = np.array([-v[1], v[0]])
-            s = u @ other
-            if abs(s) <= 1e-12 * (np.linalg.norm(u) * np.linalg.norm(other)):
-                raise ValueError("degenerate cone: parallel generators")
-            if s > 0:
-                u = -u
-            rows.append(u / np.linalg.norm(u))
-        return np.array(rows)
-    # d == 3: one row per edge of the facet polygon, ordered around its centroid
-    u, w = _orthonormal_basis_of_plane(piece.a)
-    c = V.mean(axis=0)
-    ang = np.arctan2((V - c) @ w, (V - c) @ u)
-    ordered = V[np.argsort(ang)]
-    rows = []
-    for p, q in zip(ordered, np.roll(ordered, -1, axis=0)):
-        r = np.cross(p, q)
-        nr = np.linalg.norm(r)
-        if nr <= 1e-12 * (np.linalg.norm(p) * np.linalg.norm(q)):
-            raise ValueError("degenerate cone edge")
-        r /= nr
-        if r @ c > 0:
-            r = -r
-        if abs(r @ c) <= 1e-12:
-            raise ValueError("degenerate cone: centroid on an edge plane")
-        if np.any(ordered @ r > 1e-9):
-            raise ValueError("facet polygon is not convex around its centroid")
-        rows.append(r)
-    return np.array(rows)
+    near = np.sum(np.abs(piece.vertices @ P.A.T - P.b) <= GEO_TOL, axis=0) >= P.dim - 1
+    near[piece.index] = False
+    rows = P.A[near] - piece.a
+    return rows / np.linalg.norm(rows, axis=1)[:, None]

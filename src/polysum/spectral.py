@@ -7,7 +7,8 @@ at the finitely many gauge values of the support; those values are the
 breakpoints.  One shell plan decides each frequency's gauge, owner row (its
 fan piece) and shell order for every operator.  Everything is evaluated
 directly, O(#coeffs * #points), which keeps every identity exact to rounding
-and doubles as the oracle for any faster path.
+and doubles as the oracle for any faster path; points go in chunks, so the
+phase matrix never holds more than ``_CHUNK_BUDGET`` entries.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def _as_points(x, dim: int) -> np.ndarray:
     if x.shape[-1] != dim:
         raise ValueError(f"expected points with trailing dimension {dim}")
     return x
+
+
+def _direct_sum(freqs: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
+    """sum of c(n) exp(2 pi i n.x) at points x of shape (..., d), in point
+    chunks of at most _CHUNK_BUDGET phase entries; a single point gives a complex."""
+    pts = x.reshape(-1, x.shape[-1])
+    out = np.empty(pts.shape[0], dtype=complex)
+    chunk = max(1, _CHUNK_BUDGET // max(coeffs.shape[0], 1))
+    for lo in range(0, pts.shape[0], chunk):
+        out[lo:lo + chunk] = np.exp(_TWO_PI_I * (pts[lo:lo + chunk] @ freqs.T)) @ coeffs
+    return complex(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
 
 def _int_freqs(freqs) -> np.ndarray:
@@ -118,14 +130,9 @@ class TrigPolynomial:
         idx = np.nonzero(hits)[0]
         return complex(self.coeffs[idx[0]]) if idx.size else 0.0j
 
-    def coeff_dict(self) -> dict[tuple[int, ...], complex]:
-        return dict(self)
-
     def evaluate(self, x):
         """Evaluate at x of shape (..., dim); for dim = 1 bare scalars work too."""
-        x = _as_points(x, self.dim)
-        out = np.exp(_TWO_PI_I * (x @ self.freqs.T)) @ self.coeffs
-        return complex(out) if out.ndim == 0 else out
+        return _direct_sum(self.freqs, self.coeffs, _as_points(x, self.dim))
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         if not isinstance(other, TrigPolynomial) or other.dim != self.dim:
@@ -226,10 +233,8 @@ def partial_sum(f: TrigPolynomial, P: HPolytope, lam: float, x):
     shells = _Shells(f, P)
     if not lam >= 0.0:
         raise ValueError("cutoff parameter must be nonnegative")
-    x = _as_points(x, f.dim)
     mask = shells.gauge <= lam
-    out = np.exp(_TWO_PI_I * (x @ f.freqs[mask].T)) @ f.coeffs[mask]
-    return complex(out) if out.ndim == 0 else out
+    return _direct_sum(f.freqs[mask], f.coeffs[mask], _as_points(x, f.dim))
 
 
 def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
@@ -289,11 +294,11 @@ def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam: float, x):
     shells = _Shells(f, P)
     x = _as_points(x, f.dim)
     inside = shells.gauge <= lam
-    total = np.zeros(x.shape[:-1], dtype=complex)
+    total = 0.0j
     for k in range(P.m):
         mask = (shells.owner == k) & inside
-        total = total + np.exp(_TWO_PI_I * (x @ f.freqs[mask].T)) @ f.coeffs[mask]
-    return complex(total) if total.ndim == 0 else total
+        total = total + _direct_sum(f.freqs[mask], f.coeffs[mask], x)
+    return total
 
 
 def _axis_alignment(piece: Facet) -> tuple[int, float]:
@@ -375,10 +380,5 @@ def sample_grid(f: TrigPolynomial, resolution: int) -> GridSamples:
     """Evaluate f at every grid point j/M; requires M >= 2B+1 (no aliasing)."""
     if resolution < 2 * f.bandwidth + 1:
         raise ValueError("aliasing: grid resolution must be at least 2B+1")
-    pts = grid_points(f.dim, resolution)
-    vals = np.empty(pts.shape[0], dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(len(f), 1))
-    for lo in range(0, pts.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        vals[sl] = f.evaluate(pts[sl])
+    vals = _direct_sum(f.freqs, f.coeffs, grid_points(f.dim, resolution))
     return GridSamples(f.dim, resolution, vals.reshape((resolution,) * f.dim))

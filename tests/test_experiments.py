@@ -8,7 +8,8 @@ from polysum.experiments import (
     run_verify,
     smooth_polynomial,
 )
-from polysum.geometry import gauge, hypercube
+from polysum.fileio import save_polytope
+from polysum.geometry import cross_polytope, gauge, hypercube
 
 
 def test_run_verify_all_green():
@@ -36,13 +37,21 @@ def test_run_verify_all_green():
 
 
 def test_run_verify_includes_polytope_file(tmp_path):
-    from polysum.fileio import save_polytope
-
     path = tmp_path / "p.json"
     save_polytope(hypercube(2), path)
     status, results = run_verify(seed=1, polytope_file=path)
     assert status == 0
     assert any("[file]" in r.name for r in results)
+
+
+def test_polytope_file_leaves_builtin_checks_unchanged(tmp_path):
+    path = tmp_path / "p.json"
+    save_polytope(cross_polytope(2), path)
+    _, plain = run_verify(seed=42)
+    _, with_file = run_verify(seed=42, polytope_file=path)
+    assert len(with_file) == len(plain) + 15  # 9 geometry and 6 spectral checks for the file
+    rows = {(r.suite, r.name): r for r in with_file}
+    assert [r for r in plain if rows[(r.suite, r.name)] != r] == []
 
 
 def test_default_resolution():

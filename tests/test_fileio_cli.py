@@ -78,7 +78,7 @@ def test_polytope_malformed_raises(tmp_path):
 def test_coefficient_roundtrip(tmp_path, coeff_file):
     f = random_trig_polynomial(2, 3, 0.7, seed=3)
     g = load_coefficients(coeff_file)
-    assert g.coeff_dict() == f.coeff_dict()
+    assert dict(g) == dict(f)
 
 
 def test_pieces_as_dict_structure():
@@ -215,6 +215,30 @@ def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeyp
     monkeypatch.setattr(cli, "v_r_field", computed)
     assert cli.main([command, "--polytope", str(square_file), "--coeffs", str(coeff_file)]) == 2
     assert "pass --out" in capsys.readouterr().err
+
+
+_BAD_POLYTOPES = {
+    "unbounded": [[1, 0], [0, 1], [1, 1]],
+    "duplicate_row": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]],
+    "redundant_row": [[1, 0], [-1, 0], [0, 1], [0, -1], [0.5, 0]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_POLYTOPES))
+@pytest.mark.parametrize("command", ["triangulate", "partial-sum", "variation-field", "verify"])
+def test_cli_rejects_bad_polytope_file_writing_nothing(coeff_file, tmp_path, kind, command):
+    A = _BAD_POLYTOPES[kind]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 2, "H": {"A": A, "b": [1] * len(A)}}))
+    args = {
+        "triangulate": [str(path)],
+        "partial-sum": ["--polytope", str(path), "--coeffs", str(coeff_file)],
+        "variation-field": ["--polytope", str(path), "--coeffs", str(coeff_file)],
+        "verify": ["--polytope", str(path)],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_verify_pass_and_report(tmp_path, capsys):

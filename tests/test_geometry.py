@@ -282,6 +282,10 @@ def test_validate_detects_duplicates_and_passes_good_inputs():
     dup = HPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0]], [1, 1, 1, 1, 2])
     with pytest.raises(ValueError):
         dup.validate()
+    with pytest.raises(ValueError):
+        facets(dup, vertices_from_h(dup))
+    with pytest.raises(ValueError):  # no second copy of piece 0
+        triangulate(dup)
 
 
 def test_hpolytope_constructor_contracts():
@@ -461,7 +465,7 @@ def test_rotation_errors():
 def test_cone_halfspaces_first_quadrant():
     P = cross_polytope(2)  # row 0 is (1, 1): facet conv{e1, e2}
     pc = triangulate(P)[0]
-    rows = _sorted_rows(cone_halfspaces(pc))
+    rows = _sorted_rows(cone_halfspaces(pc, P))
     assert np.allclose(rows, [[-1, 0], [0, -1]], atol=1e-12)
 
 
@@ -469,9 +473,9 @@ def test_cone_halfspaces_halfline_1d():
     P = interval(-2.0, 3.0)
     pieces = triangulate(P)
     up = pieces[0] if pieces[0].vertices[0, 0] > 0 else pieces[1]
-    assert np.allclose(cone_halfspaces(up), [[-1.0]])
+    assert np.allclose(cone_halfspaces(up, P), [[-1.0]])
     down = pieces[1] if up is pieces[0] else pieces[0]
-    assert np.allclose(cone_halfspaces(down), [[1.0]])
+    assert np.allclose(cone_halfspaces(down, P), [[1.0]])
 
 
 @pytest.mark.parametrize("dim,m,seed", [(2, 7, 81), (3, 5, 82), (3, 6, 83)])
@@ -484,7 +488,7 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
     srt = np.sort(vals, axis=1)
     clear = srt[:, -1] - srt[:, -2] > 1e-7  # stay away from sector boundaries
     for pc in pieces:
-        rows = cone_halfspaces(pc)
+        rows = cone_halfspaces(pc, P)
         in_cone = np.max(X @ rows.T, axis=1) <= 1e-9
         attains = np.argmax(vals, axis=1) == pc.index
         assert np.all(in_cone[clear] == attains[clear])
@@ -492,9 +496,21 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
         assert np.max(own @ rows.T) <= 1e-9
 
 
+@pytest.mark.parametrize("P,dot,count", [(hypercube(3), 0.0, 4), (cross_polytope(3), 1.0, 3)])
+def test_cone_walls_are_neighbour_row_differences(P, dot, count):
+    # the faces sharing an edge with face i: orthogonal cube rows, octahedron
+    # rows one sign apart
+    for pc in triangulate(P):
+        nb = [j for j in range(P.m) if P.A[j] @ pc.a == dot]
+        assert len(nb) == count
+        want = (P.A[nb] - pc.a) / np.linalg.norm(P.A[nb] - pc.a, axis=1)[:, None]
+        rows = cone_halfspaces(pc, P)
+        assert rows.shape == want.shape and np.max(np.abs(rows - want)) <= 1e-15
+
+
 def test_cone_halfspaces_cube_faces():
     P = hypercube(3)
     for pc in triangulate(P):
-        rows = cone_halfspaces(pc)
+        rows = cone_halfspaces(pc, P)
         assert rows.shape == (4, 3)
         assert np.max(pc.vertices @ rows.T) <= 1e-12

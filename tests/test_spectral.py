@@ -1,11 +1,12 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polysum import experiments
+from polysum import experiments, spectral
 from polysum.geometry import cross_polytope, gauge, hypercube, triangulate
-from polysum.generators import random_trig_polynomial
+from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     FrozenFunction,
     TrigPolynomial,
@@ -325,7 +326,7 @@ def test_cone_multiplier_identity_zero_and_partition():
     pieces = triangulate(P)
     inside = TrigPolynomial(2, {(3, 1): 1.0, (2, -1): 2.0})
     out = cone_multiplier(inside, pieces[0], P)
-    assert out.coeff_dict() == inside.coeff_dict()
+    assert dict(out) == dict(inside)
     assert len(cone_multiplier(inside, pieces[3], P)) == 0
 
     f = random_trig_polynomial(2, 4, 0.9, seed=20)
@@ -333,23 +334,23 @@ def test_cone_multiplier_identity_zero_and_partition():
     for pc in pieces:
         part = cone_multiplier(f, pc, P)
         again = cone_multiplier(part, pc, P)  # idempotent
-        assert part.coeff_dict() == again.coeff_dict()
+        assert dict(part) == dict(again)
         total = total + part
-    assert total.coeff_dict() == f.coeff_dict()
+    assert dict(total) == dict(f)
 
 
 def test_halfspace_multiplier_examples():
     f = TrigPolynomial(2, {(1, 0): 1.0, (2, 3): 2.0})
     assert len(halfspace_multiplier(f, [1, 0], 0.0)) == 0
     kept = halfspace_multiplier(f, [1, 0], 2.0)
-    assert kept.coeff_dict() == f.coeff_dict()
+    assert dict(kept) == dict(f)
 
 
 def test_halfspace_composition_equals_closed_cone_filter():
     f = random_trig_polynomial(2, 4, 1.0, seed=21)
     composed = halfspace_multiplier(halfspace_multiplier(f, [-1, 0], 0.0), [0, -1], 0.0)
     expected = {n: c for n, c in f if n[0] >= 0 and n[1] >= 0}
-    assert composed.coeff_dict() == expected
+    assert dict(composed) == expected
 
 
 def test_halfspace_composition_vs_assigned_cone_differs_only_on_boundaries():
@@ -383,6 +384,39 @@ def test_sample_grid_aliasing_guard():
     with pytest.raises(ValueError):
         sample_grid(f, 6)
     sample_grid(f, 7)
+
+
+def _direct_evaluators(P, f, X):
+    lam = float(breakpoints(f, P)[len(breakpoints(f, P)) // 2])
+    return [
+        lambda: f.evaluate(X),
+        lambda: partial_sum(f, P, lam, X),
+        lambda: partial_sum_by_pieces(f, P, lam, X),
+        lambda: sample_grid(f, 2 * f.bandwidth + 1).flat,
+    ]
+
+
+def test_chunked_direct_evaluators_match_unchunked(monkeypatch):
+    P = random_polytope(2, 7, seed=31)
+    f = random_trig_polynomial(2, 4, 1.0, seed=32)
+    evaluators = _direct_evaluators(P, f, np.random.default_rng(33).random((50, 2)))
+    whole = [ev() for ev in evaluators]
+    monkeypatch.setattr(spectral, "_CHUNK_BUDGET", 300)  # a few points per chunk
+    for ev, want in zip(evaluators, whole):  # BLAS may sum a shorter block in another order
+        assert np.max(np.abs(ev() - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_direct_evaluators_stay_within_the_chunk_budget(monkeypatch):
+    P = hypercube(2)
+    f = random_trig_polynomial(2, 4, 1.0, seed=34)
+    X = np.random.default_rng(35).random((20_000, 2))  # 26 MB of phases if built at once
+    monkeypatch.setattr(spectral, "_CHUNK_BUDGET", 1000)
+    for ev in _direct_evaluators(P, f, X):
+        tracemalloc.start()
+        ev()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 def test_partial_sum_linearity():
