@@ -580,6 +580,8 @@ def run_ratio_experiment(
 
 def smooth_polynomial(dim: int, bandwidth: int) -> TrigPolynomial:
     """Coefficients (1 + |n|^2)^{-2} on the box |n_j| <= B; real and rapidly decaying."""
+    if bandwidth < 0:
+        raise ValueError("bandwidth must be nonnegative")
     freqs = np.array(
         list(itertools.product(range(-bandwidth, bandwidth + 1), repeat=dim)),
         dtype=np.int64,

@@ -37,16 +37,15 @@ def load_polytope(path) -> HPolytope:
     """Read a polytope file; vertex data is converted to half-space form.
 
     Half-space data is validated (bounded, every row a facet, no duplicated
-    row) where vertex enumeration exists, d <= 3.
+    row) in every dimension, at the cost of C(m, d) row-tuple solves.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         dim = int(data["dim"])
         if "H" in data:
-            P = HPolytope(dim, np.array(data["H"]["A"], dtype=float),
-                          np.array(data["H"]["b"], dtype=float))
-            return P.validate() if dim <= 3 else P
+            return HPolytope(dim, np.array(data["H"]["A"], dtype=float),
+                             np.array(data["H"]["b"], dtype=float)).validate()
         if "V" in data:
             return h_from_vertices(VPolytope(dim, np.array(data["V"]["vertices"], dtype=float)))
     except (KeyError, TypeError) as exc:

@@ -27,11 +27,11 @@ def random_polytope(
     """Hull of m random unit-sphere points, rejected until the origin is
     interior with distance >= margin to every facet plane.
 
-    Returns the normalized irredundant half-space form; d = 2 gives an m-gon,
-    d = 3 a simplicial polytope with up to 2m-4 facets.
+    Returns the normalized irredundant half-space form for any d >= 2; d = 2
+    gives an m-gon, d = 3 a simplicial polytope with up to 2m-4 facets.
     """
-    if dim not in (2, 3):
-        raise ValueError("random polytopes are generated for d in {2, 3}")
+    if dim < 2:
+        raise ValueError("random polytopes are generated for d >= 2")
     if m < dim + 1:
         raise ValueError("need at least d+1 generating points")
     rng = np.random.default_rng(seed)

@@ -3,13 +3,12 @@ Minkowski gauges, facet enumeration, and the fan triangulation over facets.
 
 Half-space data is ``A x <= b`` with every offset positive; constructors
 rescale each row so ``b = 1``, which makes the gauge of a point simply
-``max(A @ x, 0)`` and makes rows comparable entrywise.  Vertex enumeration
-solves pairwise (d = 2) or triple (d = 3) hyperplane intersections exactly and
-is deliberately capped at d <= 3.  The same enumerator serves the other
-direction: the b = 1 facet rows of a vertex set are the vertices of its polar
-``{y : v.y <= 1}``.  Piece i of the fan is where row i attains the gauge,
-so its cone walls are ``(a_j - a_i).x <= 0`` over the neighbouring rows j.
-Gauges, membership, piece assignment and cone walls work in any dimension.
+``max(A @ x, 0)`` and makes rows comparable entrywise.  Everything here works
+in any dimension: vertex enumeration solves all C(m, d) row tuples, and it
+also serves the other direction, since the b = 1 facet rows of a vertex set
+are the vertices of its polar ``{y : v.y <= 1}``.  Piece i of the fan is
+where row i attains the gauge, so its cone walls are ``(a_j - a_i).x <= 0``
+over the neighbouring rows j.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ class HPolytope:
         return self.A.shape[0]
 
     def validate(self) -> "HPolytope":
-        """Certify irredundancy and boundedness by facet enumeration (d <= 3).
+        """Certify irredundancy and boundedness by facet enumeration.
 
         Unbounded input, rows that are not facets and duplicated rows (see
         :func:`facets`) raise ``ValueError``.
@@ -194,29 +193,34 @@ def contains(P: HPolytope, x, lam: float):
     return gauge(P, x) <= lam
 
 
-def _bounded_rows(A: np.ndarray) -> bool:
-    """True iff the recession cone {u : A u <= 0} is trivial (d <= 3).
+def _tuple_blocks(m: int, k: int):
+    """The k-subsets of range(m) in lex order, as (s, k) index blocks of at
+    most ``_ENUM_BUDGET // m`` rows, so no caller builds the full list."""
+    tuples = itertools.combinations(range(m), k)
+    step = max(1, _ENUM_BUDGET // m)
+    while len(rows := np.array(list(itertools.islice(tuples, step)), dtype=np.intp)):
+        yield rows
 
-    Nontrivial recession cones contain either a direction orthogonal to all
-    rows or an extreme ray lying on d-1 row boundaries, so checking row
-    perpendiculars (d = 2) and pairwise cross products (d = 3) is exact.
+
+def _bounded_rows(A: np.ndarray) -> bool:
+    """True iff the recession cone {u : A u <= 0} is trivial.
+
+    For full-rank A that cone is pointed, so if nontrivial it has an extreme
+    ray +-c on d-1 row boundaries, c their cofactor vector: entry k is (-1)^k
+    times the determinant with column k removed (d = 1: the empty tuple, c = 1).
+    So it is trivial iff each such +-c has a row a with a.(+-c) > 0.
     """
     d = A.shape[1]
     if np.linalg.matrix_rank(A, tol=1e-9) < d:
         return False
-    if d == 1:
-        return bool(A.max() > 0.0 and A.min() < 0.0)
-    if d == 2:
-        cands = np.stack([-A[:, 1], A[:, 0]], axis=1)
-    else:
-        i, j = np.triu_indices(A.shape[0], 1)
-        cands = np.cross(A[i], A[j])
-    cands = np.concatenate([cands, -cands])
-    nu = np.linalg.norm(cands, axis=1)
-    cands = cands[nu >= 1e-12] / nu[nu >= 1e-12, None]
-    step = max(1, _ENUM_BUDGET // A.shape[0])
-    return all(np.all(np.max(cands[s:s + step] @ A.T, axis=1) > 1e-9)
-               for s in range(0, cands.shape[0], step))
+    minors = np.array([[j for j in range(d) if j != k] for k in range(d)], dtype=np.intp)
+    for rows in _tuple_blocks(A.shape[0], d - 1):
+        c = np.linalg.det(A[rows][..., minors].swapaxes(1, 2)) * (-1.0) ** np.arange(d)
+        nu = np.linalg.norm(c, axis=1)
+        vals = (c[nu >= 1e-12] / nu[nu >= 1e-12, None]) @ A.T
+        if not (np.all(vals.max(axis=1) > 1e-9) and np.all(vals.min(axis=1) < -1e-9)):
+            return False
+    return True
 
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -232,18 +236,12 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def vertices_from_h(P: HPolytope) -> VPolytope:
-    """Enumerate vertices as feasible intersections of d tight rows (d <= 3).
-
-    Raises ``ValueError`` on unbounded or lower-dimensional input.
-    """
-    if not 1 <= P.dim <= 3:
-        raise ValueError("vertex enumeration supports d in {1, 2, 3}")
+    """Vertices as the feasible intersections of d tight rows, over all C(m, d)
+    row tuples.  Raises ``ValueError`` on unbounded or lower-dimensional input."""
     if not _bounded_rows(P.A):
         raise ValueError("unbounded: row normals do not positively span R^d")
-    tuples = itertools.combinations(range(P.m), P.dim)
-    step = max(1, _ENUM_BUDGET // P.m)
     found = []
-    while (rows := np.array(list(itertools.islice(tuples, step)))).size:
+    for rows in _tuple_blocks(P.m, P.dim):
         M = P.A[rows]
         scale = np.prod(np.linalg.norm(M, axis=2), axis=1)
         ok = np.abs(np.linalg.det(M)) > 1e-12 * np.maximum(scale, 1e-30)

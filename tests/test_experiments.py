@@ -37,11 +37,12 @@ def test_run_verify_all_green():
 
 
 def test_run_verify_includes_polytope_file(tmp_path):
-    path = tmp_path / "p.json"
-    save_polytope(hypercube(2), path)
-    status, results = run_verify(seed=1, polytope_file=path)
-    assert status == 0
-    assert any("[file]" in r.name for r in results)
+    for dim in (2, 4):
+        path = tmp_path / f"p{dim}.json"
+        save_polytope(hypercube(dim), path)
+        status, results = run_verify(seed=1, polytope_file=path)
+        assert status == 0
+        assert any("[file]" in r.name for r in results)
 
 
 def test_polytope_file_leaves_builtin_checks_unchanged(tmp_path):
@@ -84,6 +85,9 @@ def test_smooth_polynomial_coefficients():
     assert f.coeff((1, 0)) == pytest.approx(0.25)
     assert f.coeff((1, 1)) == pytest.approx(1.0 / 9.0)
     assert len(f) == 7 * 7
+    assert dict(smooth_polynomial(2, 0)) == {(0, 0): 1.0}
+    with pytest.raises(ValueError, match="bandwidth must be nonnegative"):
+        smooth_polynomial(2, -1)
 
 
 def test_run_convergence_contract():

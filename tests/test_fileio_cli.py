@@ -221,15 +221,19 @@ _BAD_POLYTOPES = {
     "unbounded": [[1, 0], [0, 1], [1, 1]],
     "duplicate_row": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]],
     "redundant_row": [[1, 0], [-1, 0], [0, 1], [0, -1], [0.5, 0]],
+    "unbounded_4d": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]],
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_POLYTOPES))
 @pytest.mark.parametrize("command", ["triangulate", "partial-sum", "variation-field", "verify"])
-def test_cli_rejects_bad_polytope_file_writing_nothing(coeff_file, tmp_path, kind, command):
+def test_cli_rejects_bad_polytope_file_writing_nothing(tmp_path, kind, command):
     A = _BAD_POLYTOPES[kind]
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"dim": 2, "H": {"A": A, "b": [1] * len(A)}}))
+    path.write_text(json.dumps({"dim": len(A[0]), "H": {"A": A, "b": [1] * len(A)}}))
+    # coefficients of the polytope's dimension, so only the polytope is at fault
+    coeff_file = tmp_path / "coeffs.json"
+    save_coefficients(random_trig_polynomial(len(A[0]), 1, 0.7, seed=3), coeff_file)
     args = {
         "triangulate": [str(path)],
         "partial-sum": ["--polytope", str(path), "--coeffs", str(coeff_file)],

@@ -18,7 +18,7 @@ def test_random_polytope_is_deterministic_per_seed():
     assert not np.array_equal(P1.A, P3.A)
 
 
-@pytest.mark.parametrize("dim,m,seed", [(2, 4, 0), (2, 8, 1), (3, 4, 2), (3, 6, 3)])
+@pytest.mark.parametrize("dim,m,seed", [(2, 4, 0), (2, 8, 1), (3, 4, 2), (3, 6, 3), (4, 7, 4)])
 def test_random_polytope_satisfies_invariants(dim, m, seed):
     P = random_polytope(dim, m, seed=seed)
     P.validate()

@@ -187,7 +187,6 @@ def test_h_from_vertices_keeps_interval_row_order():
     [[1, 1], [2, 1], [1, 2]],                # origin outside
     [[-1, -1], [0.5, 0.5], [1, 1]],          # collinear
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],  # flat in 3-d
-    np.vstack([np.eye(4), -np.eye(4)]),      # d = 4
 ])
 def test_degenerate_vertex_sets_raise(pts):
     Q = VPolytope(np.shape(pts)[1], pts)
@@ -213,17 +212,36 @@ def test_vertices_rejects_unbounded():
     # only "upper" constraints: the negative quadrant escapes
     with pytest.raises(ValueError):
         vertices_from_h(HPolytope(2, [[1, 0], [0, 1], [1, 1]]))
+    # a.u < 0 on every row leaves the whole ray t * u inside, in any dimension
+    rng = np.random.default_rng(90)
+    for dim in (1, 2, 3, 4):
+        for _ in range(50):
+            u = rng.normal(size=dim)
+            A = rng.normal(size=(dim + 4, dim))
+            A[A @ u > 0] *= -1.0
+            with pytest.raises(ValueError, match="unbounded"):
+                vertices_from_h(HPolytope(dim, A))
 
 
-def test_gauge_works_in_any_dimension_but_enumeration_is_capped():
+def test_enumeration_in_four_dimensions():
     P = hypercube(4)
     assert gauge(P, [0.5, -0.25, 0.1, 0.9]) == 0.9
     assert contains(P, [1.0, 1.0, 1.0, 1.0], 1.0)
-    for op in (vertices_from_h, triangulate):
+    assert vertices_from_h(P).vertices.shape == (16, 4)
+    assert [pc.vertices.shape for pc in triangulate(P)] == [(8, 4)] * 8
+    C = cross_polytope(4)
+    assert vertices_from_h(C).vertices.shape == (8, 4)
+    assert [pc.vertices.shape for pc in triangulate(C)] == [(4, 4)] * 16
+    X = np.random.default_rng(4).uniform(-1.5, 1.5, size=(2000, 4))
+    for Q in (P, C):
+        Q.validate()
+        back = h_from_vertices(vertices_from_h(Q))
+        assert np.max(np.abs(gauge(Q, X) - gauge(back, X))) <= 1e-9
+    # e_1..e_4 and (1,1,1,1) leave the negative orthant unbounded
+    unbounded = HPolytope(4, np.vstack([np.eye(4), np.ones(4)]))
+    for op in (vertices_from_h, triangulate, HPolytope.validate):
         with pytest.raises(ValueError):
-            op(P)
-    with pytest.raises(ValueError):
-        P.validate()
+            op(unbounded)
 
 
 def test_hpolytope_needs_enough_rows():
@@ -342,7 +360,7 @@ def test_triangulate_interval():
     assert bool(piece_contains(up, P, [0.0])) and bool(piece_contains(down, P, [0.0]))
 
 
-@pytest.mark.parametrize("dim,m,seed", [(2, 6, 31), (2, 8, 32), (3, 5, 33)])
+@pytest.mark.parametrize("dim,m,seed", [(2, 6, 31), (2, 8, 32), (3, 5, 33), (4, 7, 34)])
 def test_cover_and_disjointness_by_sampling(dim, m, seed):
     P = random_polytope(dim, m, seed=seed)
     pieces = triangulate(P)
@@ -478,7 +496,7 @@ def test_cone_halfspaces_halfline_1d():
     assert np.allclose(cone_halfspaces(down, P), [[1.0]])
 
 
-@pytest.mark.parametrize("dim,m,seed", [(2, 7, 81), (3, 5, 82), (3, 6, 83)])
+@pytest.mark.parametrize("dim,m,seed", [(2, 7, 81), (3, 5, 82), (3, 6, 83), (4, 7, 84)])
 def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
     P = random_polytope(dim, m, seed=seed)
     pieces = triangulate(P)
@@ -496,10 +514,13 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
         assert np.max(own @ rows.T) <= 1e-9
 
 
-@pytest.mark.parametrize("P,dot,count", [(hypercube(3), 0.0, 4), (cross_polytope(3), 1.0, 3)])
+@pytest.mark.parametrize("P,dot,count", [
+    (hypercube(3), 0.0, 4), (cross_polytope(3), 1.0, 3),
+    (hypercube(4), 0.0, 6), (cross_polytope(4), 2.0, 4),
+])
 def test_cone_walls_are_neighbour_row_differences(P, dot, count):
-    # the faces sharing an edge with face i: orthogonal cube rows, octahedron
-    # rows one sign apart
+    # the faces sharing a ridge with face i: orthogonal cube rows,
+    # cross-polytope rows one sign apart
     for pc in triangulate(P):
         nb = [j for j in range(P.m) if P.A[j] @ pc.a == dot]
         assert len(nb) == count

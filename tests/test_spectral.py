@@ -291,6 +291,17 @@ def test_freezing_identity_on_the_square():
     assert worst <= 1e-12
 
 
+def test_fan_sums_and_freezing_in_four_dimensions():
+    # the freezing reduction is stated for every d; check it above d = 3
+    P = hypercube(4)
+    f = random_trig_polynomial(4, 2, 0.5, seed=41)
+    X = np.random.default_rng(42).random(size=(20, 4))
+    assert experiments.piecewise_equals_direct(f, P, X) <= experiments.BOUNDS[
+        "piecewise_equals_direct"]
+    assert experiments.freezing_identity(f, P, triangulate(P), 5) <= experiments.BOUNDS[
+        "freezing_identity"]
+
+
 def test_frozen_partial_sum_bruteforce_and_extremes():
     rng = np.random.default_rng(19)
     n1 = np.arange(-6, 7)
