@@ -39,7 +39,7 @@ from .generators import random_piece_points, random_polytope, random_trig_polyno
 from .spectral import (
     TrigPolynomial,
     _Shells,
-    _shell_sums,
+    _grid_family,
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
@@ -602,7 +602,7 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     M = default_resolution(bandwidth)
     shells = _Shells(f, P)
     bps, g = shells.breakpoints, shells.gauge
-    values = _shell_sums(shells, bps, grid_points(dim, M))
+    values = _grid_family(shells, bps, M)
     final = values[:, -1]
     abs_c = np.abs(f.coeffs)
     rows = []

@@ -5,10 +5,16 @@ A cutoff at parameter ``lam`` keeps the frequencies whose gauge is at most
 sums at a fixed point form a right-continuous step function whose jumps sit
 at the finitely many gauge values of the support; those values are the
 breakpoints.  One shell plan decides each frequency's gauge, owner row (its
-fan piece) and shell order for every operator.  Everything is evaluated
-directly, O(#coeffs * #points), which keeps every identity exact to rounding
-and doubles as the oracle for any faster path; points go in chunks, so the
-phase matrix never holds more than ``_CHUNK_BUDGET`` entries.
+fan piece) and shell order for every operator.
+
+On the alias-free grid j/M (M >= 2B+1) every frequency has its own residue
+n mod M, so one inverse FFT of the scattered coefficients evaluates a whole
+family exactly to rounding: ``family_values_on_grid`` and ``sample_grid`` take
+that route.  Arbitrary points (``evaluate``, ``partial_sum``,
+``partial_sum_by_pieces``, ``family_at_point``) are summed directly,
+O(#coeffs * #points), and serve as the oracle for the grid route; points go
+in chunks, so the phase matrix never holds more than ``_CHUNK_BUDGET``
+entries.
 """
 
 from __future__ import annotations
@@ -206,24 +212,6 @@ class _Shells:
         return np.unique(np.concatenate([[0.0], self.gauge]))
 
 
-def _shell_sums(shells: _Shells, cutoffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Partial sums at each cutoff (columns) for each point (rows): shell-ordered
-    cumulative sums with a leading zero column, gathered at the shell counts."""
-    f, order = shells.f, shells.order
-    counts = np.searchsorted(shells.gauge[order], cutoffs, side="right")
-    freqs = f.freqs[order]
-    coeffs = f.coeffs[order]
-    values = np.empty((pts.shape[0], cutoffs.shape[0]), dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(len(f), 1))
-    for lo in range(0, pts.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        terms = np.exp(_TWO_PI_I * (pts[sl] @ freqs.T)) * coeffs
-        csum = np.zeros((terms.shape[0], terms.shape[1] + 1), dtype=complex)
-        np.cumsum(terms, axis=1, out=csum[:, 1:])
-        values[sl] = csum[:, counts]
-    return values
-
-
 def partial_sum(f: TrigPolynomial, P: HPolytope, lam: float, x):
     """Partial sum over frequencies in the closed dilate: gauge(P, n) <= lam.
 
@@ -257,8 +245,11 @@ def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     x = _as_points(x, f.dim)
     if x.ndim != 1:
         raise ValueError("one point at a time; use family_values_on_grid for batches")
-    bps = shells.breakpoints
-    return StepFunction(bps[1:], _shell_sums(shells, bps, x[None, :])[0])
+    bps, order = shells.breakpoints, shells.order
+    terms = np.exp(_TWO_PI_I * (f.freqs[order] @ x)) * f.coeffs[order]
+    csum = np.concatenate([[0.0j], np.cumsum(terms)])
+    counts = np.searchsorted(shells.gauge[order], bps, side="right")
+    return StepFunction(bps[1:], csum[counts])
 
 
 def grid_points(dim: int, resolution: int) -> np.ndarray:
@@ -267,19 +258,43 @@ def grid_points(dim: int, resolution: int) -> np.ndarray:
     return idx / float(resolution)
 
 
+def _grid_sums(f: TrigPolynomial, slots: np.ndarray, n_slots: int, resolution: int):
+    """Values of shape (M^d, n_slots), rows in grid_points order: column k is
+    the sum of c(n) exp(2 pi i n.j/M) over the frequencies with slot <= k;
+    slots >= n_slots drop out.  Needs M >= 2B+1, so that the residues n mod M
+    of distinct frequencies differ and one scatter places every coefficient.
+    Cumulating over the last axis and transforming the grid axes in place
+    keeps the peak near the size of the result."""
+    keep = slots < n_slots
+    A = np.zeros((resolution,) * f.dim + (n_slots,), dtype=complex)
+    A[tuple((f.freqs[keep] % resolution).T) + (slots[keep],)] = f.coeffs[keep]
+    np.cumsum(A, axis=-1, out=A)
+    np.fft.ifftn(A, axes=range(f.dim), norm="forward", out=A)
+    return A.reshape(resolution**f.dim, n_slots)
+
+
+def _grid_family(shells: _Shells, cutoffs: np.ndarray, resolution: int) -> np.ndarray:
+    """Partial sums at each nondecreasing cutoff (columns) on the grid (rows):
+    a frequency counts from the first cutoff its gauge does not exceed."""
+    slots = np.searchsorted(cutoffs, shells.gauge, side="left")
+    return _grid_sums(shells.f, slots, cutoffs.shape[0], resolution)
+
+
 def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=None):
     """Family values at every breakpoint for every grid point.
 
     Returns (cutoffs, values) with values of shape (M^d, len(cutoffs));
     column k holds the partial sum at the k-th cutoff.  The cutoffs default
-    to the breakpoints of f but any nondecreasing nonnegative array works.
+    to the breakpoints of f but any nondecreasing array without NaN works.
     Requires an alias-free grid, resolution >= 2B+1.
     """
     if resolution < 2 * f.bandwidth + 1:
         raise ValueError("aliasing: grid resolution must be at least 2B+1")
     shells = _Shells(f, P)
     bps = shells.breakpoints if at is None else np.asarray(at, dtype=float).reshape(-1)
-    return bps, _shell_sums(shells, bps, grid_points(f.dim, resolution))
+    if np.isnan(bps).any() or np.any(bps[1:] < bps[:-1]):
+        raise ValueError("cutoffs must be nondecreasing and not NaN")
+    return bps, _grid_family(shells, bps, resolution)
 
 
 def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam: float, x):
@@ -380,5 +395,5 @@ def sample_grid(f: TrigPolynomial, resolution: int) -> GridSamples:
     """Evaluate f at every grid point j/M; requires M >= 2B+1 (no aliasing)."""
     if resolution < 2 * f.bandwidth + 1:
         raise ValueError("aliasing: grid resolution must be at least 2B+1")
-    vals = _direct_sum(f.freqs, f.coeffs, grid_points(f.dim, resolution))
+    vals = _grid_sums(f, np.zeros(len(f), dtype=np.intp), 1, resolution)
     return GridSamples(f.dim, resolution, vals.reshape((resolution,) * f.dim))

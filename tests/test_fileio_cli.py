@@ -311,19 +311,25 @@ def test_cli_missing_subcommand_errors():
         cli.main([])
 
 
-def test_verify_csv_identical_across_blas_thread_counts(tmp_path):
+def test_verify_csv_identical_across_blas_thread_counts(square_file, coeff_file, tmp_path):
     import os
     import subprocess
     import sys
 
-    outs = []
+    jobs = {
+        "verify": (["verify", "--seed", "3"], ["out"]),
+        "ratio": (["ratio", "--seed", "3", "--bandwidths", "4,8", "--ensemble", "2"], ["out"]),
+        "field": (["variation-field", "--polytope", str(square_file), "--coeffs",
+                   str(coeff_file), "--r", "3.0", "--p", "2.0"], ["out", "norms-out"]),
+    }
+    outs = {}
     for threads in ("1", "4"):
-        out = tmp_path / f"v{threads}.csv"
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        subprocess.run(
-            [sys.executable, "-m", "polysum.cli", "verify", "--seed", "3",
-             "--out", str(out)],
-            check=True, env=env, capture_output=True,
-        )
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+        for name, (argv, files) in jobs.items():
+            paths = [tmp_path / f"{name}-{flag}-{threads}.csv" for flag in files]
+            flags = [arg for flag, path in zip(files, paths) for arg in (f"--{flag}", str(path))]
+            subprocess.run([sys.executable, "-m", "polysum.cli", *argv, *flags],
+                           check=True, env=env, capture_output=True)
+            outs[name, threads] = [path.read_bytes() for path in paths]
+    for name in jobs:
+        assert outs[name, "1"] == outs[name, "4"], name

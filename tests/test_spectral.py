@@ -166,17 +166,43 @@ def test_family_at_point_matches_independent_per_lambda_sums():
 
 
 def test_family_values_on_grid_matches_pointwise_families():
-    P = hypercube(2)
+    # the FFT route against direct masked sums at every column
     f = random_trig_polynomial(2, 3, 0.7, seed=13)
-    M = 9
-    bps, values = family_values_on_grid(f, P, M)
-    pts = grid_points(2, M)
-    for k in (0, 17, 40, 80):
-        # direct masked sums: family_at_point shares the grid evaluator's code
-        direct = np.array([partial_sum(f, P, float(lam), pts[k]) for lam in bps])
-        assert np.max(np.abs(values[k] - direct)) <= 1e-12
+    bps = breakpoints(f, hypercube(2))
+    # repeated cutoffs, cutoffs between breakpoints, a negative one, one past the last
+    between = np.array([-0.5, 0.0, 0.0, (bps[1] + bps[2]) / 2, bps[2], bps[2], bps[-1] + 1.0])
+    cases = [
+        (hypercube(2), f, 9, None),
+        (hypercube(2), f, 9, between),
+        (random_polytope(2, 7, seed=15), f, 8, None),
+        (hypercube(1), random_trig_polynomial(1, 5, 0.8, seed=16), 11, None),
+        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3, None),  # L = 1
+        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3, [-1.0, 0.0, 1.0]),
+    ]
+    for P, g, M, at in cases:
+        cuts, values = family_values_on_grid(g, P, M, at=at)
+        assert values.shape == (M**g.dim, cuts.shape[0]) and values.flags.c_contiguous
+        X = grid_points(g.dim, M)
+        direct = np.stack([  # below 0 no frequency is kept
+            partial_sum(g, P, float(lam), X) if lam >= 0.0 else np.zeros(len(X))
+            for lam in cuts], axis=1)
+        assert np.max(np.abs(values - direct)) <= 1e-12
     with pytest.raises(ValueError):
-        family_values_on_grid(f, P, 2 * f.bandwidth)  # aliasing
+        family_values_on_grid(f, hypercube(2), 2 * f.bandwidth)  # aliasing
+    for at in ([0.0, 2.0, 1.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            family_values_on_grid(f, hypercube(2), 9, at=at)
+
+
+def test_family_values_on_grid_peak_memory_near_the_values_matrix():
+    f = random_trig_polynomial(3, 8, 1.0, seed=17)
+    P = hypercube(3)
+    family_values_on_grid(f, P, 17)  # lazy imports (numpy.fft) stay out of the traced peak
+    tracemalloc.start()
+    _, values = family_values_on_grid(f, P, 17)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * values.nbytes + 2**20, (peak, values.nbytes)
 
 
 def test_family_values_on_grid_custom_cutoffs():
@@ -382,6 +408,13 @@ def test_sample_grid_constant_and_roots_of_unity():
     f = TrigPolynomial(1, {(1,): 1.0})
     s = sample_grid(f, 4)
     assert np.allclose(s.values, [1.0, 1.0j, -1.0, -1.0j], atol=1e-15)
+
+
+def test_sample_grid_matches_direct_evaluation():
+    for f in (random_trig_polynomial(2, 6, 0.5, seed=21), random_trig_polynomial(3, 2, 1.0, seed=22)):
+        M = 2 * f.bandwidth + 1
+        s = sample_grid(f, M)
+        assert np.max(np.abs(s.flat - f.evaluate(grid_points(f.dim, M)))) <= 1e-12
 
 
 def test_sample_grid_parseval():
