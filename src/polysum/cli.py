@@ -103,13 +103,14 @@ def _cmd_variation_field(args) -> int:
     if args.norms_out is not None:  # norms first: a bad --p must write no file
         samples = sample_grid(f, M)
         f_lp = lp_norm(samples, p)
+        field_lp = lp_norm(field, p)
         entries = [
-            ("field_lp", p, r, lp_norm(field, p)),
+            ("field_lp", p, r, field_lp),
             ("field_weak_lp", p, r, weak_lp_norm(field, p)),
             ("field_lorentz_p1", p, r, lorentz_p1_norm(field, p)),
             ("f_lp", p, r, f_lp),
             ("f_lorentz_p1", p, r, lorentz_p1_norm(samples.abs(), p)),
-            ("ratio", p, r, lp_norm(field, p) / f_lp if f_lp > 0 else 0.0),
+            ("ratio", p, r, field_lp / f_lp if f_lp > 0 else 0.0),
         ]
     fileio.write_field_csv(field, args.out, comments)
     if args.norms_out is not None:

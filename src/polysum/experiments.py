@@ -513,6 +513,8 @@ def run_ratio_experiment(
         raise ValueError("norm exponent must satisfy r' <= p < inf")
     if ensemble < 1:
         raise ValueError("ensemble must be nonempty")
+    if not len(bandwidths):
+        raise ValueError("bandwidth ladder must be nonempty")
     rows: list[RatioRow] = []
     config = {
         "bandwidths": list(bandwidths),

@@ -5,11 +5,13 @@ step function of the cutoff parameter, so its r-variation over the whole
 half-line equals the r-variation of the finite value sequence at the jump
 points; :func:`v_r_exact` computes that by dynamic programming and
 :func:`v_r_bruteforce` by exhaustive enumeration.  :func:`v_r_field` runs the
-same DP batched over the grid points, in point chunks whose temporaries stay
-within a fixed entry budget, and returns per-point values bit-identical to
-:func:`v_r_exact`.  Norms and distribution functions use the uniform
-probability measure on the sampling grid, with no interpolation, so
-identities like the Fubini slice reordering hold exactly.
+same DP batched over the grid points.  It copies each point chunk
+shell-major, as an ``(L, points)`` array, so every step works on contiguous
+rows; a chunk's temporaries, 6L floats per point, stay within a fixed entry
+budget, and the per-point values are bit-identical to :func:`v_r_exact`.
+Norms and distribution functions use the uniform probability measure on the
+sampling grid, with no interpolation, so identities like the Fubini slice
+reordering hold exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 16
 # float entries of v_r_field's DP temporaries per point chunk; a point holds
-# at most 4L of them (its DP row, one complex difference row and its modulus)
+# 6L of them: 2L for its shell-major copy, 2L for its complex differences,
+# L for their moduli and L for its DP row
 _DP_BUDGET = 1_000_000
 
 
@@ -55,7 +58,8 @@ class StepFunction:
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
         if vals.shape[0] != bp.shape[0] + 1:
             raise ValueError("need exactly one more value than breakpoints")
-        if bp.size and np.any(np.diff(bp) <= 0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if np.any(np.isnan(bp)) or not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bp
         self.values = vals
@@ -239,16 +243,37 @@ def fubini_slice_check(h: GridSamples, alpha: float) -> tuple[float, float]:
     return global_d, float(per_slice.mean())
 
 
+def _dp_chunk(V: np.ndarray, r: float) -> np.ndarray:
+    """Largest W(j) of the :func:`v_r_exact` recursion for each column of a
+    shell-major ``(L, points)`` chunk.
+
+    Step j runs on the contiguous rows 0..j-1; every pair gets the same
+    subtraction, modulus, power, sum and maximum as in :func:`v_r_exact`.
+    The temporaries die on return, so no two chunks hold them at once.
+    """
+    W = np.zeros(V.shape)
+    Z = np.empty_like(V)
+    D = np.empty(V.shape)
+    for j in range(1, V.shape[0]):
+        np.subtract(V[j], V[:j], out=Z[:j])
+        np.abs(Z[:j], out=D[:j])
+        D[:j] **= r
+        D[:j] += W[:j]
+        np.max(D[:j], axis=0, out=W[j])
+    return W.max(axis=0)
+
+
 def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     """Pointwise r-variation of the cutoff family over the full sampling grid.
 
     Evaluates the step family of partial sums at every grid point and runs
-    the :func:`v_r_exact` recursion for all points at once: one vectorised
-    pass per breakpoint j, over the points and the earlier indices i < j.
-    Points go in chunks, so the DP temporaries stay within ``_DP_BUDGET``
-    entries.  Each point's value is bit-identical to :func:`v_r_exact` on its
-    family (same differences, powers and maxima, root taken per point as a
-    scalar).  Requires 1 <= r < inf and resolution >= 2B+1.
+    the :func:`v_r_exact` recursion for all points at once.  Each point chunk
+    is copied shell-major, as an ``(L, points)`` array, so step j is one
+    vectorised pass over the contiguous rows of the earlier indices i < j.
+    Chunks hold at most ``_DP_BUDGET`` float entries of DP temporaries.  Each
+    point's value is bit-identical to :func:`v_r_exact` on its family (same
+    differences, powers and maxima, root taken per point as a scalar).
+    Requires 1 <= r < inf and resolution >= 2B+1.
     """
     from .spectral import family_values_on_grid
 
@@ -257,16 +282,10 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     _, values = family_values_on_grid(f, P, resolution)
     n, L = values.shape
     field = np.empty(n)
-    chunk = max(1, _DP_BUDGET // (4 * L))
+    chunk = max(1, _DP_BUDGET // (6 * L))
     for lo in range(0, n, chunk):
-        V = values[lo : lo + chunk]
-        W = np.zeros(V.shape)
-        for j in range(1, L):
-            D = np.abs(V[:, j, None] - V[:, :j])
-            D **= r
-            D += W[:, :j]
-            np.max(D, axis=1, out=W[:, j])
+        best = _dp_chunk(np.ascontiguousarray(values[lo : lo + chunk].T), r)
         # NumPy's array pow may differ from the scalar pow in the last bit,
         # so the root is taken per point, as v_r_exact takes it.
-        field[lo : lo + chunk] = [w ** (1.0 / r) for w in W.max(axis=1).tolist()]
+        field[lo : lo + chunk] = [w ** (1.0 / r) for w in best.tolist()]
     return GridSamples(f.dim, resolution, field.reshape((resolution,) * f.dim))

@@ -294,6 +294,13 @@ def test_cli_ratio_rejects_bad_exponents(tmp_path):
                      "--ensemble", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("ladder", ["", ","])
+def test_cli_ratio_rejects_empty_bandwidth_ladder(tmp_path, ladder):
+    out = tmp_path / "x.csv"
+    assert cli.main(["ratio", "--bandwidths", ladder, "--ensemble", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_converge(tmp_path):
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--bandwidth", "4", "--out", str(out)]) == 0

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysum import experiments, variation
+from polysum import experiments, spectral, variation
 from polysum.geometry import cross_polytope, hypercube
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
@@ -143,6 +145,9 @@ def test_step_function_contract():
         StepFunction([1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         StepFunction([1.0], [0.0, 1.0, 2.0])
+    for bp in ([np.nan], [0.5, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            StepFunction(bp, np.zeros(len(bp) + 1))
 
 
 def test_grid_samples_measure():
@@ -301,6 +306,7 @@ def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
         (hypercube(1), random_trig_polynomial(1, 6, 0.8, seed=11)),
         (cross_polytope(2), random_trig_polynomial(2, 3, 0.8, seed=12)),
         (random_polytope(2, 7, seed=13), random_trig_polynomial(2, 3, 0.8, seed=13)),
+        (random_polytope(2, 7, seed=16), random_trig_polynomial(2, 4, 1.0, seed=16)),  # L = N
         (hypercube(3), random_trig_polynomial(3, 2, 0.8, seed=14)),
         (cross_polytope(3), random_trig_polynomial(3, 2, 0.8, seed=15)),
         (hypercube(2), TrigPolynomial(2, {(0, 0): 4.0 - 2.0j})),  # L = 1
@@ -310,6 +316,30 @@ def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
         _, values = family_values_on_grid(f, P, M)
         for r in (1.0, 2.0, 2.5, 3.0):
             assert v_r_field(f, P, M, r).flat.tolist() == [v_r_exact(row, r) for row in values]
+
+
+def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
+    # the DP holds 6L floats per point: the transposed copy and the complex
+    # differences 2L each, the moduli and the DP rows L each; the family is
+    # handed over precomputed, so the trace sees the DP alone
+    P, f, M = random_polytope(2, 7, seed=16), random_trig_polynomial(2, 6, 1.0, seed=16), 15
+    family = family_values_on_grid(f, P, M)
+    n, L = family[1].shape
+    budget = 6 * L * (n // 3)  # three point chunks
+    monkeypatch.setattr(variation, "_DP_BUDGET", budget)
+    monkeypatch.setattr(spectral, "family_values_on_grid", lambda *args: family)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        v_r_field(f, P, M, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the field, the budget, the buffer NumPy fills for the broadcast
+    # subtraction (its buffer size in complex entries) and a fixed slack;
+    # a divisor of 4L would overshoot by 4 B * budget, about 300 KB here
+    assert peak <= 8 * n + 8 * budget + 16 * np.getbufsize() + 32768
 
 
 def test_v_r_field_aliasing_guard():
@@ -329,7 +359,8 @@ def test_parseval_under_the_grid_measure():
 
 
 def test_ratio_experiment_rejects_bad_arguments():
-    bad = [{"r": 2.0}, {"r": float("nan")}, {"p": 1.4}, {"p": float("inf")}, {"ensemble": 0}]
-    for kwargs in bad:  # r > 2, r' = 1.5 <= p < inf, ensemble >= 1
+    bad = [{"r": 2.0}, {"r": float("nan")}, {"p": 1.4}, {"p": float("inf")}, {"ensemble": 0},
+           {"bandwidths": ()}]
+    for kwargs in bad:  # r > 2, r' = 1.5 <= p < inf, ensemble >= 1, some bandwidth
         with pytest.raises(ValueError):
             experiments.run_ratio_experiment(**{"bandwidths": (2,), "ensemble": 1, **kwargs})
