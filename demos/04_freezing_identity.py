@@ -2,7 +2,8 @@
 turns the multi-dimensional cutoff into a 1-d frequency threshold.
 
 For each fixed x', collapsing the piece's coefficients onto n_1 produces a
-1-d function whose running partial sums reproduce the piece-restricted
+1-d trigonometric polynomial.  Cut by the facet's own half-space on the line,
+a_1 n_1 <= lam b, its partial sums reproduce the piece-restricted
 multi-dimensional partial sums exactly, at every cutoff and every point.
 """
 
@@ -12,8 +13,7 @@ from polysum import (
     breakpoints,
     cone_multiplier,
     freeze,
-    frozen_partial_sum,
-    frozen_threshold,
+    halfspace_multiplier,
     hypercube,
     partial_sum,
     random_trig_polynomial,
@@ -39,7 +39,7 @@ for _ in range(200):
     g = freeze(f, P, piece, xprime)
     lam = float(rng.choice(bps))
     lhs = partial_sum(restricted, P, lam, np.concatenate([[x1], xprime]))
-    rhs = frozen_partial_sum(g, frozen_threshold(piece, lam), x1)
+    rhs = halfspace_multiplier(g, piece.a[:1], lam * piece.b).evaluate(x1)
     worst = max(worst, abs(lhs - rhs))
 print("max |piece-restricted sum - frozen 1-d sum| over 200 draws:", worst)
 
@@ -48,10 +48,9 @@ g0 = freeze(f, P, piece, np.zeros(2))
 cols = {}
 for n, c in restricted:
     cols[n[0]] = cols.get(n[0], 0.0j) + c
-err = max(abs(cols[int(n1)] - c1) for n1, c1 in zip(g0.freqs1, g0.coeffs1))
+err = max(abs(cols[n1] - c1) for (n1,), c1 in g0)
 print("at x' = 0 the frozen coefficients are plain column sums, err:", err)
 
-# the mirrored facet keeps -n_1 <= mu instead
+# the mirrored facet's row has a_1 = -1, so its cutoff keeps -n_1 <= lam b
 mirror = pieces[1]
-g1 = freeze(f, P, mirror, np.zeros(2))
-print("\nmirror piece sign:", g1.sign, "(cutoff keeps -n_1 <= mu)")
+print("\nmirror piece row a:", mirror.a.tolist(), "b:", mirror.b)

@@ -26,15 +26,12 @@ from .geometry import (
     vertices_from_h,
 )
 from .spectral import (
-    FrozenFunction,
     TrigPolynomial,
     breakpoints,
     cone_multiplier,
     family_at_point,
     family_values_on_grid,
     freeze,
-    frozen_partial_sum,
-    frozen_threshold,
     grid_points,
     halfspace_multiplier,
     partial_sum,

@@ -39,13 +39,12 @@ from .generators import random_piece_points, random_polytope, random_trig_polyno
 from .spectral import (
     TrigPolynomial,
     _Shells,
+    _axis_aligned,
     _grid_family,
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
     freeze,
-    frozen_partial_sum,
-    frozen_threshold,
     grid_points,
     halfspace_multiplier,
     partial_sum,
@@ -180,24 +179,24 @@ def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
 
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
     """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
-    grid point, on the pieces with facet normal +-e_1 (where freezing is defined)."""
+    grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
+    The frozen sum at lam keeps the n_1 of the facet's half-space a_1 n_1 <= lam b."""
     M = resolution
     bps = breakpoints(f, P)
     xs = np.arange(M) / M
     worst = 0.0
     for pc in pieces:
-        if np.linalg.norm(pc.a[1:]) > 1e-12:
+        if not _axis_aligned(pc.a):
             continue
         restricted = cone_multiplier(f, pc, P)
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
         vals = vals.reshape((M,) * f.dim + (bps.shape[0],))
         for jp in itertools.product(range(M), repeat=f.dim - 1):
             g = freeze(f, P, pc, np.array(jp) / M)
+            line = vals[(slice(None),) + jp]  # (M, L): the x_1 line through x'
             for k, lam in enumerate(bps):
-                mu = frozen_threshold(pc, float(lam))
-                for i1 in range(M):
-                    frozen = frozen_partial_sum(g, mu, xs[i1])
-                    worst = max(worst, abs(vals[(i1,) + jp + (k,)] - frozen))
+                frozen = halfspace_multiplier(g, pc.a[:1], lam * pc.b).evaluate(xs)
+                worst = max(worst, float(np.max(np.abs(line[:, k] - frozen))))
     return worst
 
 

@@ -19,7 +19,6 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,15 +28,12 @@ from .variation import GridSamples, StepFunction
 
 __all__ = [
     "TrigPolynomial",
-    "FrozenFunction",
     "partial_sum",
     "breakpoints",
     "family_at_point",
     "family_values_on_grid",
     "partial_sum_by_pieces",
     "freeze",
-    "frozen_partial_sum",
-    "frozen_threshold",
     "cone_multiplier",
     "halfspace_multiplier",
     "sample_grid",
@@ -154,33 +150,6 @@ class TrigPolynomial:
 
     def __repr__(self) -> str:
         return f"TrigPolynomial(dim={self.dim}, support={len(self)}, B={self.bandwidth})"
-
-
-@dataclass(eq=False)
-class FrozenFunction:
-    """1-d coefficient function obtained by freezing the last d-1 variables.
-
-    ``sign`` records the facet orientation: +1 when the facet normal is +e_1
-    and the cutoff keeps n_1 <= mu, -1 for the mirrored facet keeping
-    -n_1 <= mu.
-    """
-
-    freqs1: np.ndarray
-    coeffs1: np.ndarray
-    sign: int = 1
-
-    def __post_init__(self):
-        fr = np.asarray(self.freqs1, dtype=np.int64).reshape(-1)
-        co = np.asarray(self.coeffs1, dtype=complex).reshape(-1)
-        if fr.shape != co.shape:
-            raise ValueError("frequency/coefficient count mismatch")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        order = np.argsort(fr)
-        self.freqs1 = fr[order]
-        self.coeffs1 = co[order]
-        self.freqs1.setflags(write=False)
-        self.coeffs1.setflags(write=False)
 
 
 class _Shells:
@@ -316,55 +285,34 @@ def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam: float, x):
     return total
 
 
-def _axis_alignment(piece: Facet) -> tuple[int, float]:
-    """(sign, |a_1|) of an e_1-aligned facet row; raises otherwise."""
-    a = piece.a
-    if a.shape[0] >= 2 and np.linalg.norm(a[1:]) > 1e-12 * abs(a[0]):
+def _axis_aligned(a: np.ndarray) -> bool:
+    """Whether the facet row a is a nonzero multiple of e_1, relative to |a_1|:
+    then the piece's cone cutoff is a pure n_1 threshold on the lattice."""
+    return bool(a[0] != 0.0 and np.linalg.norm(a[1:]) <= 1e-12 * abs(a[0]))
+
+
+def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynomial:
+    """Collapse the piece's frequencies onto n_1 at a fixed x'.
+
+    Returns the 1-d polynomial whose coefficient at n_1 is the sum over the
+    frequencies (n_1, n') assigned to the piece of c(n) exp(2 pi i x'.n').  Its
+    partial sum at the dilate lam is the facet's own half-space on the line,
+    ``halfspace_multiplier(g, piece.a[:1], lam * piece.b)``, which compares the
+    same products a_1 n_1 as the gauge.  Only facets with normal +-e_1 are
+    supported, the axis-aligned case where the cone cutoff is a pure n_1
+    threshold on the lattice.
+    """
+    if not _axis_aligned(piece.a):
         raise ValueError(
             "freezing needs a facet normal of +-e_1; rotations do not preserve "
             "the integer lattice"
         )
-    if abs(a[0]) < 1e-14:
-        raise ValueError("zero first component in facet normal")
-    return (1 if a[0] > 0 else -1), abs(float(a[0]))
-
-
-def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> FrozenFunction:
-    """Collapse the piece's frequencies onto n_1 at a fixed x'.
-
-    The coefficient at n_1 is the sum over assigned frequencies (n_1, n') of
-    c(n) exp(2 pi i x'.n').  Only facets with normal +-e_1 are supported, the
-    axis-aligned case where the cone cutoff is a pure n_1 threshold on the
-    lattice.
-    """
-    sign, _ = _axis_alignment(piece)
     xprime = np.asarray(xprime, dtype=float).reshape(-1)
     if xprime.shape[0] != f.dim - 1:
         raise ValueError("x' must have d-1 coordinates")
     sel = _Shells(f, P).owner == piece.index
     weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (f.freqs[sel, 1:] @ xprime))
-    uniq, inverse = np.unique(f.freqs[sel, 0], return_inverse=True)
-    acc = np.zeros(uniq.shape[0], dtype=complex)
-    np.add.at(acc, inverse, weights)
-    return FrozenFunction(uniq, acc, sign)
-
-
-def frozen_threshold(piece: Facet, lam: float) -> float:
-    """Cutoff mu for the frozen 1-d sum matching the dilate lam of the piece.
-
-    An assigned frequency lies in lam*P exactly when sign * n_1 <= mu with
-    mu = lam * b / |a_1|.
-    """
-    _, a1 = _axis_alignment(piece)
-    return lam * piece.b / a1
-
-
-def frozen_partial_sum(g: FrozenFunction, mu: float, x1: float) -> complex:
-    """1-d partial sum of the frozen function: sign * n_1 <= mu, closed."""
-    mask = g.sign * g.freqs1 <= mu
-    return complex(
-        (g.coeffs1[mask] * np.exp(_TWO_PI_I * g.freqs1[mask] * float(x1))).sum()
-    )
+    return TrigPolynomial(1, f.freqs[sel, :1], weights)
 
 
 def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolynomial:
@@ -387,6 +335,8 @@ def halfspace_multiplier(f: TrigPolynomial, a, c: float) -> TrigPolynomial:
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.shape[0] != f.dim:
         raise ValueError("normal vector has wrong dimension")
+    if not np.all(np.isfinite(a)) or np.isnan(c):
+        raise ValueError("half-space needs a finite normal and a non-NaN offset")
     keep = f.freqs @ a <= c
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 

@@ -176,7 +176,7 @@ def _nonneg_values(h: GridSamples) -> np.ndarray:
 
 def distribution_function(h: GridSamples, alpha: float) -> float:
     """Measure of {h >= alpha} under the uniform grid probability measure."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("threshold must be nonnegative")
     vals = _nonneg_values(h)
     return float(np.count_nonzero(vals >= alpha)) * h.cell_volume

@@ -8,15 +8,12 @@ from polysum import experiments, spectral
 from polysum.geometry import cross_polytope, gauge, hypercube, triangulate
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
-    FrozenFunction,
     TrigPolynomial,
     breakpoints,
     cone_multiplier,
     family_at_point,
     family_values_on_grid,
     freeze,
-    frozen_partial_sum,
-    frozen_threshold,
     grid_points,
     halfspace_multiplier,
     partial_sum,
@@ -272,11 +269,11 @@ def test_freeze_single_frequency():
     c = 0.3 + 0.9j
     f = TrigPolynomial(2, {(3, 2): c})  # strictly inside the +e1 sector
     g = freeze(f, P, pieces[0], [0.0])
-    assert g.freqs1.tolist() == [3]
-    assert g.coeffs1.tolist() == [c]
-    assert g.sign == 1
+    assert g.dim == 1
+    assert g.freqs[:, 0].tolist() == [3]
+    assert g.coeffs.tolist() == [c]
     g_empty = freeze(f, P, pieces[1], [0.0])
-    assert g_empty.freqs1.size == 0
+    assert g_empty.freqs[:, 0].size == 0
 
 
 def test_freeze_even_function_gives_column_sums():
@@ -285,7 +282,7 @@ def test_freeze_even_function_gives_column_sums():
     entries = {(2, 1): 0.5, (2, -1): 0.5, (2, 0): 1.25, (1, 0): -2.0}
     f = TrigPolynomial(2, entries)
     g = freeze(f, P, pieces[0], [0.0])
-    d = dict(zip(g.freqs1.tolist(), g.coeffs1.tolist()))
+    d = dict(zip(g.freqs[:, 0].tolist(), g.coeffs.tolist()))
     assert abs(d[2] - (0.5 + 0.5 + 1.25)) <= 1e-15
     assert abs(d[1] - (-2.0)) <= 1e-15
 
@@ -312,7 +309,7 @@ def test_freezing_identity_on_the_square():
             g = freeze(f, P, pc, [xp])
             for lam in bps:
                 direct = partial_sum(restricted, P, float(lam), np.array([x1, xp]))
-                frozen = frozen_partial_sum(g, frozen_threshold(pc, float(lam)), x1)
+                frozen = halfspace_multiplier(g, pc.a[:1], float(lam) * pc.b).evaluate(x1)
                 worst = max(worst, abs(direct - frozen))
     assert worst <= 1e-12
 
@@ -328,30 +325,36 @@ def test_fan_sums_and_freezing_in_four_dimensions():
         "freezing_identity"]
 
 
-def test_frozen_partial_sum_bruteforce_and_extremes():
+def test_halfspace_multiplier_on_the_line_bruteforce_and_extremes():
+    # the frozen partial sum: keep a_1 n_1 <= mu on the line, for either facet normal
     rng = np.random.default_rng(19)
     n1 = np.arange(-6, 7)
     co = rng.normal(size=n1.size) + 1j * rng.normal(size=n1.size)
-    for sign in (1, -1):
-        g = FrozenFunction(n1, co, sign)
+    g = TrigPolynomial(1, n1, co)
+    for a1 in (1.0, -1.0):
         for _ in range(50):
             mu = rng.uniform(-8, 8)
             x1 = rng.random()
             brute = sum(
                 c * cmath.exp(2j * cmath.pi * int(n) * x1)
-                for n, c in zip(g.freqs1, g.coeffs1)
-                if sign * int(n) <= mu
+                for n, c in zip(n1, co)
+                if a1 * int(n) <= mu
             )
-            assert abs(frozen_partial_sum(g, mu, x1) - brute) <= 1e-12
-        assert frozen_partial_sum(g, -7.0, 0.3) == 0.0
-        full = sum(c * cmath.exp(2j * cmath.pi * int(n) * 0.3) for n, c in zip(g.freqs1, g.coeffs1))
-        assert abs(frozen_partial_sum(g, 6.0, 0.3) - full) <= 1e-12
+            assert abs(halfspace_multiplier(g, [a1], mu).evaluate(x1) - brute) <= 1e-12
+        assert halfspace_multiplier(g, [a1], -7.0).evaluate(0.3) == 0.0
+        full = sum(c * cmath.exp(2j * cmath.pi * int(n) * 0.3) for n, c in zip(n1, co))
+        assert abs(halfspace_multiplier(g, [a1], 6.0).evaluate(0.3) - full) <= 1e-12
 
 
-def test_frozen_threshold_scales_with_halfspace():
-    P = hypercube(2, radius=2.0)  # rows e1/2, so |a_1| = 1/2
-    pieces = triangulate(P)
-    assert frozen_threshold(pieces[0], 3.0) == pytest.approx(6.0)
+@pytest.mark.parametrize("P,f,resolution", [
+    (hypercube(2, radius=2.0), random_trig_polynomial(2, 4, 0.8, seed=20), 9),  # |a_1| = 1/2
+    # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 would drop n_1 = 3
+    (hypercube(2, radius=1.009), random_trig_polynomial(2, 6, 1.0, seed=5), 13),
+    (hypercube(3, radius=1.009), random_trig_polynomial(3, 3, 1.0, seed=7), 7),
+], ids=["square-r2", "square-r1.009", "cube3-r1.009"])
+def test_freezing_identity_on_scaled_cubes(P, f, resolution):
+    assert experiments.freezing_identity(f, P, triangulate(P), resolution) <= experiments.BOUNDS[
+        "freezing_identity"]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +384,10 @@ def test_halfspace_multiplier_examples():
     assert len(halfspace_multiplier(f, [1, 0], 0.0)) == 0
     kept = halfspace_multiplier(f, [1, 0], 2.0)
     assert dict(kept) == dict(f)
+    for a, c in (([1.0, 0.0], np.nan), ([np.nan, 0.0], 5.0), ([np.inf, 0.0], 5.0),
+                 ([1.0, -np.inf], 5.0)):
+        with pytest.raises(ValueError, match="half-space"):
+            halfspace_multiplier(f, a, c)
 
 
 def test_halfspace_composition_equals_closed_cone_filter():
@@ -497,7 +504,7 @@ def _plus_e1(pieces):
     (lambda f: breakpoints(f, _SQUARE), np.zeros(1)),
     (lambda f: family_at_point(f, _SQUARE, _PTS[0]).values, np.zeros(1, dtype=complex)),
     (lambda f: family_values_on_grid(f, _SQUARE, 3)[1], np.zeros((9, 1), dtype=complex)),
-    (lambda f: freeze(f, _SQUARE, _plus_e1(_FAN), np.full(f.dim - 1, 0.3)).coeffs1,
+    (lambda f: freeze(f, _SQUARE, _plus_e1(_FAN), np.full(f.dim - 1, 0.3)).coeffs,
      np.zeros(0, dtype=complex)),
     (lambda f: cone_multiplier(f, _FAN[0], _SQUARE).freqs, np.zeros((0, 2), dtype=np.int64)),
 ], ids=["partial_sum", "partial_sum_point", "partial_sum_by_pieces", "evaluate", "breakpoints",

@@ -169,8 +169,9 @@ def test_distribution_function_examples():
     assert distribution_function(h, 0.0) == 1.0
     half = GridSamples(1, 10, np.array([1.0] * 5 + [0.0] * 5))
     assert distribution_function(half, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        distribution_function(h, -0.1)
+    for alpha in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            distribution_function(h, alpha)
 
 
 def test_distribution_function_right_continuous_decreasing():
@@ -244,6 +245,8 @@ def test_fubini_slice_check_examples():
     assert g == pytest.approx(2.0 / 6.0) and s == pytest.approx(2.0 / 6.0)
     with pytest.raises(ValueError):
         fubini_slice_check(GridSamples(1, 6, np.ones(6)), 0.0)
+    with pytest.raises(ValueError, match="threshold"):
+        fubini_slice_check(const, np.nan)
 
 
 def test_fubini_slice_check_random_fields_exact():
