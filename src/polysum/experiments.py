@@ -40,7 +40,9 @@ from .spectral import (
     TrigPolynomial,
     _Shells,
     _axis_aligned,
+    _direct_sum,
     _grid_family,
+    _halfspace_keep,
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
@@ -128,6 +130,7 @@ BOUNDS = {
     "cover": 0,
     "disjoint": 0,
     "piece_bounded": 1e-9,
+    "step_constancy": 1e-14,
     "piecewise_equals_direct": 1e-12,
     "freezing_identity": 1e-12,
     "halfspace_cone_boundary": 0,
@@ -167,23 +170,30 @@ def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
     )
 
 
+def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
+    """Largest |partial sum at the midpoint - at the left end| at X over the
+    intervals between consecutive breakpoints of f (0 when there are none)."""
+    bps = breakpoints(f, P)
+    mids = 0.5 * (bps[:-1] + bps[1:])
+    return float(np.max(np.abs(
+        partial_sum(f, P, mids, X) - partial_sum(f, P, bps[:-1], X)), initial=0.0))
+
+
 def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
-    return max(
-        float(np.max(np.abs(
-            partial_sum_by_pieces(f, P, float(lam), X)
-            - partial_sum(f, P, float(lam), X))))
-        for lam in breakpoints(f, P)
-    )
+    bps = breakpoints(f, P)
+    return float(np.max(np.abs(
+        partial_sum_by_pieces(f, P, bps, X) - partial_sum(f, P, bps, X))))
 
 
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
     """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
     grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
-    The frozen sum at lam keeps the n_1 of the facet's half-space a_1 n_1 <= lam b."""
+    The frozen sum at lam keeps the n_1 of the facet's half-space a_1 n_1 <= lam b,
+    the rule of ``halfspace_multiplier``, for every breakpoint in one direct sum."""
     M = resolution
     bps = breakpoints(f, P)
-    xs = np.arange(M) / M
+    xs = (np.arange(M) / M)[:, None]
     worst = 0.0
     for pc in pieces:
         if not _axis_aligned(pc.a):
@@ -194,9 +204,9 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
         for jp in itertools.product(range(M), repeat=f.dim - 1):
             g = freeze(f, P, pc, np.array(jp) / M)
             line = vals[(slice(None),) + jp]  # (M, L): the x_1 line through x'
-            for k, lam in enumerate(bps):
-                frozen = halfspace_multiplier(g, pc.a[:1], lam * pc.b).evaluate(xs)
-                worst = max(worst, float(np.max(np.abs(line[:, k] - frozen))))
+            keep = _halfspace_keep(g.freqs, pc.a[:1], bps * pc.b)  # (L, N_1)
+            frozen = _direct_sum([(g.freqs, g.coeffs * keep)], xs)
+            worst = max(worst, float(np.max(np.abs(line - frozen))))
     return worst
 
 
@@ -314,23 +324,24 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
     )
     _record(results, suite, f"assign_in_piece[{label}]", misses, 0, "misses")
 
-    rot_err = 0.0
-    for pc in pieces:
-        R = rotation_to_e1(pc)
-        n = pc.normal
-        e1 = np.zeros(P.dim)
-        e1[0] = 1.0
-        rot_err = max(
-            rot_err,
-            float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
-            float(np.linalg.norm(R @ n - e1)),
-            abs(float(np.linalg.det(R)) - 1.0),
-        )
-        P_rot = HPolytope(P.dim, P.A @ R.T)
-        sample = X[:200]
-        rot_err = max(rot_err, float(np.max(np.abs(
-            gauge(P, sample) - gauge(P_rot, sample @ R.T)))))
-    _record(results, suite, f"rotation[{label}]", rot_err, 1e-9)
+    if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
+        rot_err = 0.0
+        for pc in pieces:
+            R = rotation_to_e1(pc)
+            n = pc.normal
+            e1 = np.zeros(P.dim)
+            e1[0] = 1.0
+            rot_err = max(
+                rot_err,
+                float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
+                float(np.linalg.norm(R @ n - e1)),
+                abs(float(np.linalg.det(R)) - 1.0),
+            )
+            P_rot = HPolytope(P.dim, P.A @ R.T)
+            sample = X[:200]
+            rot_err = max(rot_err, float(np.max(np.abs(
+                gauge(P, sample) - gauge(P_rot, sample @ R.T)))))
+        _record(results, suite, f"rotation[{label}]", rot_err, 1e-9)
 
     vals = inside @ P.A.T
     srt = np.sort(vals, axis=1)
@@ -352,12 +363,8 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     bps = breakpoints(f, P)
     X = rng.random(size=(20, P.dim))
 
-    worst = 0.0
-    for left, right in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (left + right)
-        worst = max(worst, float(np.max(np.abs(
-            partial_sum(f, P, mid, X) - partial_sum(f, P, left, X)))))
-    _record(results, suite, f"step_constancy[{label}]", worst, 1e-14)
+    _record(results, suite, f"step_constancy[{label}]", step_constancy(f, P, X),
+            BOUNDS["step_constancy"])
 
     sat = float(np.max(np.abs(partial_sum(f, P, float(bps[-1]), X) - f.evaluate(X))))
     _record(results, suite, f"saturation[{label}]", sat, 1e-12)
@@ -426,7 +433,7 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
     M = default_resolution(3)
     field = v_r_field(f, P, M, 3.0)
     pts = grid_points(2, M)[::7]
-    fams = np.stack([partial_sum(f, P, float(lam), pts) for lam in breakpoints(f, P)], axis=1)
+    fams = partial_sum(f, P, breakpoints(f, P), pts)
     worst = max(abs(v - v_r_exact(fam, 3.0)) for v, fam in zip(field.flat[::7], fams))
     _record(results, suite, "field_vs_pointwise", worst, 1e-12)
 

@@ -14,7 +14,10 @@ that route.  Arbitrary points (``evaluate``, ``partial_sum``,
 ``partial_sum_by_pieces``, ``family_at_point``) are summed directly,
 O(#coeffs * #points), and serve as the oracle for the grid route; points go
 in chunks, so the phase matrix never holds more than ``_CHUNK_BUDGET``
-entries.
+entries.  ``partial_sum`` and ``partial_sum_by_pieces`` take a scalar cutoff
+or a 1-d array of K cutoffs; an array adds a trailing axis of length K.  One
+shell plan and one phase chunk then serve every cutoff, and each cutoff is
+still its own masked sum over the chunk, not a prefix sum across cutoffs.
 """
 
 from __future__ import annotations
@@ -54,15 +57,26 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _direct_sum(freqs: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
-    """sum of c(n) exp(2 pi i n.x) at points x of shape (..., d), in point
-    chunks of at most _CHUNK_BUDGET phase entries; a single point gives a complex."""
+def _direct_sum(parts, x: np.ndarray) -> np.ndarray:
+    """Direct sums at points x of shape (..., d), of shape (..., K).
+
+    ``parts`` is a list of (freqs (N_j, d), weights (K, N_j)) pairs; column k
+    of the result is the sum over the parts, in order, of
+    sum_n weights[k, n] exp(2 pi i n.x).  Points go in chunks of at most
+    _CHUNK_BUDGET phase entries, and each weight row is one matrix-vector
+    product over a part's phase chunk.
+    """
     pts = x.reshape(-1, x.shape[-1])
-    out = np.empty(pts.shape[0], dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(coeffs.shape[0], 1))
+    n_total = sum(freqs.shape[0] for freqs, _ in parts)
+    out = np.zeros((pts.shape[0], parts[0][1].shape[0]), dtype=complex)
+    chunk = max(1, _CHUNK_BUDGET // max(n_total, 1))
     for lo in range(0, pts.shape[0], chunk):
-        out[lo:lo + chunk] = np.exp(_TWO_PI_I * (pts[lo:lo + chunk] @ freqs.T)) @ coeffs
-    return complex(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+        block = out[lo:lo + chunk]
+        for freqs, weights in parts:
+            phases = np.exp(_TWO_PI_I * (pts[lo:lo + chunk] @ freqs.T))
+            for k, w in enumerate(weights):
+                block[:, k] += phases @ w
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def _int_freqs(freqs) -> np.ndarray:
@@ -134,7 +148,9 @@ class TrigPolynomial:
 
     def evaluate(self, x):
         """Evaluate at x of shape (..., dim); for dim = 1 bare scalars work too."""
-        return _direct_sum(self.freqs, self.coeffs, _as_points(x, self.dim))
+        x = _as_points(x, self.dim)
+        values = _direct_sum([(self.freqs, self.coeffs[None])], x)[..., 0]
+        return complex(values) if x.ndim == 1 else values
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         if not isinstance(other, TrigPolynomial) or other.dim != self.dim:
@@ -181,17 +197,37 @@ class _Shells:
         return np.unique(np.concatenate([[0.0], self.gauge]))
 
 
-def partial_sum(f: TrigPolynomial, P: HPolytope, lam: float, x):
+def _cutoff_sums(f: TrigPolynomial, P: HPolytope, lam, x, by_pieces: bool):
+    """Masked direct sums at each cutoff of ``lam`` (a scalar or a 1-d array):
+    weight row k keeps the coefficients with gauge <= lam_k, split by owner
+    row when ``by_pieces``.  Frequencies that no cutoff keeps are left out of
+    the phases.  Shapes as for :func:`partial_sum`."""
+    shells = _Shells(f, P)
+    cutoffs = np.asarray(lam, dtype=float)
+    if cutoffs.ndim > 1:
+        raise ValueError("cutoffs must be a scalar or a 1-d array")
+    if not np.all(cutoffs >= 0.0):
+        raise ValueError("cutoff parameter must be nonnegative")
+    x = _as_points(x, f.dim)
+    keep = shells.gauge <= cutoffs.reshape(-1, 1)  # (K, N)
+    live = keep.any(axis=0)
+    rows = (shells.owner == k for k in range(P.m)) if by_pieces else [True]
+    parts = [(f.freqs[sel], f.coeffs[sel] * keep[:, sel]) for sel in (live & r for r in rows)]
+    values = _direct_sum(parts, x)
+    if cutoffs.ndim:
+        return values
+    return complex(values[0]) if x.ndim == 1 else values[..., 0]
+
+
+def partial_sum(f: TrigPolynomial, P: HPolytope, lam, x):
     """Partial sum over frequencies in the closed dilate: gauge(P, n) <= lam.
 
     For lam past the largest gauge of the support this is f(x) itself.
-    Accepts a single point or a batch of shape (..., d).
+    Accepts a single point or a batch of shape (..., d).  ``lam`` is a
+    nonnegative scalar or a 1-d array of K cutoffs; an array adds a trailing
+    axis of length K, column k holding the partial sum at lam[k].
     """
-    shells = _Shells(f, P)
-    if not lam >= 0.0:
-        raise ValueError("cutoff parameter must be nonnegative")
-    mask = shells.gauge <= lam
-    return _direct_sum(f.freqs[mask], f.coeffs[mask], _as_points(x, f.dim))
+    return _cutoff_sums(f, P, lam, x, by_pieces=False)
 
 
 def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
@@ -266,23 +302,15 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=N
     return bps, _grid_family(shells, bps, resolution)
 
 
-def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam: float, x):
+def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):
     """Partial sum computed piece by piece over the fan, one piece per row of P.
 
     Each supported frequency goes to exactly one piece (lowest row index
     attaining its gauge), so the per-piece sums add up to the direct partial
-    sum with every frequency counted once.
+    sum with every frequency counted once.  Cutoffs and shapes as for
+    :func:`partial_sum`.
     """
-    if not lam >= 0.0:
-        raise ValueError("cutoff parameter must be nonnegative")
-    shells = _Shells(f, P)
-    x = _as_points(x, f.dim)
-    inside = shells.gauge <= lam
-    total = 0.0j
-    for k in range(P.m):
-        mask = (shells.owner == k) & inside
-        total = total + _direct_sum(f.freqs[mask], f.coeffs[mask], x)
-    return total
+    return _cutoff_sums(f, P, lam, x, by_pieces=True)
 
 
 def _axis_aligned(a: np.ndarray) -> bool:
@@ -325,6 +353,12 @@ def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolyno
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 
 
+def _halfspace_keep(freqs: np.ndarray, a: np.ndarray, c) -> np.ndarray:
+    """Keep-mask of the closed half-space a.n <= c: shape (N,) for a scalar
+    offset c, (K, N) for a 1-d array of K offsets, one row per offset."""
+    return freqs @ a <= np.asarray(c, dtype=float)[..., None]
+
+
 def halfspace_multiplier(f: TrigPolynomial, a, c: float) -> TrigPolynomial:
     """Sharp half-space cutoff: keep coefficients with a.n <= c (closed).
 
@@ -337,7 +371,7 @@ def halfspace_multiplier(f: TrigPolynomial, a, c: float) -> TrigPolynomial:
         raise ValueError("normal vector has wrong dimension")
     if not np.all(np.isfinite(a)) or np.isnan(c):
         raise ValueError("half-space needs a finite normal and a non-NaN offset")
-    keep = f.freqs @ a <= c
+    keep = _halfspace_keep(f.freqs, a, c)
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 
 

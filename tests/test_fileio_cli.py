@@ -13,7 +13,7 @@ from polysum.fileio import (
     save_polytope,
     write_csv,
 )
-from polysum.geometry import gauge, hypercube, triangulate
+from polysum.geometry import gauge, hypercube, interval, triangulate
 from polysum.generators import random_trig_polynomial
 
 
@@ -264,6 +264,18 @@ def test_cli_verify_corrupt_polytope_no_partial_csv(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("P", [interval(-1.0, 2.0), hypercube(1)], ids=["interval", "cube1"])
+def test_cli_verify_one_dimensional_polytope_file(P, tmp_path):
+    # a 1-d normal -1 has no determinant +1 rotation to e_1, so no rotation row
+    path, out = tmp_path / "p1.json", tmp_path / "verify.csv"
+    save_polytope(P, path)
+    assert cli.main(["verify", "--polytope", str(path), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    names = [row[1] for row in rows]
+    assert all(row[2] == "True" for row in rows)
+    assert "step_constancy[file]" in names and "rotation[file]" not in names
+
+
 def test_cli_verify_byte_identical_reports(tmp_path):
     out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     assert cli.main(["verify", "--seed", "7", "--out", str(out1)]) == 0
@@ -328,6 +340,8 @@ def test_verify_csv_identical_across_blas_thread_counts(square_file, coeff_file,
         "ratio": (["ratio", "--seed", "3", "--bandwidths", "4,8", "--ensemble", "2"], ["out"]),
         "field": (["variation-field", "--polytope", str(square_file), "--coeffs",
                    str(coeff_file), "--r", "3.0", "--p", "2.0"], ["out", "norms-out"]),
+        "partial-sum": (["partial-sum", "--polytope", str(square_file), "--coeffs",
+                         str(coeff_file), "--lam", "2.0", "--resolution", "40"], ["out"]),
     }
     outs = {}
     for threads in ("1", "4"):

@@ -102,11 +102,42 @@ def test_partial_sum_is_dirichlet_kernel_in_1d():
 def test_partial_sum_errors():
     P = hypercube(2)
     f = TrigPolynomial(2, {(0, 0): 1.0})
-    for lam in (-1.0, np.nan):
-        with pytest.raises(ValueError):
-            partial_sum(f, P, lam, [0.0, 0.0])
+    for op in (partial_sum, partial_sum_by_pieces):
+        for lam in (-1.0, np.nan, [0.0, 1.0, -1.0], [0.5, np.nan], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                op(f, P, lam, [0.0, 0.0])
     with pytest.raises(ValueError):
         partial_sum(TrigPolynomial(3, {(0, 0, 0): 1.0}), P, 1.0, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("P,f", [
+    (random_polytope(2, 7, seed=61), random_trig_polynomial(2, 5, 0.7, seed=62)),
+    (random_polytope(3, 6, seed=63), random_trig_polynomial(3, 3, 0.6, seed=64)),
+], ids=["2d", "3d"])
+def test_cutoff_array_equals_the_scalar_loop(P, f):
+    # each column is its own masked sum, so it matches a call per cutoff to rounding
+    bps = breakpoints(f, P)
+    X = np.random.default_rng(65).random((15, f.dim))
+    for op in (partial_sum, partial_sum_by_pieces):
+        batched = op(f, P, bps, X)
+        looped = np.stack([op(f, P, float(lam), X) for lam in bps], axis=-1)
+        assert batched.shape == (15, bps.shape[0])
+        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_cutoff_array_shapes():
+    P = hypercube(2)
+    f = random_trig_polynomial(2, 3, 0.8, seed=66)
+    x = np.array([0.1, 0.7])
+    X = np.random.default_rng(67).random((4, 3, 2))
+    for op in (partial_sum, partial_sum_by_pieces):
+        assert isinstance(op(f, P, 1.0, x), complex)
+        assert op(f, P, 1.0, X).shape == (4, 3)
+        assert op(f, P, [0.0, 1.0, 2.0], x).shape == (3,)
+        assert op(f, P, np.array([0.0, 1.0]), X).shape == (4, 3, 2)
+        assert op(f, P, [], X).shape == (4, 3, 0)
+        empty = op(TrigPolynomial.zero(2), P, [0.0, 5.0], X)
+        assert empty.shape == (4, 3, 2) and not empty.any()
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +158,10 @@ def test_partial_sum_constant_between_breakpoints():
     bps = breakpoints(f, P)
     rng = np.random.default_rng(10)
     X = rng.random(size=(10, 2))
-    for left, right in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (left + right)
-        err = np.max(np.abs(partial_sum(f, P, mid, X) - partial_sum(f, P, left, X)))
-        assert err <= 1e-14
+    assert bps.shape[0] > 2
+    assert experiments.step_constancy(f, P, X) <= 1e-14
+    # L = 1: no interval between breakpoints to check
+    assert experiments.step_constancy(TrigPolynomial(2, {(0, 0): 1.0}), P, X) == 0.0
 
 
 def test_family_at_point_trivial_cases():
@@ -155,8 +186,7 @@ def test_family_at_point_matches_independent_per_lambda_sums():
         rng = np.random.default_rng(12)
         for x in rng.random(size=(5, 2)):
             fam = family_at_point(f, P, x)
-            bps = breakpoints(f, P)
-            direct = np.array([partial_sum(f, P, float(lam), x) for lam in bps])
+            direct = partial_sum(f, P, breakpoints(f, P), x)
             assert np.max(np.abs(fam.values - direct)) <= 1e-12
             assert abs(fam.values[-1] - f.evaluate(x)) <= 1e-12
             assert abs(fam.values[0] - f.coeff((0, 0))) <= 1e-15
@@ -179,10 +209,8 @@ def test_family_values_on_grid_matches_pointwise_families():
     for P, g, M, at in cases:
         cuts, values = family_values_on_grid(g, P, M, at=at)
         assert values.shape == (M**g.dim, cuts.shape[0]) and values.flags.c_contiguous
-        X = grid_points(g.dim, M)
-        direct = np.stack([  # below 0 no frequency is kept
-            partial_sum(g, P, float(lam), X) if lam >= 0.0 else np.zeros(len(X))
-            for lam in cuts], axis=1)
+        direct = np.zeros_like(values)  # below 0 no frequency is kept
+        direct[:, cuts >= 0.0] = partial_sum(g, P, cuts[cuts >= 0.0], grid_points(g.dim, M))
         assert np.max(np.abs(values - direct)) <= 1e-12
     with pytest.raises(ValueError):
         family_values_on_grid(f, hypercube(2), 2 * f.bandwidth)  # aliasing
@@ -209,7 +237,7 @@ def test_family_values_on_grid_custom_cutoffs():
     _, values = family_values_on_grid(f, P, 9, at=cuts)
     pts = grid_points(2, 9)
     for k in (3, 30):
-        direct = np.array([partial_sum(f, P, float(c), pts[k]) for c in cuts])
+        direct = partial_sum(f, P, cuts, pts[k])
         assert np.max(np.abs(values[k] - direct)) <= 1e-12
 
 
@@ -438,11 +466,14 @@ def test_sample_grid_aliasing_guard():
 
 
 def _direct_evaluators(P, f, X):
-    lam = float(breakpoints(f, P)[len(breakpoints(f, P)) // 2])
+    bps = breakpoints(f, P)
+    lam = float(bps[len(bps) // 2])
     return [
         lambda: f.evaluate(X),
         lambda: partial_sum(f, P, lam, X),
         lambda: partial_sum_by_pieces(f, P, lam, X),
+        lambda: partial_sum(f, P, bps, X),  # K = L cutoffs
+        lambda: partial_sum_by_pieces(f, P, bps, X),
         lambda: sample_grid(f, 2 * f.bandwidth + 1).flat,
     ]
 
@@ -477,10 +508,10 @@ def test_partial_sum_linearity():
     alpha, beta = 1.25 - 0.5j, -0.4 + 2.0j
     rng = np.random.default_rng(27)
     X = rng.random(size=(10, 2))
-    for lam in (0.0, 1.0, 2.5, 4.0):
-        combo = partial_sum(alpha * f + beta * g, P, lam, X)
-        split = alpha * partial_sum(f, P, lam, X) + beta * partial_sum(g, P, lam, X)
-        assert np.max(np.abs(combo - split)) <= 1e-12
+    lams = [0.0, 1.0, 2.5, 4.0]
+    combo = partial_sum(alpha * f + beta * g, P, lams, X)
+    split = alpha * partial_sum(f, P, lams, X) + beta * partial_sum(g, P, lams, X)
+    assert np.max(np.abs(combo - split)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
