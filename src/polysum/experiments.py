@@ -46,7 +46,6 @@ from .spectral import (
     breakpoints,
     cone_multiplier,
     family_values_on_grid,
-    freeze,
     grid_points,
     halfspace_multiplier,
     partial_sum,
@@ -189,24 +188,28 @@ def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
     """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
     grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
-    The frozen sum at lam keeps the n_1 of the facet's half-space a_1 n_1 <= lam b,
-    the rule of ``halfspace_multiplier``, for every breakpoint in one direct sum."""
+    Each x' row freezes as ``freeze`` does, over one n_1 ``unique`` per piece; the
+    frozen sum at lam keeps the n_1 with a_1 n_1 <= lam b, for all x' and lam at once."""
     M = resolution
     bps = breakpoints(f, P)
     xs = (np.arange(M) / M)[:, None]
+    xprimes = grid_points(f.dim - 1, M)
     worst = 0.0
     for pc in pieces:
         if not _axis_aligned(pc.a):
             continue
         restricted = cone_multiplier(f, pc, P)
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
-        vals = vals.reshape((M,) * f.dim + (bps.shape[0],))
-        for jp in itertools.product(range(M), repeat=f.dim - 1):
-            g = freeze(f, P, pc, np.array(jp) / M)
-            line = vals[(slice(None),) + jp]  # (M, L): the x_1 line through x'
-            keep = _halfspace_keep(g.freqs, pc.a[:1], bps * pc.b)  # (L, N_1)
-            frozen = _direct_sum([(g.freqs, g.coeffs * keep)], xs)
-            worst = max(worst, float(np.max(np.abs(line - frozen))))
+        lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
+        sel = _Shells(f, P).owner == pc.index
+        n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
+        weights = f.coeffs[sel] * np.exp(2j * np.pi * (xprimes @ f.freqs[sel, 1:].T))
+        frozen = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
+        np.add.at(frozen, (slice(None), inverse.reshape(-1)), weights)
+        keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
+        rows = (frozen[:, None, :] * keep).reshape(-1, n1.shape[0])
+        sums = _direct_sum([(n1, rows)], xs).reshape(lines.shape)
+        worst = max(worst, float(np.max(np.abs(lines - sums))))
     return worst
 
 
@@ -287,7 +290,8 @@ def _label_seed(label: str) -> int:
     return zlib.crc32(label.encode()) & 0xFFFF
 
 
-def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) -> None:
+def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
+                     rng) -> None:
     suite = "geometry"
     X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
     g = gauge(P, X)
@@ -296,11 +300,9 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
     hom = np.abs(gauge(P, t[:, None] * X) - t * g) / (1.0 + t * g)
     _record(results, suite, f"gauge_homogeneity[{label}]", np.max(hom), 1e-12)
 
-    mismatches = 0
-    for xi in X[:50]:
-        gi = gauge(P, xi)
-        for li in (0.5 * gi, gi, 1.5 * gi):  # includes the boundary dilate
-            mismatches += int(bool(contains(P, xi, li)) != (gi <= li))
+    gs = gauge(P, X[:50])
+    dilates = (0.5 * gs, gs, 1.5 * gs)  # includes the boundary dilate
+    mismatches = sum(int(np.sum(contains(P, X[:50], li) != (gs <= li))) for li in dilates)
     _record(results, suite, f"sublevel_identity[{label}]", mismatches, 0, "mismatches")
 
     Q = vertices_from_h(P)
@@ -308,7 +310,6 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
     g2 = gauge(P2, X)
     _record(results, suite, f"roundtrip[{label}]", np.max(np.abs(g - g2) / (1.0 + g)), 1e-9)
 
-    pieces = triangulate(P)
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
     counts = _piece_counts(P, pieces, inside)
     _record(results, suite, f"cover[{label}]", cover(counts), BOUNDS["cover"], "uncovered")
@@ -318,10 +319,9 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
             piece_bounded(P, pieces, 400, _label_seed(label)), BOUNDS["piece_bounded"],
             "max_excess")
 
-    assigned = np.array([piece_assign(P, x) for x in inside[:300]])
-    misses = sum(
-        not piece_contains(pieces[a], P, x) for a, x in zip(assigned, inside[:300])
-    )
+    assigned = piece_assign(P, inside[:300])
+    misses = sum(int(np.sum(~piece_contains(pc, P, inside[:300][assigned == k])))
+                 for k, pc in enumerate(pieces))
     _record(results, suite, f"assign_in_piece[{label}]", misses, 0, "misses")
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
@@ -356,7 +356,8 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, label: str, rng) 
     _record(results, suite, f"cone_rows_agree[{label}]", violations, 0, "violations")
 
 
-def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed: int) -> None:
+def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
+                     seed: int) -> None:
     suite = "spectral"
     rng = np.random.default_rng(seed)
     f = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed)
@@ -372,15 +373,11 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, label: str, seed:
     _record(results, suite, f"piecewise_equals_direct[{label}]",
             piecewise_equals_direct(f, P, X), BOUNDS["piecewise_equals_direct"])
 
-    total = TrigPolynomial.zero(f.dim)
-    for pc in triangulate(P):
-        total = total + cone_multiplier(f, pc, P)
-    diff = dict(total)
-    worst = 0.0
-    for n, c in f:
-        worst = max(worst, abs(diff.pop(n, 0.0j) - c))
-    worst = max([worst] + [abs(c) for c in diff.values()])
-    _record(results, suite, f"multiplier_partition[{label}]", worst, 1e-15)
+    parts = [cone_multiplier(f, pc, P) for pc in pieces] + [-1.0 * f]
+    diff = TrigPolynomial(f.dim, np.concatenate([g.freqs for g in parts]),
+                          np.concatenate([g.coeffs for g in parts]))
+    _record(results, suite, f"multiplier_partition[{label}]",
+            np.max(np.abs(diff.coeffs), initial=0.0), 1e-15)
 
     g2 = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed + 1)
     alpha, beta = 1.5 - 0.5j, -0.75 + 0.25j
@@ -464,20 +461,21 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
         ("rand3", random_polytope(3, 5, seed + 2)),
     ]
 
+    pieces = {label: triangulate(P) for label, P in instances}
     results: list[CheckResult] = []
     for label, P in instances:
         rng = np.random.default_rng((seed + 1000, _label_seed(label)))
-        _geometry_checks(results, P, label, rng)
+        _geometry_checks(results, P, pieces[label], label, rng)
     for label, P in instances:
         if label in ("file", "square", "cross2", "rand2b", "rand3"):
-            _spectral_checks(results, P, label, seed + 17)
-    square = hypercube(2)
+            _spectral_checks(results, P, pieces[label], label, seed + 17)
+    square = dict(instances)["square"]
     f = random_trig_polynomial(2, 6, 0.7, seed + 23)
     _record(results, "spectral", "freezing_identity[square]",
-            freezing_identity(f, square, triangulate(square), 13), BOUNDS["freezing_identity"])
+            freezing_identity(f, square, pieces["square"], 13), BOUNDS["freezing_identity"])
     f = random_trig_polynomial(2, 4, 1.0, seed + 29)
     _record(results, "spectral", "halfspace_cone_boundary",
-            halfspace_cone_boundary(f, square, triangulate(square)),
+            halfspace_cone_boundary(f, square, pieces["square"]),
             BOUNDS["halfspace_cone_boundary"], "violations")
     _variation_checks(results, seed + 31)
 

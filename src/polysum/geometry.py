@@ -186,9 +186,10 @@ def gauge(P: HPolytope, x) -> float | np.ndarray:
     return float(g) if g.ndim == 0 else g
 
 
-def contains(P: HPolytope, x, lam: float):
-    """Closed-dilate membership: x in lam*P, i.e. gauge(P, x) <= lam."""
-    if not lam >= 0.0:
+def contains(P: HPolytope, x, lam):
+    """Closed-dilate membership: x in lam*P, i.e. gauge(P, x) <= lam; ``lam`` is
+    a scalar or an array broadcasting against the points."""
+    if not np.all(np.asarray(lam) >= 0.0):
         raise ValueError("dilate parameter must be nonnegative")
     return gauge(P, x) <= lam
 
@@ -318,14 +319,15 @@ def assign_rows(P: HPolytope, x) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def piece_assign(P: HPolytope, x) -> int:
+def piece_assign(P: HPolytope, x) -> int | np.ndarray:
     """Deterministic piece label for x: lowest row index attaining the gauge.
 
     Total on all inputs; the zero vector goes to piece 0.  Together with the
     closed pieces this turns the fan into an exact partition rule for any
-    finite point set (shared boundaries go to the lowest index).
+    finite point set (shared boundaries go to the lowest index).  A single
+    point gets an int, a batch of shape (..., d) an int array of shape (...).
     """
-    return int(assign_rows(P, x))
+    return assign_rows(P, x)
 
 
 def piece_contains(piece: Facet, P: HPolytope, x):

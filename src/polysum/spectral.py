@@ -259,7 +259,7 @@ def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
 
 def grid_points(dim: int, resolution: int) -> np.ndarray:
     """All grid points (j_1/M, ..., j_d/M), shape (M^d, d), row-major in j."""
-    idx = np.indices((resolution,) * dim).reshape(dim, -1).T
+    idx = np.indices((resolution,) * dim).reshape(dim, resolution**dim).T
     return idx / float(resolution)
 
 

@@ -36,6 +36,21 @@ def test_run_verify_all_green():
         assert key and np.isfinite(float(value)), r
 
 
+def test_run_verify_batches_its_gauge_calls(monkeypatch):
+    from polysum import experiments, geometry, spectral
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return gauge(*args)
+
+    for module in (geometry, experiments, spectral):
+        monkeypatch.setattr(module, "gauge", counted)
+    run_verify(seed=42)
+    assert 0 < len(calls) <= 400  # per-point loops make thousands
+
+
 def test_run_verify_includes_polytope_file(tmp_path):
     for dim in (2, 4):
         path = tmp_path / f"p{dim}.json"

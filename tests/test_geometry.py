@@ -84,6 +84,18 @@ def test_contains_boundary_and_errors():
             contains(P, [0.0, 0.0], lam)
 
 
+def test_contains_array_of_dilates():
+    P = hypercube(2)
+    X = np.array([[1.0, 1.0], [0.5, -0.25], [0.0, 0.0]])
+    lams = np.array([1.0, 0.4, 0.0])
+    assert contains(P, X, lams).tolist() == [True, False, True]
+    grid = contains(P, X[:, None, :], np.array([0.0, 0.5, 1.0]))  # (points, dilates)
+    assert grid.tolist() == [[contains(P, x, lam) for lam in (0.0, 0.5, 1.0)] for x in X]
+    for bad in ([1.0, -0.1, 2.0], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError, match="dilate parameter must be nonnegative"):
+            contains(P, X, np.array(bad))
+
+
 def test_sublevel_identity_including_boundary():
     P = random_polytope(2, 6, seed=3)
     rng = np.random.default_rng(4)
@@ -389,6 +401,16 @@ def test_piece_assign_lowest_index_rule():
     assert piece_assign(P, [0.0, 0.5]) == 2
 
 
+def test_piece_assign_on_a_batch():
+    P = hypercube(2)
+    X = np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0], [0.0, 0.5]])
+    labels = piece_assign(P, X)
+    assert labels.dtype.kind == "i" and labels.tolist() == [0, 1, 0, 2]
+    assert labels.tolist() == [piece_assign(P, x) for x in X]
+    assert piece_assign(P, X.reshape(2, 2, 2)).tolist() == [[0, 1], [0, 2]]
+    assert type(piece_assign(P, X[0])) is int
+
+
 def test_piece_assign_matches_definitional_membership():
     P = random_polytope(2, 7, seed=51)
     pieces = triangulate(P)
@@ -414,7 +436,8 @@ def test_piece_assignment_is_a_partition():
     rng = np.random.default_rng(62)
     X = rng.normal(size=(2000, 2))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(2000)[:, None]
-    assigned = np.array([piece_assign(P, x) for x in X])
+    assigned = piece_assign(P, X)
+    assert assigned.tolist() == [piece_assign(P, x) for x in X]
     one_hot = np.zeros((len(pieces), X.shape[0]))
     one_hot[assigned, np.arange(X.shape[0])] = 1.0
     assert np.all(one_hot.sum(axis=0) == 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polysum import experiments, spectral
-from polysum.geometry import cross_polytope, gauge, hypercube, triangulate
+from polysum.geometry import cross_polytope, gauge, hypercube, interval, triangulate
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
@@ -379,7 +379,8 @@ def test_halfspace_multiplier_on_the_line_bruteforce_and_extremes():
     # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 would drop n_1 = 3
     (hypercube(2, radius=1.009), random_trig_polynomial(2, 6, 1.0, seed=5), 13),
     (hypercube(3, radius=1.009), random_trig_polynomial(3, 3, 1.0, seed=7), 7),
-], ids=["square-r2", "square-r1.009", "cube3-r1.009"])
+    (interval(-1.0, 2.0), random_trig_polynomial(1, 5, 1.0, seed=3), 11),  # no x' coordinate
+], ids=["square-r2", "square-r1.009", "cube3-r1.009", "interval"])
 def test_freezing_identity_on_scaled_cubes(P, f, resolution):
     assert experiments.freezing_identity(f, P, triangulate(P), resolution) <= experiments.BOUNDS[
         "freezing_identity"]

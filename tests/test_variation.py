@@ -72,6 +72,42 @@ def test_bruteforce_basics_and_cap():
         v_r_bruteforce(np.zeros(17), 2.0)
 
 
+def _bruteforce_by_recursion(values, r):
+    """The exhaustive oracle as a recursion over chains, one call per chain."""
+    v = np.asarray(values, dtype=complex).reshape(-1)
+    D = (np.abs(v[None, :] - v[:, None]) ** r).tolist()
+    best = 0.0
+
+    def extend(i, acc):
+        nonlocal best
+        for j in range(i + 1, len(v)):
+            s = acc + D[i][j]
+            best = max(best, s)
+            extend(j, s)
+
+    for i in range(len(v) - 1):
+        extend(i, 0.0)
+    return float(best ** (1.0 / r))
+
+
+def test_bruteforce_bit_identical_to_the_recursion():
+    rng = np.random.default_rng(7)
+    for L in range(13):
+        v = rng.normal(size=L) + 1j * rng.normal(size=L)
+        for r in R_LADDER:
+            assert v_r_bruteforce(v, r) == _bruteforce_by_recursion(v, r)
+    ties = np.round(rng.normal(size=9), 1)  # repeated values and equal chain sums
+    assert v_r_bruteforce(ties, 2.0) == _bruteforce_by_recursion(ties, 2.0)
+
+
+def test_bruteforce_at_the_length_cap():
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    assert v_r_bruteforce(v, 3.0) == _bruteforce_by_recursion(v, 3.0)
+    for r in R_LADDER:
+        assert abs(v_r_bruteforce(v, r) - v_r_exact(v, r)) <= 1e-12 * v_r_exact(v, r)
+
+
 def test_dp_equals_bruteforce_on_random_complex_sequences():
     rng = np.random.default_rng(1)
     seqs = []
