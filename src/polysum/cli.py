@@ -36,17 +36,36 @@ def _load_config(path) -> dict:
     return data
 
 
-def _resolve(args, config: dict, key: str, default):
+def _path(val) -> str:
+    if not isinstance(val, str):
+        raise TypeError("expected a path string")
+    return val
+
+
+def _ints(val) -> list[int]:
+    """A bandwidth ladder: a comma-separated string or a list of integers."""
+    if isinstance(val, str):
+        return [int(tok) for tok in val.split(",") if tok]
+    return [int(b) for b in val]
+
+
+def _resolve(args, config: dict, key: str, default, kind):
+    """The flag, else the config entry, else ``default``; a flag or config
+    value goes through ``kind``, and a value it cannot take is a ValueError
+    naming the key."""
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+    if val is None:
+        if key not in config:
+            return default
+        val = config[key]
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {key}: {val!r} ({exc})") from None
 
 
-def _require(args, config: dict, key: str):
-    val = _resolve(args, config, key, None)
+def _require(args, config: dict, key: str, kind):
+    val = _resolve(args, config, key, None, kind)
     if val is None:
         raise ValueError(f"missing required option --{key}")
     return val
@@ -68,15 +87,21 @@ def _cmd_triangulate(args) -> int:
     return 0
 
 
-def _cmd_partial_sum(args) -> int:
+def _grid_job(args, job: str):
+    """Config, polytope, coefficients and grid resolution of a grid job, which
+    fails before any work when --out is missing."""
     config = _load_config(args.config)
-    P = fileio.load_polytope(_require(args, config, "polytope"))
-    f = fileio.load_coefficients(_require(args, config, "coeffs"))
+    P = fileio.load_polytope(_require(args, config, "polytope", _path))
+    f = fileio.load_coefficients(_require(args, config, "coeffs", _path))
     if args.out is None:
-        raise ValueError("partial-sum writes CSV; pass --out")
-    lam = float(_resolve(args, config, "lam", 0.0))
-    M = _resolve(args, config, "resolution", None)
-    M = int(M) if M is not None else experiments.default_resolution(f.bandwidth)
+        raise ValueError(f"{job} writes CSV; pass --out")
+    M = _resolve(args, config, "resolution", experiments.default_resolution(f.bandwidth), int)
+    return config, P, f, M
+
+
+def _cmd_partial_sum(args) -> int:
+    config, P, f, M = _grid_job(args, "partial-sum")
+    lam = _resolve(args, config, "lam", 0.0, float)
     if M < 1:
         raise ValueError("resolution must be at least 1")
     pts = grid_points(f.dim, M)
@@ -88,15 +113,9 @@ def _cmd_partial_sum(args) -> int:
 
 
 def _cmd_variation_field(args) -> int:
-    config = _load_config(args.config)
-    P = fileio.load_polytope(_require(args, config, "polytope"))
-    f = fileio.load_coefficients(_require(args, config, "coeffs"))
-    if args.out is None:
-        raise ValueError("variation-field writes CSV; pass --out")
-    r = float(_resolve(args, config, "r", 3.0))
-    p = float(_resolve(args, config, "p", 2.0))
-    M = _resolve(args, config, "resolution", None)
-    M = int(M) if M is not None else experiments.default_resolution(f.bandwidth)
+    config, P, f, M = _grid_job(args, "variation-field")
+    r = _resolve(args, config, "r", 3.0, float)
+    p = _resolve(args, config, "p", 2.0, float)
     field = v_r_field(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]
@@ -120,8 +139,8 @@ def _cmd_variation_field(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    seed = int(_resolve(args, config, "seed", 42))
-    polytope = _resolve(args, config, "polytope", None)
+    seed = _resolve(args, config, "seed", 42, int)
+    polytope = _resolve(args, config, "polytope", None, _path)
     status, results = experiments.run_verify(seed=seed, out=args.out, polytope_file=polytope)
     for res in results:
         flag = "pass" if res.passed else "FAIL"
@@ -132,17 +151,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ratio(args) -> int:
     config = _load_config(args.config)
-    bandwidths = _resolve(args, config, "bandwidths", [4, 8, 16])
-    if isinstance(bandwidths, str):
-        bandwidths = [int(tok) for tok in bandwidths.split(",") if tok]
     report = experiments.run_ratio_experiment(
-        bandwidths=tuple(int(b) for b in bandwidths),
-        r=float(_resolve(args, config, "r", 3.0)),
-        p=float(_resolve(args, config, "p", 2.0)),
-        dim=int(_resolve(args, config, "dim", 2)),
-        ensemble=int(_resolve(args, config, "ensemble", 32)),
-        density=float(_resolve(args, config, "density", 1.0)),
-        seed=int(_resolve(args, config, "seed", 42)),
+        bandwidths=tuple(_resolve(args, config, "bandwidths", [4, 8, 16], _ints)),
+        r=_resolve(args, config, "r", 3.0, float),
+        p=_resolve(args, config, "p", 2.0, float),
+        dim=_resolve(args, config, "dim", 2, int),
+        ensemble=_resolve(args, config, "ensemble", 32, int),
+        density=_resolve(args, config, "density", 1.0, float),
+        seed=_resolve(args, config, "seed", 42, int),
         out=args.out,
     )
     for B in report.medians:
@@ -155,8 +171,8 @@ def _cmd_ratio(args) -> int:
 def _cmd_converge(args) -> int:
     config = _load_config(args.config)
     rows = experiments.run_convergence(
-        bandwidth=int(_resolve(args, config, "bandwidth", 8)),
-        dim=int(_resolve(args, config, "dim", 2)),
+        bandwidth=_resolve(args, config, "bandwidth", 8, int),
+        dim=_resolve(args, config, "dim", 2, int),
         out=args.out,
     )
     sys.stdout.write(f"{len(rows)} breakpoints, final sup error {rows[-1][2]!r}\n")

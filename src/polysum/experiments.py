@@ -1,14 +1,15 @@
 """Seeded verification suites and the empirical variation-ratio experiments.
 
 ``run_verify`` executes every module's invariant suite on seeded random
-instances and reports one row per check with its margin.  The invariants
-that the acceptance gate and unit tests also check are plain functions here,
-each returning its worst margin, with their bounds in ``BOUNDS``.  ``run_ratio_experiment``
-sweeps random coefficient ensembles over a bandwidth ladder and tabulates the
-ratio of the r-variation field's L^p norm to the function's; the design of
-that experiment (ensemble law, ladder) is illustrative, there is no external
-table to reproduce.  ``run_convergence`` tracks the sup-norm error of partial
-sums of a smooth-coefficient polynomial along its breakpoints.
+instances and reports one row per check with its margin, passed when at most
+the ``BOUNDS`` entry of its kind.  The invariants that the acceptance gate and
+unit tests also check are plain functions here, each returning its worst
+margin.  ``run_ratio_experiment`` sweeps random coefficient ensembles over a
+bandwidth ladder and tabulates the ratio of the r-variation field's L^p norm
+to the function's; the design of that experiment (ensemble law, ladder) is
+illustrative, there is no external table to reproduce.  ``run_convergence``
+tracks the sup-norm error of partial sums of a smooth-coefficient polynomial
+along its breakpoints.
 """
 
 from __future__ import annotations
@@ -38,10 +39,8 @@ from .geometry import (
 from .generators import random_piece_points, random_polytope, random_trig_polynomial
 from .spectral import (
     TrigPolynomial,
-    _Shells,
-    _axis_aligned,
     _direct_sum,
-    _grid_family,
+    _frozen_rows,
     _halfspace_keep,
     breakpoints,
     cone_multiplier,
@@ -122,25 +121,55 @@ def _config_comments(config: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # invariants shared with the acceptance gate and the unit tests
 #
-# Each returns its worst margin over the given instances and passes when that
-# margin is at most its BOUNDS entry; counts of violating points are margins too.
+# Each returns its worst margin over the given instances; counts of violating
+# points are margins too.  Unit tests keep their own literal tolerances.
 
 BOUNDS = {
+    "gauge_homogeneity": 1e-12,
+    "sublevel_identity": 0,
+    "roundtrip": 1e-9,
     "cover": 0,
     "disjoint": 0,
     "piece_bounded": 1e-9,
+    "assign_in_piece": 0,
+    "rotation": 1e-9,
+    "cone_rows_agree": 0,
     "step_constancy": 1e-14,
+    "saturation": 1e-12,
     "piecewise_equals_direct": 1e-12,
+    "multiplier_partition": 1e-15,
+    "linearity": 1e-12,
+    "parseval": 1e-10,
     "freezing_identity": 1e-12,
     "halfspace_cone_boundary": 0,
     "dp_equals_bruteforce": 1e-12,
     "r_monotonicity": 1e-12,
     "scaling": 1e-12,
     "maximal_control": 1e-12,
+    "concatenation": 1e-12,
     "weak_le_strong": 1e-12,
     "fubini_slices": 1e-14,
-    "parseval": 1e-10,
+    "field_vs_pointwise": 1e-12,
+    "distribution_range": 0,
 }
+
+
+def gauge_homogeneity(P: HPolytope, X, g, t) -> float:
+    """Largest |gauge(t x) - t gauge(x)| / (1 + t gauge(x)) over the points X
+    with their gauges g and nonnegative scalars t."""
+    return float(np.max(np.abs(gauge(P, t[:, None] * X) - t * g) / (1.0 + t * g)))
+
+
+def sublevel_identity(P: HPolytope, X, g, factors) -> float:
+    """Points where membership in the dilate c g(x) disagrees with g(x) <= c g(x),
+    summed over the factors c; a factor 1 puts every point on the boundary."""
+    return float(sum(np.sum(contains(P, X, c * g) != (g <= c * g)) for c in factors))
+
+
+def roundtrip(P: HPolytope, X, g) -> float:
+    """Largest |gauge change| / (1 + gauge) at X after the H -> V -> H round trip of P."""
+    P2 = h_from_vertices(vertices_from_h(P))
+    return float(np.max(np.abs(g - gauge(P2, X)) / (1.0 + g)))
 
 
 def _piece_counts(P: HPolytope, pieces, X) -> np.ndarray:
@@ -169,6 +198,31 @@ def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
     )
 
 
+def assign_in_piece(P: HPolytope, pieces, X) -> float:
+    """Points of X outside the closed piece that ``piece_assign`` gives them."""
+    assigned = piece_assign(P, X)
+    return float(sum(np.sum(~piece_contains(pc, P, X[assigned == k]))
+                     for k, pc in enumerate(pieces)))
+
+
+def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
+                    stride: int) -> float:
+    """Violations of the cone half-spaces of each piece k: its own ``count``
+    random points (seed ``seed + stride * k``) outside them by > 1e-9, and points
+    of X whose top row is another piece's, ahead by > ``gap``, inside them."""
+    vals = X @ P.A.T
+    srt = np.sort(vals, axis=1)
+    clear = srt[:, -1] - srt[:, -2] > gap
+    violations = 0
+    for k, pc in enumerate(pieces):
+        rows = cone_halfspaces(pc, P)
+        own = random_piece_points(pc, count, seed=seed + stride * k)
+        violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
+        foreign = X[clear & (np.argmax(vals, axis=1) != pc.index)]
+        violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
+    return float(violations)
+
+
 def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |partial sum at the midpoint - at the left end| at X over the
     intervals between consecutive breakpoints of f (0 when there are none)."""
@@ -185,27 +239,40 @@ def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
         partial_sum_by_pieces(f, P, bps, X) - partial_sum(f, P, bps, X))))
 
 
+def multiplier_partition(f: TrigPolynomial, P: HPolytope, pieces) -> float:
+    """Largest |coefficient| of the sum of the cone multipliers of f minus f."""
+    parts = [cone_multiplier(f, pc, P) for pc in pieces] + [-1.0 * f]
+    diff = TrigPolynomial(f.dim, np.concatenate([g.freqs for g in parts]),
+                          np.concatenate([g.coeffs for g in parts]))
+    return float(np.max(np.abs(diff.coeffs), initial=0.0))
+
+
+def linearity(f: TrigPolynomial, g: TrigPolynomial, P: HPolytope, lam, X, alpha,
+              beta) -> float:
+    """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam."""
+    return float(np.max(np.abs(
+        partial_sum(alpha * f + beta * g, P, lam, X)
+        - alpha * partial_sum(f, P, lam, X) - beta * partial_sum(g, P, lam, X))))
+
+
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
     """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
     grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
-    Each x' row freezes as ``freeze`` does, over one n_1 ``unique`` per piece; the
-    frozen sum at lam keeps the n_1 with a_1 n_1 <= lam b, for all x' and lam at once."""
+    Every x' row freezes at once, as ``freeze`` does; the frozen sum at lam keeps
+    the n_1 with a_1 n_1 <= lam b, for all x' and lam at once."""
     M = resolution
     bps = breakpoints(f, P)
     xs = (np.arange(M) / M)[:, None]
     xprimes = grid_points(f.dim - 1, M)
     worst = 0.0
     for pc in pieces:
-        if not _axis_aligned(pc.a):
+        try:
+            n1, frozen = _frozen_rows(f, P, pc, xprimes)
+        except ValueError:  # not axis-aligned: freezing is undefined on this piece
             continue
         restricted = cone_multiplier(f, pc, P)
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
         lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
-        sel = _Shells(f, P).owner == pc.index
-        n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
-        weights = f.coeffs[sel] * np.exp(2j * np.pi * (xprimes @ f.freqs[sel, 1:].T))
-        frozen = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
-        np.add.at(frozen, (slice(None), inverse.reshape(-1)), weights)
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
         rows = (frozen[:, None, :] * keep).reshape(-1, n1.shape[0])
         sums = _direct_sum([(n1, rows)], xs).reshape(lines.shape)
@@ -257,6 +324,24 @@ def maximal_control(seqs) -> float:
     return max(sup_family(v) - abs(v[0]) - v_r_exact(v, 3.0) for v in seqs)
 
 
+def concatenation(seqs, cuts) -> float:
+    """Largest V_3 of v[:cut + 1] or v[cut:] minus V_3(v) over paired sequences
+    and cut indices; a subsequence never has more variation, so it is <= 0."""
+    return max(
+        max(v_r_exact(v[: cut + 1], 3.0), v_r_exact(v[cut:], 3.0)) - v_r_exact(v, 3.0)
+        for v, cut in zip(seqs, cuts)
+    )
+
+
+def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: float,
+                       stride: int) -> float:
+    """Largest |field value - V_r of the direct partial sums at every breakpoint|
+    over every ``stride``-th grid point of the r-variation field of f."""
+    pts = grid_points(f.dim, field.resolution)[::stride]
+    fams = partial_sum(f, P, breakpoints(f, P), pts)
+    return max(abs(v - v_r_exact(fam, r)) for v, fam in zip(field.flat[::stride], fams))
+
+
 def weak_le_strong(samples, ps) -> float:
     """Largest weak-L^p minus L^p norm over nonnegative grid samples and exponents."""
     return max(weak_lp_norm(h, p) - lp_norm(h, p) for h in samples for p in ps)
@@ -278,11 +363,15 @@ def parseval(f: TrigPolynomial, samples: GridSamples) -> float:
 # verify
 
 
-def _record(results: list[CheckResult], suite: str, name: str, margin, bound,
-            key: str = "max") -> None:
-    results.append(
-        CheckResult(suite, name, bool(margin <= bound), f"{key}={float(margin):.3e}")
-    )
+def _checker(results: list[CheckResult], suite: str, label):
+    """The row appender of one suite and instance: ``check(kind, margin, key)``
+    names its row ``kind[label]`` (``kind`` when label is None) and passes it
+    when the margin is at most ``BOUNDS[kind]``."""
+    def check(kind: str, margin, key: str = "max") -> None:
+        name = kind if label is None else f"{kind}[{label}]"
+        results.append(CheckResult(suite, name, bool(margin <= BOUNDS[kind]),
+                                   f"{key}={float(margin):.3e}"))
+    return check
 
 
 def _label_seed(label: str) -> int:
@@ -292,116 +381,70 @@ def _label_seed(label: str) -> int:
 
 def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
                      rng) -> None:
-    suite = "geometry"
+    check = _checker(results, "geometry", label)
     X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
     g = gauge(P, X)
 
     t = rng.uniform(0.0, 50.0, size=X.shape[0])
-    hom = np.abs(gauge(P, t[:, None] * X) - t * g) / (1.0 + t * g)
-    _record(results, suite, f"gauge_homogeneity[{label}]", np.max(hom), 1e-12)
-
-    gs = gauge(P, X[:50])
-    dilates = (0.5 * gs, gs, 1.5 * gs)  # includes the boundary dilate
-    mismatches = sum(int(np.sum(contains(P, X[:50], li) != (gs <= li))) for li in dilates)
-    _record(results, suite, f"sublevel_identity[{label}]", mismatches, 0, "mismatches")
-
-    Q = vertices_from_h(P)
-    P2 = h_from_vertices(Q)
-    g2 = gauge(P2, X)
-    _record(results, suite, f"roundtrip[{label}]", np.max(np.abs(g - g2) / (1.0 + g)), 1e-9)
+    check("gauge_homogeneity", gauge_homogeneity(P, X, g, t))
+    check("sublevel_identity",
+          sublevel_identity(P, X[:50], gauge(P, X[:50]), (0.5, 1.0, 1.5)), "mismatches")
+    check("roundtrip", roundtrip(P, X, g))
 
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
     counts = _piece_counts(P, pieces, inside)
-    _record(results, suite, f"cover[{label}]", cover(counts), BOUNDS["cover"], "uncovered")
-    _record(results, suite, f"disjoint[{label}]", disjoint(P, inside, counts),
-            BOUNDS["disjoint"], "overlaps")
-    _record(results, suite, f"piece_bounded[{label}]",
-            piece_bounded(P, pieces, 400, _label_seed(label)), BOUNDS["piece_bounded"],
-            "max_excess")
-
-    assigned = piece_assign(P, inside[:300])
-    misses = sum(int(np.sum(~piece_contains(pc, P, inside[:300][assigned == k])))
-                 for k, pc in enumerate(pieces))
-    _record(results, suite, f"assign_in_piece[{label}]", misses, 0, "misses")
+    check("cover", cover(counts), "uncovered")
+    check("disjoint", disjoint(P, inside, counts), "overlaps")
+    check("piece_bounded", piece_bounded(P, pieces, 400, _label_seed(label)), "max_excess")
+    check("assign_in_piece", assign_in_piece(P, pieces, inside[:300]), "misses")
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
-        rot_err = 0.0
+        rot_err, sample = 0.0, X[:200]
         for pc in pieces:
             R = rotation_to_e1(pc)
-            n = pc.normal
-            e1 = np.zeros(P.dim)
-            e1[0] = 1.0
+            P_rot = HPolytope(P.dim, P.A @ R.T)
             rot_err = max(
                 rot_err,
                 float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
-                float(np.linalg.norm(R @ n - e1)),
+                float(np.linalg.norm(R @ pc.normal - np.eye(P.dim)[0])),
                 abs(float(np.linalg.det(R)) - 1.0),
+                float(np.max(np.abs(gauge(P, sample) - gauge(P_rot, sample @ R.T)))),
             )
-            P_rot = HPolytope(P.dim, P.A @ R.T)
-            sample = X[:200]
-            rot_err = max(rot_err, float(np.max(np.abs(
-                gauge(P, sample) - gauge(P_rot, sample @ R.T)))))
-        _record(results, suite, f"rotation[{label}]", rot_err, 1e-9)
+        check("rotation", rot_err)
 
-    vals = inside @ P.A.T
-    srt = np.sort(vals, axis=1)
-    gap = srt[:, -1] - srt[:, -2] > 1e-6
-    violations = 0
-    for k, pc in enumerate(pieces):
-        rows = cone_halfspaces(pc, P)
-        own = random_piece_points(pc, 200, seed=_label_seed(label) + 31 * k)
-        violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
-        foreign = inside[gap & (np.argmax(vals, axis=1) != pc.index)]
-        violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
-    _record(results, suite, f"cone_rows_agree[{label}]", violations, 0, "violations")
+    check("cone_rows_agree",
+          cone_rows_agree(P, pieces, inside, 1e-6, 200, _label_seed(label), 31), "violations")
 
 
 def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
                      seed: int) -> None:
-    suite = "spectral"
+    check = _checker(results, "spectral", label)
     rng = np.random.default_rng(seed)
     f = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed)
     bps = breakpoints(f, P)
     X = rng.random(size=(20, P.dim))
 
-    _record(results, suite, f"step_constancy[{label}]", step_constancy(f, P, X),
-            BOUNDS["step_constancy"])
-
+    check("step_constancy", step_constancy(f, P, X))
     sat = float(np.max(np.abs(partial_sum(f, P, float(bps[-1]), X) - f.evaluate(X))))
-    _record(results, suite, f"saturation[{label}]", sat, 1e-12)
-
-    _record(results, suite, f"piecewise_equals_direct[{label}]",
-            piecewise_equals_direct(f, P, X), BOUNDS["piecewise_equals_direct"])
-
-    parts = [cone_multiplier(f, pc, P) for pc in pieces] + [-1.0 * f]
-    diff = TrigPolynomial(f.dim, np.concatenate([g.freqs for g in parts]),
-                          np.concatenate([g.coeffs for g in parts]))
-    _record(results, suite, f"multiplier_partition[{label}]",
-            np.max(np.abs(diff.coeffs), initial=0.0), 1e-15)
-
+    check("saturation", sat)
+    check("piecewise_equals_direct", piecewise_equals_direct(f, P, X))
+    check("multiplier_partition", multiplier_partition(f, P, pieces))
     g2 = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed + 1)
-    alpha, beta = 1.5 - 0.5j, -0.75 + 0.25j
     lam = float(bps[len(bps) // 2])
-    lin = np.max(np.abs(
-        partial_sum(alpha * f + beta * g2, P, lam, X)
-        - alpha * partial_sum(f, P, lam, X) - beta * partial_sum(g2, P, lam, X)))
-    _record(results, suite, f"linearity[{label}]", lin, 1e-12)
-
+    check("linearity", linearity(f, g2, P, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
     samples = sample_grid(f, default_resolution(f.bandwidth))
-    _record(results, suite, f"parseval[{label}]", parseval(f, samples), BOUNDS["parseval"],
-            "err")
+    check("parseval", parseval(f, samples), "err")
 
 
 def _variation_checks(results: list[CheckResult], seed: int) -> None:
-    suite = "variation"
+    check = _checker(results, "variation", None)
     rng = np.random.default_rng(seed)
 
     seqs = []
     for _ in range(60):
         L = rng.integers(2, 11)
         seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
-    _record(results, suite, "dp_equals_bruteforce",
-            dp_equals_bruteforce(seqs, (1.0, 2.0, 3.0)), BOUNDS["dp_equals_bruteforce"])
+    check("dp_equals_bruteforce", dp_equals_bruteforce(seqs, (1.0, 2.0, 3.0)))
 
     seqs, cs, cuts = [], [], []
     for _ in range(40):
@@ -409,36 +452,25 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
         seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
         cs.append(complex(rng.normal(), rng.normal()))
         cuts.append(int(rng.integers(1, L)))
-    _record(results, suite, "r_monotonicity", r_monotonicity(seqs), BOUNDS["r_monotonicity"])
-    _record(results, suite, "scaling", scaling(seqs, cs), BOUNDS["scaling"])
-    _record(results, suite, "maximal_control", maximal_control(seqs),
-            BOUNDS["maximal_control"])
-    concat = max(
-        max(v_r_exact(v[: cut + 1], 3.0), v_r_exact(v[cut:], 3.0)) - v_r_exact(v, 3.0)
-        for v, cut in zip(seqs, cuts)
-    )
-    _record(results, suite, "concatenation", concat, 1e-12)
+    check("r_monotonicity", r_monotonicity(seqs))
+    check("scaling", scaling(seqs, cs))
+    check("maximal_control", maximal_control(seqs))
+    check("concatenation", concatenation(seqs, cuts))
 
     h = GridSamples(2, 9, rng.exponential(size=(9, 9)))
-    _record(results, suite, "weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)),
-            BOUNDS["weak_le_strong"])
-    _record(results, suite, "fubini_slices", fubini_slices(h, (0.0, 0.3, 1.0, 2.5)),
-            BOUNDS["fubini_slices"])
+    check("weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)))
+    check("fubini_slices", fubini_slices(h, (0.0, 0.3, 1.0, 2.5)))
 
     P = hypercube(2)
     f = random_trig_polynomial(2, 3, 0.8, seed + 7)
-    M = default_resolution(3)
-    field = v_r_field(f, P, M, 3.0)
-    pts = grid_points(2, M)[::7]
-    fams = partial_sum(f, P, breakpoints(f, P), pts)
-    worst = max(abs(v - v_r_exact(fam, 3.0)) for v, fam in zip(field.flat[::7], fams))
-    _record(results, suite, "field_vs_pointwise", worst, 1e-12)
+    field = v_r_field(f, P, default_resolution(3), 3.0)
+    check("field_vs_pointwise", field_vs_pointwise(f, P, field, 3.0, 7))
 
     excess = max(
         max(0.0, -d, d - 1.0)
         for d in (distribution_function(field, al) for al in (0.0, 0.5, 1.0))
     )
-    _record(results, suite, "distribution_range", excess, 0, "excess")
+    check("distribution_range", excess, "excess")
 
 
 def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[CheckResult]]:
@@ -471,12 +503,12 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
             _spectral_checks(results, P, pieces[label], label, seed + 17)
     square = dict(instances)["square"]
     f = random_trig_polynomial(2, 6, 0.7, seed + 23)
-    _record(results, "spectral", "freezing_identity[square]",
-            freezing_identity(f, square, pieces["square"], 13), BOUNDS["freezing_identity"])
+    _checker(results, "spectral", "square")(
+        "freezing_identity", freezing_identity(f, square, pieces["square"], 13))
     f = random_trig_polynomial(2, 4, 1.0, seed + 29)
-    _record(results, "spectral", "halfspace_cone_boundary",
-            halfspace_cone_boundary(f, square, pieces["square"]),
-            BOUNDS["halfspace_cone_boundary"], "violations")
+    _checker(results, "spectral", None)(
+        "halfspace_cone_boundary", halfspace_cone_boundary(f, square, pieces["square"]),
+        "violations")
     _variation_checks(results, seed + 31)
 
     status = 0 if all(r.passed for r in results) else 1
@@ -606,9 +638,8 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     P = hypercube(dim)
     f = smooth_polynomial(dim, bandwidth)
     M = default_resolution(bandwidth)
-    shells = _Shells(f, P)
-    bps, g = shells.breakpoints, shells.gauge
-    values = _grid_family(shells, bps, M)
+    bps, values = family_values_on_grid(f, P, M)
+    g = gauge(P, f.freqs.astype(float))
     final = values[:, -1]
     abs_c = np.abs(f.coeffs)
     rows = []

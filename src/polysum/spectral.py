@@ -4,8 +4,8 @@ A cutoff at parameter ``lam`` keeps the frequencies whose gauge is at most
 ``lam`` (closed condition), so as ``lam`` sweeps the half-line the partial
 sums at a fixed point form a right-continuous step function whose jumps sit
 at the finitely many gauge values of the support; those values are the
-breakpoints.  One shell plan decides each frequency's gauge, owner row (its
-fan piece) and shell order for every operator.
+breakpoints.  One shell plan decides each frequency's gauge and owner row (its
+fan piece) for every operator.
 
 On the alias-free grid j/M (M >= 2B+1) every frequency has its own residue
 n mod M, so one inverse FFT of the scattered coefficients evaluates a whole
@@ -170,13 +170,12 @@ class TrigPolynomial:
 
 class _Shells:
     """Shell plan of f under P: each frequency's gauge, owner row (lowest index
-    attaining the gauge) and shell order (by gauge, then lex).  Fields are
-    computed on first use, so an operator pays only for what it reads."""
+    attaining the gauge) and the breakpoints.  Fields are computed on first
+    use, so an operator pays only for what it reads."""
 
     def __init__(self, f: TrigPolynomial, P: HPolytope):
         if f.dim != P.dim:
             raise ValueError("dimension mismatch between polynomial and polytope")
-        self.f = f
         self.P = P
         self.points = f.freqs.astype(float)
 
@@ -187,10 +186,6 @@ class _Shells:
     @cached_property
     def owner(self) -> np.ndarray:
         return assign_rows(self.P, self.points)
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        return np.lexsort(tuple(self.f.freqs.T[::-1]) + (self.gauge,))
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
@@ -242,19 +237,14 @@ def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
 def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     """The full one-parameter family of partial sums at x as a step function.
 
-    Frequencies are accumulated shell by shell in gauge order, so building the
-    whole family costs one pass over the support.  The first value is the
-    constant coefficient, the last is f(x).
+    One masked direct sum per breakpoint, all from one phase row.  The first
+    value is the constant coefficient, the last is f(x).
     """
-    shells = _Shells(f, P)
+    bps = breakpoints(f, P)
     x = _as_points(x, f.dim)
     if x.ndim != 1:
         raise ValueError("one point at a time; use family_values_on_grid for batches")
-    bps, order = shells.breakpoints, shells.order
-    terms = np.exp(_TWO_PI_I * (f.freqs[order] @ x)) * f.coeffs[order]
-    csum = np.concatenate([[0.0j], np.cumsum(terms)])
-    counts = np.searchsorted(shells.gauge[order], bps, side="right")
-    return StepFunction(bps[1:], csum[counts])
+    return StepFunction(bps[1:], partial_sum(f, P, bps, x))
 
 
 def grid_points(dim: int, resolution: int) -> np.ndarray:
@@ -278,13 +268,6 @@ def _grid_sums(f: TrigPolynomial, slots: np.ndarray, n_slots: int, resolution: i
     return A.reshape(resolution**f.dim, n_slots)
 
 
-def _grid_family(shells: _Shells, cutoffs: np.ndarray, resolution: int) -> np.ndarray:
-    """Partial sums at each nondecreasing cutoff (columns) on the grid (rows):
-    a frequency counts from the first cutoff its gauge does not exceed."""
-    slots = np.searchsorted(cutoffs, shells.gauge, side="left")
-    return _grid_sums(shells.f, slots, cutoffs.shape[0], resolution)
-
-
 def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=None):
     """Family values at every breakpoint for every grid point.
 
@@ -299,7 +282,9 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=N
     bps = shells.breakpoints if at is None else np.asarray(at, dtype=float).reshape(-1)
     if np.isnan(bps).any() or np.any(bps[1:] < bps[:-1]):
         raise ValueError("cutoffs must be nondecreasing and not NaN")
-    return bps, _grid_family(shells, bps, resolution)
+    # a frequency counts from the first cutoff its gauge does not exceed
+    slots = np.searchsorted(bps, shells.gauge, side="left")
+    return bps, _grid_sums(f, slots, bps.shape[0], resolution)
 
 
 def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):
@@ -319,6 +304,25 @@ def _axis_aligned(a: np.ndarray) -> bool:
     return bool(a[0] != 0.0 and np.linalg.norm(a[1:]) <= 1e-12 * abs(a[0]))
 
 
+def _frozen_rows(f: TrigPolynomial, P: HPolytope, piece: Facet, xprimes: np.ndarray):
+    """The piece's frequencies collapsed onto n_1 at each x' row of xprimes.
+
+    Returns (n1, rows): the piece's distinct n_1, shape (N_1, 1), and rows of
+    shape (len(xprimes), N_1), entry (x', n_1) the sum over its frequencies
+    (n_1, n') of c(n) exp(2 pi i x'.n').  Needs a facet normal of +-e_1."""
+    if not _axis_aligned(piece.a):
+        raise ValueError(
+            "freezing needs a facet normal of +-e_1; rotations do not preserve "
+            "the integer lattice"
+        )
+    sel = _Shells(f, P).owner == piece.index
+    n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
+    weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (xprimes @ f.freqs[sel, 1:].T))
+    rows = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
+    np.add.at(rows, (slice(None), inverse.reshape(-1)), weights)
+    return n1, rows
+
+
 def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynomial:
     """Collapse the piece's frequencies onto n_1 at a fixed x'.
 
@@ -330,17 +334,11 @@ def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynom
     supported, the axis-aligned case where the cone cutoff is a pure n_1
     threshold on the lattice.
     """
-    if not _axis_aligned(piece.a):
-        raise ValueError(
-            "freezing needs a facet normal of +-e_1; rotations do not preserve "
-            "the integer lattice"
-        )
     xprime = np.asarray(xprime, dtype=float).reshape(-1)
     if xprime.shape[0] != f.dim - 1:
         raise ValueError("x' must have d-1 coordinates")
-    sel = _Shells(f, P).owner == piece.index
-    weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (f.freqs[sel, 1:] @ xprime))
-    return TrigPolynomial(1, f.freqs[sel, :1], weights)
+    n1, rows = _frozen_rows(f, P, piece, xprime[None])
+    return TrigPolynomial(1, n1, rows[0])
 
 
 def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolynomial:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polysum.experiments import (
+    BOUNDS,
     default_resolution,
     run_convergence,
     run_ratio_experiment,
@@ -34,6 +35,15 @@ def test_run_verify_all_green():
     for r in results:
         key, value = r.detail.split("=")
         assert key and np.isfinite(float(value)), r
+
+
+def test_every_verify_row_passes_by_its_bounds_entry():
+    _, results = run_verify(seed=42)
+    assert len(BOUNDS) == 26
+    for r in results:
+        name = r.name.split("[")[0]
+        assert name in BOUNDS, r
+        assert r.passed == (float(r.detail.split("=")[1]) <= BOUNDS[name]), r
 
 
 def test_run_verify_batches_its_gauge_calls(monkeypatch):

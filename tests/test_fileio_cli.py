@@ -153,58 +153,6 @@ def test_cli_variation_field_norm_summary(square_file, coeff_file, tmp_path):
     assert table["ratio"] == pytest.approx(table["field_lp"] / table["f_lp"])
 
 
-def test_cli_missing_required_option_is_clean_error(capsys):
-    assert cli.main(["partial-sum", "--lam", "1.0"]) == 2
-    assert "missing required option" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-def test_cli_rejects_non_finite_coefficients(square_file, tmp_path, capsys, value):
-    coeffs = tmp_path / "bad.json"
-    coeffs.write_text('{"dim": 2, "coeffs": [{"n": [1, 0], "re": %s, "im": 0.0}]}' % value)
-    out = tmp_path / "field.csv"
-    assert cli.main(["variation-field", "--polytope", str(square_file), "--coeffs",
-                     str(coeffs), "--out", str(out), "--norms-out", str(tmp_path / "n.csv")]) == 2
-    assert "non-finite coefficient" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("n", ["[1.7, 0]", "[true, 0]", "[1180591620717411303424, 0]"])
-def test_cli_rejects_non_integer_frequencies(square_file, tmp_path, capsys, n):
-    coeffs = tmp_path / "bad.json"
-    coeffs.write_text('{"dim": 2, "coeffs": [{"n": %s, "re": 1.0, "im": 0.0}]}' % n)
-    out = tmp_path / "ps.csv"
-    assert cli.main(["partial-sum", "--polytope", str(square_file), "--coeffs",
-                     str(coeffs), "--out", str(out)]) == 2
-    assert "is not a 64-bit integer" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_partial_sum_rejects_empty_grid(square_file, coeff_file, tmp_path, capsys):
-    out = tmp_path / "ps.csv"
-    assert cli.main(["partial-sum", "--polytope", str(square_file), "--coeffs",
-                     str(coeff_file), "--resolution", "0", "--out", str(out)]) == 2
-    assert "resolution must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,flags", [
-    ("variation-field", ["--r", "nan"]),
-    ("variation-field", ["--r", "inf"]),
-    ("variation-field", ["--p", "nan", "--norms-out"]),
-    ("variation-field", ["--p", "0.5", "--norms-out"]),
-    ("partial-sum", ["--lam", "nan"]),
-], ids=["r_nan", "r_inf", "p_nan", "p_below_one", "lam_nan"])
-def test_cli_rejects_bad_exponent_or_cutoff_writing_nothing(square_file, coeff_file, tmp_path,
-                                                            command, flags):
-    out, norms = tmp_path / "out.csv", tmp_path / "norms.csv"
-    if flags[-1] == "--norms-out":
-        flags = flags + [str(norms)]
-    assert cli.main([command, "--polytope", str(square_file), "--coeffs", str(coeff_file),
-                     *flags, "--out", str(out)]) == 2
-    assert not out.exists() and not norms.exists()
-
-
 @pytest.mark.parametrize("command", ["partial-sum", "variation-field"])
 def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeypatch,
                                                 capsys, command):
@@ -225,24 +173,74 @@ _BAD_POLYTOPES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_BAD_POLYTOPES))
-@pytest.mark.parametrize("command", ["triangulate", "partial-sum", "variation-field", "verify"])
-def test_cli_rejects_bad_polytope_file_writing_nothing(tmp_path, kind, command):
-    A = _BAD_POLYTOPES[kind]
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({"dim": len(A[0]), "H": {"A": A, "b": [1] * len(A)}}))
+def _one_term(n: str, re: str = "1.0") -> str:
+    """A coefficient file holding the single frequency n (JSON text)."""
+    return '{"dim": %d, "coeffs": [{"n": %s, "re": %s, "im": 0.0}]}' % (
+        len(json.loads(n)), n, re)
+
+
+def _row(name, argv, err=None, absent=("out",), **inputs):
+    """argv entries name the square/coeffs fixtures, the outputs out/norms and
+    the ``inputs`` (file name -> text) as {placeholders}."""
+    return pytest.param(argv, inputs, err, absent, id=name)
+
+
+_PS = ["partial-sum", "--polytope", "{square}", "--coeffs", "{coeffs}"]
+_VF = ["variation-field", "--polytope", "{square}", "--coeffs", "{coeffs}"]
+_OUT, _NORMS = ["--out", "{out}"], ["--norms-out", "{norms}"]
+_BAD_POLYTOPE_ARGV = {
+    "triangulate": ["triangulate", "{bad}"],
+    "partial-sum": ["partial-sum", "--polytope", "{bad}", "--coeffs", "{bad_coeffs}"],
+    "variation-field": ["variation-field", "--polytope", "{bad}", "--coeffs", "{bad_coeffs}"],
+    "verify": ["verify", "--polytope", "{bad}"],
+}
+_EXIT_2 = [
+    _row("missing_required_option", ["partial-sum", "--lam", "1.0"], "missing required option"),
+    *(_row(f"non_finite_{v}", [*_VF[:4], "{bad}", *_OUT, *_NORMS], "non-finite coefficient",
+           ("out", "norms"), bad=_one_term("[1, 0]", v))
+      for v in ("NaN", "Infinity", "-Infinity")),
+    *(_row(f"non_integer_{k}", [*_PS[:4], "{bad}", *_OUT], "is not a 64-bit integer",
+           bad=_one_term(n))
+      for k, n in (("float", "[1.7, 0]"), ("bool", "[true, 0]"),
+                   ("beyond_int64", "[1180591620717411303424, 0]"))),
+    _row("empty_grid", [*_PS, *_OUT, "--resolution", "0"], "resolution must be at least 1"),
+    _row("r_nan", [*_VF, *_OUT, "--r", "nan"], "variation exponent"),
+    _row("r_inf", [*_VF, *_OUT, "--r", "inf"], "variation exponent"),
+    _row("p_nan", [*_VF, *_OUT, "--p", "nan", *_NORMS], "norm exponent", ("out", "norms")),
+    _row("p_below_one", [*_VF, *_OUT, "--p", "0.5", *_NORMS], "norm exponent", ("out", "norms")),
+    _row("lam_nan", [*_PS, *_OUT, "--lam", "nan"], "cutoff parameter must be nonnegative"),
     # coefficients of the polytope's dimension, so only the polytope is at fault
-    coeff_file = tmp_path / "coeffs.json"
-    save_coefficients(random_trig_polynomial(len(A[0]), 1, 0.7, seed=3), coeff_file)
-    args = {
-        "triangulate": [str(path)],
-        "partial-sum": ["--polytope", str(path), "--coeffs", str(coeff_file)],
-        "variation-field": ["--polytope", str(path), "--coeffs", str(coeff_file)],
-        "verify": ["--polytope", str(path)],
-    }[command]
-    out = tmp_path / "out"
-    assert cli.main([command, *args, "--out", str(out)]) == 2
-    assert not out.exists()
+    *(_row(f"polytope-{command}-{kind}", [*argv, *_OUT],
+           bad=json.dumps({"dim": len(A[0]), "H": {"A": A, "b": [1] * len(A)}}),
+           bad_coeffs=_one_term(json.dumps([1] + [0] * (len(A[0]) - 1))))
+      for command, argv in _BAD_POLYTOPE_ARGV.items()
+      for kind, A in sorted(_BAD_POLYTOPES.items())),
+    _row("verify_corrupt_polytope", ["verify", "--polytope", "{bad}", *_OUT], bad="{broken"),
+    _row("ratio_r_two", ["ratio", "--r", "2.0", "--bandwidths", "2", "--ensemble", "1", *_OUT],
+         "variation exponent must exceed 2"),
+    *(_row(f"ratio_ladder_{k}", ["ratio", "--bandwidths", ladder, "--ensemble", "1", *_OUT],
+           "bandwidth ladder must be nonempty") for k, ladder in (("empty", ""), ("comma", ","))),
+    # config values of the wrong JSON type
+    *(_row(f"config_{key}", [*argv, "--config", "{cfg}", *_OUT], f"bad value for {key}:",
+           cfg=json.dumps({key: value}))
+      for argv, key, value in ((["verify"], "seed", [1]), (["ratio"], "bandwidths", 5),
+                               (_PS, "lam", None), (_VF, "r", [3]), (["converge"], "dim", None))),
+]
+assert len(_EXIT_2) == 33 + 5
+
+
+@pytest.mark.parametrize("argv,inputs,err,absent", _EXIT_2)
+def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err,
+                               absent):
+    paths = {"square": square_file, "coeffs": coeff_file,
+             "out": tmp_path / "out.csv", "norms": tmp_path / "norms.csv"}
+    for name, text in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and (err or "") in stderr
+    assert not any(paths[name].exists() for name in absent)
 
 
 def test_cli_verify_pass_and_report(tmp_path, capsys):
@@ -253,15 +251,6 @@ def test_cli_verify_pass_and_report(tmp_path, capsys):
     assert "False" not in text.split("\n", 3)[3]
     stdout = capsys.readouterr().out
     assert "checks passed" in stdout
-
-
-def test_cli_verify_corrupt_polytope_no_partial_csv(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    out = tmp_path / "verify.csv"
-    status = cli.main(["verify", "--polytope", str(bad), "--out", str(out)])
-    assert status != 0
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("P", [interval(-1.0, 2.0), hypercube(1)], ids=["interval", "cube1"])
@@ -299,18 +288,6 @@ def test_cli_ratio_with_config_file_and_flag_override(tmp_path, capsys):
     ratios = [float(row[6]) for row in data]
     assert all(np.isfinite(ratios))
     assert "median ratio" in capsys.readouterr().out
-
-
-def test_cli_ratio_rejects_bad_exponents(tmp_path):
-    assert cli.main(["ratio", "--r", "2.0", "--bandwidths", "2",
-                     "--ensemble", "1", "--out", str(tmp_path / "x.csv")]) == 2
-
-
-@pytest.mark.parametrize("ladder", ["", ","])
-def test_cli_ratio_rejects_empty_bandwidth_ladder(tmp_path, ladder):
-    out = tmp_path / "x.csv"
-    assert cli.main(["ratio", "--bandwidths", ladder, "--ensemble", "1", "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_cli_converge(tmp_path):

@@ -24,7 +24,7 @@ from polysum.geometry import (
     vertices_from_h,
 )
 from polysum import experiments
-from polysum.generators import random_piece_points, random_polytope
+from polysum.generators import random_polytope
 
 
 def _sorted_rows(A):
@@ -68,9 +68,8 @@ def test_gauge_dimension_mismatch():
 @settings(max_examples=200, deadline=None)
 def test_gauge_positive_homogeneity(x, t):
     P = cross_polytope(2)
-    x = np.asarray(x)
-    g = gauge(P, x)
-    assert abs(gauge(P, t * x) - t * g) <= 1e-12 * (1.0 + t * g)
+    X = np.asarray([x])
+    assert experiments.gauge_homogeneity(P, X, gauge(P, X), np.array([t])) <= 1e-12
 
 
 def test_contains_boundary_and_errors():
@@ -98,11 +97,8 @@ def test_contains_array_of_dilates():
 
 def test_sublevel_identity_including_boundary():
     P = random_polytope(2, 6, seed=3)
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(-2, 2, size=(100, 2)):
-        g = gauge(P, x)
-        for lam in (0.5 * g, g, 2.0 * g):
-            assert contains(P, x, lam) == (g <= lam)
+    X = np.random.default_rng(4).uniform(-2, 2, size=(100, 2))
+    assert experiments.sublevel_identity(P, X, gauge(P, X), (0.5, 1.0, 2.0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +212,7 @@ def test_roundtrip_membership_agreement(dim, m, seed):
     assert P2.m == P.m and np.max(np.abs(P2.A - P.A)) <= 1e-12
     rng = np.random.default_rng(seed + 100)
     X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
-    g1, g2 = gauge(P, X), gauge(P2, X)
-    assert np.max(np.abs(g1 - g2) / (1.0 + g1)) <= 1e-9
+    assert experiments.roundtrip(P, X, gauge(P, X)) <= 1e-9
 
 
 def test_vertices_rejects_unbounded():
@@ -441,8 +436,7 @@ def test_piece_assignment_is_a_partition():
     one_hot = np.zeros((len(pieces), X.shape[0]))
     one_hot[assigned, np.arange(X.shape[0])] = 1.0
     assert np.all(one_hot.sum(axis=0) == 1.0)
-    for i, x in enumerate(X):
-        assert bool(piece_contains(pieces[assigned[i]], P, x))
+    assert experiments.assign_in_piece(P, pieces, X) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +519,15 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
     pieces = triangulate(P)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
+    assert experiments.cone_rows_agree(P, pieces, X, 1e-7, 500, seed + 2, 1) == 0
+    # and both ways: away from sector boundaries, in the cone iff the top row is its own
     vals = X @ P.A.T
     srt = np.sort(vals, axis=1)
-    clear = srt[:, -1] - srt[:, -2] > 1e-7  # stay away from sector boundaries
+    clear = srt[:, -1] - srt[:, -2] > 1e-7
     for pc in pieces:
-        rows = cone_halfspaces(pc, P)
-        in_cone = np.max(X @ rows.T, axis=1) <= 1e-9
+        in_cone = np.max(X @ cone_halfspaces(pc, P).T, axis=1) <= 1e-9
         attains = np.argmax(vals, axis=1) == pc.index
         assert np.all(in_cone[clear] == attains[clear])
-        own = random_piece_points(pc, 500, seed=seed + 2 + pc.index)
-        assert np.max(own @ rows.T) <= 1e-9
 
 
 @pytest.mark.parametrize("P,dot,count", [

@@ -10,11 +10,9 @@ from polysum.geometry import cross_polytope, hypercube
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
-    breakpoints,
     family_at_point,
     family_values_on_grid,
     grid_points,
-    partial_sum,
     sample_grid,
 )
 from polysum.variation import (
@@ -152,12 +150,11 @@ def test_variation_dominates_endpoint_jump(vals):
 
 def test_concatenation_never_decreases_variation():
     rng = np.random.default_rng(3)
+    seqs, cuts = [], []
     for _ in range(30):
-        v = rng.normal(size=11) + 1j * rng.normal(size=11)
-        cut = int(rng.integers(1, 10))
-        whole = v_r_exact(v, 3.0)
-        assert whole + 1e-12 >= v_r_exact(v[: cut + 1], 3.0)
-        assert whole + 1e-12 >= v_r_exact(v[cut:], 3.0)
+        seqs.append(rng.normal(size=11) + 1j * rng.normal(size=11))
+        cuts.append(int(rng.integers(1, 10)))
+    assert experiments.concatenation(seqs, cuts) <= 1e-12
 
 
 def test_sup_family_examples():
@@ -326,13 +323,8 @@ def test_v_r_field_dominates_sup_minus_constant_coefficient():
 def test_v_r_field_matches_pointwise_dp():
     P = hypercube(2)
     f = random_trig_polynomial(2, 3, 0.8, seed=8)
-    M = 7
-    field = v_r_field(f, P, M, 2.5)
-    pts = grid_points(2, M)
-    # families from direct masked sums, a route independent of the grid evaluator
-    fams = partial_sum(f, P, breakpoints(f, P), pts)
-    for k in range(pts.shape[0]):
-        assert abs(field.flat[k] - v_r_exact(fams[k], 2.5)) <= 1e-12
+    # every grid point's family from direct masked sums, a route independent of the grid
+    assert experiments.field_vs_pointwise(f, P, v_r_field(f, P, 7, 2.5), 2.5, 1) <= 1e-12
 
 
 @pytest.mark.parametrize("budget", [None, 400])
