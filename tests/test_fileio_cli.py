@@ -209,12 +209,6 @@ _EXIT_2 = [
     _row("p_nan", [*_VF, *_OUT, "--p", "nan", *_NORMS], "norm exponent", ("out", "norms")),
     _row("p_below_one", [*_VF, *_OUT, "--p", "0.5", *_NORMS], "norm exponent", ("out", "norms")),
     _row("lam_nan", [*_PS, *_OUT, "--lam", "nan"], "cutoff parameter must be nonnegative"),
-    # coefficients of the polytope's dimension, so only the polytope is at fault
-    *(_row(f"polytope-{command}-{kind}", [*argv, *_OUT],
-           bad=json.dumps({"dim": len(A[0]), "H": {"A": A, "b": [1] * len(A)}}),
-           bad_coeffs=_one_term(json.dumps([1] + [0] * (len(A[0]) - 1))))
-      for command, argv in _BAD_POLYTOPE_ARGV.items()
-      for kind, A in sorted(_BAD_POLYTOPES.items())),
     _row("verify_corrupt_polytope", ["verify", "--polytope", "{bad}", *_OUT], bad="{broken"),
     _row("ratio_r_two", ["ratio", "--r", "2.0", "--bandwidths", "2", "--ensemble", "1", *_OUT],
          "variation exponent must exceed 2"),
@@ -226,12 +220,18 @@ _EXIT_2 = [
       for argv, key, value in ((["verify"], "seed", [1]), (["ratio"], "bandwidths", 5),
                                (_PS, "lam", None), (_VF, "r", [3]), (["converge"], "dim", None))),
 ]
-assert len(_EXIT_2) == 33 + 5
+# coefficients of the polytope's dimension, so only the polytope is at fault
+_BAD_POLYTOPE_ROWS = [
+    _row(f"{command}-{kind}", [*argv, *_OUT],
+         bad=json.dumps({"dim": len(A[0]), "H": {"A": A, "b": [1] * len(A)}}),
+         bad_coeffs=_one_term(json.dumps([1] + [0] * (len(A[0]) - 1))))
+    for command, argv in _BAD_POLYTOPE_ARGV.items()
+    for kind, A in sorted(_BAD_POLYTOPES.items())
+]
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5
 
 
-@pytest.mark.parametrize("argv,inputs,err,absent", _EXIT_2)
-def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err,
-                               absent):
+def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):
     paths = {"square": square_file, "coeffs": coeff_file,
              "out": tmp_path / "out.csv", "norms": tmp_path / "norms.csv"}
     for name, text in inputs.items():
@@ -241,6 +241,18 @@ def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, 
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: ") and (err or "") in stderr
     assert not any(paths[name].exists() for name in absent)
+
+
+@pytest.mark.parametrize("argv,inputs,err,absent", _EXIT_2)
+def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err,
+                               absent):
+    _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent)
+
+
+@pytest.mark.parametrize("argv,inputs,err,absent", _BAD_POLYTOPE_ROWS)
+def test_cli_rejects_bad_polytope_file_writing_nothing(square_file, coeff_file, tmp_path, capsys,
+                                                       argv, inputs, err, absent):
+    _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent)
 
 
 def test_cli_verify_pass_and_report(tmp_path, capsys):
