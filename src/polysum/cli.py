@@ -1,9 +1,19 @@
 """Command line entry point.
 
 Subcommands: triangulate, partial-sum, variation-field, verify, ratio,
-converge.  Options can come from a JSON config file (--config) with explicit
-flags taking precedence; every CSV output embeds the resolved configuration
-as '#' comment lines, and a fixed seed gives byte-identical output.
+converge.  ``COMMANDS`` declares each one once: its help text, its handler
+and its options.  An option is a row ``(name, converter, default)``, with
+``REQUIRED`` as the default of an option that must be given; a name without
+``--`` is a positional.  ``build_parser`` adds every row with no argparse
+``type``, so a flag arrives as a string, and ``_options`` takes each option
+from its flag, else from the JSON config file (--config), else its default.
+A flag and a config entry go through the same converter, and a value the
+converter cannot take exits 2 as ``bad value for <key>``.  A row whose
+converter is ``None`` is a path that a config file cannot set (--out,
+--norms-out, triangulate's polytope) and reaches the handler as given; a
+subcommand with any other row also takes --config.
+Every CSV output embeds the resolved configuration as '#' comment lines, and
+a fixed seed gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,15 +35,22 @@ from .variation import (
 
 import numpy as np
 
+REQUIRED = object()
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+
+def _int(val) -> int:
+    """A flag string or a JSON integer; a bool or a float such as 7.9 is
+    rejected, as for frequency entries."""
+    if type(val) not in (int, str):
+        raise TypeError("expected an integer")
+    return int(val)
+
+
+def _float(val) -> float:
+    """A flag string or a JSON number, but not a bool."""
+    if type(val) not in (int, float, str):
+        raise TypeError("expected a number")
+    return float(val)
 
 
 def _path(val) -> str:
@@ -42,33 +59,13 @@ def _path(val) -> str:
     return val
 
 
-def _ints(val) -> list[int]:
-    """A bandwidth ladder: a comma-separated string or a list of integers."""
+def _ints(val) -> tuple[int, ...]:
+    """A bandwidth ladder: a comma-separated string or a list of JSON integers."""
     if isinstance(val, str):
-        return [int(tok) for tok in val.split(",") if tok]
-    return [int(b) for b in val]
-
-
-def _resolve(args, config: dict, key: str, default, kind):
-    """The flag, else the config entry, else ``default``; a flag or config
-    value goes through ``kind``, and a value it cannot take is a ValueError
-    naming the key."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        if key not in config:
-            return default
-        val = config[key]
-    try:
-        return kind(val)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for {key}: {val!r} ({exc})") from None
-
-
-def _require(args, config: dict, key: str, kind):
-    val = _resolve(args, config, key, None, kind)
-    if val is None:
-        raise ValueError(f"missing required option --{key}")
-    return val
+        return tuple(int(tok) for tok in val.split(",") if tok)
+    if type(val) is not list or any(type(b) is not int for b in val):
+        raise TypeError("expected a list of integers")
+    return tuple(val)
 
 
 def _emit(text: str, out) -> None:
@@ -79,47 +76,43 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
-def _cmd_triangulate(args) -> int:
-    P = fileio.load_polytope(args.polytope)
+def _cmd_triangulate(polytope, out) -> int:
+    P = fileio.load_polytope(polytope)
     pieces = triangulate(P)
     payload = fileio.pieces_as_dict(P, pieces)
-    _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    _emit(json.dumps(payload, indent=1) + "\n", out)
     return 0
 
 
-def _grid_job(args, job: str):
-    """Config, polytope, coefficients and grid resolution of a grid job, which
-    fails before any work when --out is missing."""
-    config = _load_config(args.config)
-    P = fileio.load_polytope(_require(args, config, "polytope", _path))
-    f = fileio.load_coefficients(_require(args, config, "coeffs", _path))
-    if args.out is None:
+def _grid_job(job: str, polytope, coeffs, resolution, out):
+    """Polytope, coefficients and grid resolution of a grid job, which fails
+    before any work when --out is missing."""
+    P = fileio.load_polytope(polytope)
+    f = fileio.load_coefficients(coeffs)
+    if out is None:
         raise ValueError(f"{job} writes CSV; pass --out")
-    M = _resolve(args, config, "resolution", experiments.default_resolution(f.bandwidth), int)
-    return config, P, f, M
+    M = experiments.default_resolution(f.bandwidth) if resolution is None else resolution
+    return P, f, M
 
 
-def _cmd_partial_sum(args) -> int:
-    config, P, f, M = _grid_job(args, "partial-sum")
-    lam = _resolve(args, config, "lam", 0.0, float)
+def _cmd_partial_sum(polytope, coeffs, lam, resolution, out) -> int:
+    P, f, M = _grid_job("partial-sum", polytope, coeffs, resolution, out)
     if M < 1:
         raise ValueError("resolution must be at least 1")
     pts = grid_points(f.dim, M)
     vals = partial_sum(f, P, lam, pts)
     samples = GridSamples(f.dim, M, np.asarray(vals).reshape((M,) * f.dim))
     resolved = {"lam": lam, "resolution": M, "dim": f.dim}
-    fileio.write_grid_csv(samples, args.out, ["config " + json.dumps(resolved, sort_keys=True)])
+    fileio.write_grid_csv(samples, out, ["config " + json.dumps(resolved, sort_keys=True)])
     return 0
 
 
-def _cmd_variation_field(args) -> int:
-    config, P, f, M = _grid_job(args, "variation-field")
-    r = _resolve(args, config, "r", 3.0, float)
-    p = _resolve(args, config, "p", 2.0, float)
+def _cmd_variation_field(polytope, coeffs, r, p, resolution, out, norms_out) -> int:
+    P, f, M = _grid_job("variation-field", polytope, coeffs, resolution, out)
     field = v_r_field(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]
-    if args.norms_out is not None:  # norms first: a bad --p must write no file
+    if norms_out is not None:  # norms first: a bad --p must write no file
         samples = sample_grid(f, M)
         f_lp = lp_norm(samples, p)
         field_lp = lp_norm(field, p)
@@ -131,17 +124,14 @@ def _cmd_variation_field(args) -> int:
             ("f_lorentz_p1", p, r, lorentz_p1_norm(samples.abs(), p)),
             ("ratio", p, r, field_lp / f_lp if f_lp > 0 else 0.0),
         ]
-    fileio.write_field_csv(field, args.out, comments)
-    if args.norms_out is not None:
-        fileio.write_norm_summary_csv(args.norms_out, entries, comments)
+    fileio.write_field_csv(field, out, comments)
+    if norms_out is not None:
+        fileio.write_norm_summary_csv(norms_out, entries, comments)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve(args, config, "seed", 42, int)
-    polytope = _resolve(args, config, "polytope", None, _path)
-    status, results = experiments.run_verify(seed=seed, out=args.out, polytope_file=polytope)
+def _cmd_verify(seed, polytope, out) -> int:
+    status, results = experiments.run_verify(seed=seed, out=out, polytope_file=polytope)
     for res in results:
         flag = "pass" if res.passed else "FAIL"
         sys.stdout.write(f"{flag} {res.suite}/{res.name} {res.detail}\n")
@@ -149,18 +139,8 @@ def _cmd_verify(args) -> int:
     return status
 
 
-def _cmd_ratio(args) -> int:
-    config = _load_config(args.config)
-    report = experiments.run_ratio_experiment(
-        bandwidths=tuple(_resolve(args, config, "bandwidths", [4, 8, 16], _ints)),
-        r=_resolve(args, config, "r", 3.0, float),
-        p=_resolve(args, config, "p", 2.0, float),
-        dim=_resolve(args, config, "dim", 2, int),
-        ensemble=_resolve(args, config, "ensemble", 32, int),
-        density=_resolve(args, config, "density", 1.0, float),
-        seed=_resolve(args, config, "seed", 42, int),
-        out=args.out,
-    )
+def _cmd_ratio(**options) -> int:
+    report = experiments.run_ratio_experiment(**options)
     for B in report.medians:
         sys.stdout.write(
             f"B={B}: median ratio {report.medians[B]:.6f}, max {report.maxima[B]:.6f}\n"
@@ -168,15 +148,66 @@ def _cmd_ratio(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    config = _load_config(args.config)
-    rows = experiments.run_convergence(
-        bandwidth=_resolve(args, config, "bandwidth", 8, int),
-        dim=_resolve(args, config, "dim", 2, int),
-        out=args.out,
-    )
+def _cmd_converge(**options) -> int:
+    rows = experiments.run_convergence(**options)
     sys.stdout.write(f"{len(rows)} breakpoints, final sup error {rows[-1][2]!r}\n")
     return 0
+
+
+_OUT = ("--out", None, None)
+_GRID = [("--polytope", _path, REQUIRED), ("--coeffs", _path, REQUIRED)]
+
+# subcommand -> (help, handler, option rows); a row may end in its help text,
+# and the handler takes each option as a keyword ("--norms-out" as norms_out)
+COMMANDS = {
+    "triangulate": ("fan-triangulate a polytope file", _cmd_triangulate,
+                    [("polytope", None, None), _OUT]),
+    "partial-sum": ("grid samples of one partial sum", _cmd_partial_sum,
+                    [*_GRID, ("--lam", _float, 0.0), ("--resolution", _int, None), _OUT]),
+    "variation-field": ("pointwise r-variation on a grid", _cmd_variation_field,
+                        [*_GRID, ("--r", _float, 3.0), ("--p", _float, 2.0),
+                         ("--resolution", _int, None), _OUT,
+                         ("--norms-out", None, None,
+                          "also write a (quantity, p, r, value) summary")]),
+    "verify": ("run all invariant suites", _cmd_verify,
+               [("--seed", _int, 42), ("--polytope", _path, None), _OUT]),
+    "ratio": ("variation/function norm ratio ensembles", _cmd_ratio,
+              [("--bandwidths", _ints, (4, 8, 16)), ("--r", _float, 3.0), ("--p", _float, 2.0),
+               ("--dim", _int, 2), ("--ensemble", _int, 32), ("--density", _float, 1.0),
+               ("--seed", _int, 42), _OUT]),
+    "converge": ("sup-norm error along the breakpoint ladder", _cmd_converge,
+                 [("--bandwidth", _int, 8), ("--dim", _int, 2), _OUT]),
+}
+
+
+def _options(rows, args) -> dict:
+    """Each row's flag, else its config entry, else its default, keyed by
+    the handler's keyword; a flag or config value goes through the row's
+    converter, and a value it cannot take is a ValueError naming the key."""
+    config = {}
+    if getattr(args, "config", None) is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+    values = {}
+    for name, convert, default, *_ in rows:
+        key = name.lstrip("-")
+        attr = key.replace("-", "_")
+        val = getattr(args, attr)
+        if convert is None:
+            values[attr] = val
+        elif val is None and key not in config:
+            if default is REQUIRED:
+                raise ValueError(f"missing required option --{key}")
+            values[attr] = default
+        else:
+            val = config[key] if val is None else val
+            try:
+                values[attr] = convert(val)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {key}: {val!r} ({exc})") from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,66 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polytopal partial Fourier sums, fan triangulations, and r-variation fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangulate", help="fan-triangulate a polytope file")
-    p.add_argument("polytope")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_triangulate)
-
-    p = sub.add_parser("partial-sum", help="grid samples of one partial sum")
-    p.add_argument("--polytope")
-    p.add_argument("--coeffs")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_partial_sum)
-
-    p = sub.add_parser("variation-field", help="pointwise r-variation on a grid")
-    p.add_argument("--polytope")
-    p.add_argument("--coeffs")
-    p.add_argument("--r", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--norms-out", help="also write a (quantity, p, r, value) summary")
-    p.set_defaults(func=_cmd_variation_field)
-
-    p = sub.add_parser("verify", help="run all invariant suites")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--polytope")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("ratio", help="variation/function norm ratio ensembles")
-    p.add_argument("--bandwidths")
-    p.add_argument("--r", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--ensemble", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_ratio)
-
-    p = sub.add_parser("converge", help="sup-norm error along the breakpoint ladder")
-    p.add_argument("--bandwidth", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_converge)
-
+    for command, (text, _, rows) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, _, _, *doc in rows:
+            p.add_argument(name, help=doc[0] if doc else None)
+        if any(row[1] is not None for row in rows):
+            p.add_argument("--config")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, rows = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(**_options(rows, args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -40,7 +40,9 @@ from .generators import random_piece_points, random_polytope, random_trig_polyno
 from .spectral import (
     TrigPolynomial,
     _direct_sum,
+    _Shells,
     _frozen_rows,
+    _grid_family,
     _halfspace_keep,
     breakpoints,
     cone_multiplier,
@@ -481,6 +483,8 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
     draws its geometry samples from its own seeded stream, so the file leaves
     the checks of the built-in instances unchanged.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     instances: list[tuple[str, HPolytope]] = []
     if polytope_file is not None:
         instances.append(("file", fileio.load_polytope(polytope_file)))
@@ -539,9 +543,9 @@ def run_ratio_experiment(
 ) -> RatioReport:
     """Tabulate ||V_r(S_lam f)||_p / ||f||_p over a random ensemble per bandwidth.
 
-    Requires r > 2 and p >= r' = r/(r-1).  Headline statistics are the
-    per-bandwidth medians, reported alongside maxima so a single outlier draw
-    cannot dominate the table.
+    Requires r > 2, p >= r' = r/(r-1), bandwidths >= 1 and a nonnegative
+    seed.  Headline statistics are the per-bandwidth medians, reported
+    alongside maxima so a single outlier draw cannot dominate the table.
     """
     if not r > 2.0:
         raise ValueError("variation exponent must exceed 2")
@@ -551,6 +555,10 @@ def run_ratio_experiment(
         raise ValueError("ensemble must be nonempty")
     if not len(bandwidths):
         raise ValueError("bandwidth ladder must be nonempty")
+    if min(bandwidths) < 1:
+        raise ValueError("bandwidth must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rows: list[RatioRow] = []
     config = {
         "bandwidths": list(bandwidths),
@@ -638,8 +646,9 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     P = hypercube(dim)
     f = smooth_polynomial(dim, bandwidth)
     M = default_resolution(bandwidth)
-    bps, values = family_values_on_grid(f, P, M)
-    g = gauge(P, f.freqs.astype(float))
+    shells = _Shells(f, P)  # one plan: the tail splits shells as the family does
+    bps, values = _grid_family(f, shells, M)
+    g = shells.gauge
     final = values[:, -1]
     abs_c = np.abs(f.coeffs)
     rows = []

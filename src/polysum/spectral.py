@@ -192,12 +192,11 @@ class _Shells:
         return np.unique(np.concatenate([[0.0], self.gauge]))
 
 
-def _cutoff_sums(f: TrigPolynomial, P: HPolytope, lam, x, by_pieces: bool):
+def _cutoff_sums(f: TrigPolynomial, shells: _Shells, lam, x, by_pieces: bool):
     """Masked direct sums at each cutoff of ``lam`` (a scalar or a 1-d array):
     weight row k keeps the coefficients with gauge <= lam_k, split by owner
     row when ``by_pieces``.  Frequencies that no cutoff keeps are left out of
     the phases.  Shapes as for :func:`partial_sum`."""
-    shells = _Shells(f, P)
     cutoffs = np.asarray(lam, dtype=float)
     if cutoffs.ndim > 1:
         raise ValueError("cutoffs must be a scalar or a 1-d array")
@@ -206,7 +205,7 @@ def _cutoff_sums(f: TrigPolynomial, P: HPolytope, lam, x, by_pieces: bool):
     x = _as_points(x, f.dim)
     keep = shells.gauge <= cutoffs.reshape(-1, 1)  # (K, N)
     live = keep.any(axis=0)
-    rows = (shells.owner == k for k in range(P.m)) if by_pieces else [True]
+    rows = (shells.owner == k for k in range(shells.P.m)) if by_pieces else [True]
     parts = [(f.freqs[sel], f.coeffs[sel] * keep[:, sel]) for sel in (live & r for r in rows)]
     values = _direct_sum(parts, x)
     if cutoffs.ndim:
@@ -222,7 +221,7 @@ def partial_sum(f: TrigPolynomial, P: HPolytope, lam, x):
     nonnegative scalar or a 1-d array of K cutoffs; an array adds a trailing
     axis of length K, column k holding the partial sum at lam[k].
     """
-    return _cutoff_sums(f, P, lam, x, by_pieces=False)
+    return _cutoff_sums(f, _Shells(f, P), lam, x, by_pieces=False)
 
 
 def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
@@ -237,14 +236,15 @@ def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
 def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     """The full one-parameter family of partial sums at x as a step function.
 
-    One masked direct sum per breakpoint, all from one phase row.  The first
-    value is the constant coefficient, the last is f(x).
+    One masked direct sum per breakpoint, all from one phase row and one
+    shell plan.  The first value is the constant coefficient, the last is f(x).
     """
-    bps = breakpoints(f, P)
+    shells = _Shells(f, P)
     x = _as_points(x, f.dim)
     if x.ndim != 1:
         raise ValueError("one point at a time; use family_values_on_grid for batches")
-    return StepFunction(bps[1:], partial_sum(f, P, bps, x))
+    bps = shells.breakpoints
+    return StepFunction(bps[1:], _cutoff_sums(f, shells, bps, x, by_pieces=False))
 
 
 def grid_points(dim: int, resolution: int) -> np.ndarray:
@@ -276,9 +276,13 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=N
     to the breakpoints of f but any nondecreasing array without NaN works.
     Requires an alias-free grid, resolution >= 2B+1.
     """
+    return _grid_family(f, _Shells(f, P), resolution, at)
+
+
+def _grid_family(f: TrigPolynomial, shells: _Shells, resolution: int, at=None):
+    """:func:`family_values_on_grid` on the caller's shell plan."""
     if resolution < 2 * f.bandwidth + 1:
         raise ValueError("aliasing: grid resolution must be at least 2B+1")
-    shells = _Shells(f, P)
     bps = shells.breakpoints if at is None else np.asarray(at, dtype=float).reshape(-1)
     if np.isnan(bps).any() or np.any(bps[1:] < bps[:-1]):
         raise ValueError("cutoffs must be nondecreasing and not NaN")
@@ -295,7 +299,7 @@ def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):
     sum with every frequency counted once.  Cutoffs and shapes as for
     :func:`partial_sum`.
     """
-    return _cutoff_sums(f, P, lam, x, by_pieces=True)
+    return _cutoff_sums(f, _Shells(f, P), lam, x, by_pieces=True)
 
 
 def _axis_aligned(a: np.ndarray) -> bool:

@@ -10,7 +10,9 @@ from polysum.experiments import (
     smooth_polynomial,
 )
 from polysum.fileio import save_polytope
+from polysum.generators import random_trig_polynomial
 from polysum.geometry import cross_polytope, gauge, hypercube
+from polysum.spectral import family_at_point
 
 
 def test_run_verify_all_green():
@@ -46,7 +48,9 @@ def test_every_verify_row_passes_by_its_bounds_entry():
         assert r.passed == (float(r.detail.split("=")[1]) <= BOUNDS[name]), r
 
 
-def test_run_verify_batches_its_gauge_calls(monkeypatch):
+@pytest.fixture
+def gauge_calls(monkeypatch):
+    """One entry per ``gauge`` call, under every name polysum calls it by."""
     from polysum import experiments, geometry, spectral
 
     calls = []
@@ -57,8 +61,21 @@ def test_run_verify_batches_its_gauge_calls(monkeypatch):
 
     for module in (geometry, experiments, spectral):
         monkeypatch.setattr(module, "gauge", counted)
+    return calls
+
+
+def test_run_verify_batches_its_gauge_calls(gauge_calls):
     run_verify(seed=42)
-    assert 0 < len(calls) <= 400  # per-point loops make thousands
+    assert 0 < len(gauge_calls) <= 400  # per-point loops make thousands
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family_at_point(random_trig_polynomial(2, 5, 0.7, seed=1), hypercube(2), [0.1, 0.3]),
+    lambda: run_convergence(bandwidth=5, dim=2),
+], ids=["family_at_point", "run_convergence"])
+def test_one_shell_plan_per_call(gauge_calls, call):
+    call()
+    assert len(gauge_calls) == 1
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

@@ -219,6 +219,20 @@ _EXIT_2 = [
            cfg=json.dumps({key: value}))
       for argv, key, value in ((["verify"], "seed", [1]), (["ratio"], "bandwidths", 5),
                                (_PS, "lam", None), (_VF, "r", [3]), (["converge"], "dim", None))),
+    # config numbers once truncated or coerced (the first bad key in option order is named)
+    *(_row(f"config_{name}", [*argv, "--config", "{cfg}", *_OUT], f"bad value for {key}:",
+           cfg=json.dumps(config))
+      for name, argv, key, config in (
+          ("seed_float", ["verify"], "seed", {"seed": 42.9}),
+          ("ladder_float", ["ratio"], "bandwidths", {"ensemble": 1.5, "bandwidths": [4.7]}),
+          ("resolution_float", _PS, "resolution", {"resolution": 7.9}),
+          ("bandwidth_bool", ["converge"], "bandwidth", {"bandwidth": True, "dim": 1.9}),
+          ("r_bool", _VF, "r", {"r": True}),
+          ("lam_bool", _PS, "lam", {"lam": False}))),
+    _row("flag_seed_float", ["verify", "--seed", "1.5", *_OUT], "bad value for seed:"),
+    _row("verify_negative_seed", ["verify", "--seed", "-1", *_OUT], "seed must be nonnegative"),
+    _row("ratio_negative_bandwidth", ["ratio", "--bandwidths=-2", "--ensemble", "1", *_OUT],
+         "bandwidth must be at least 1"),
 ]
 # coefficients of the polytope's dimension, so only the polytope is at fault
 _BAD_POLYTOPE_ROWS = [
@@ -228,7 +242,7 @@ _BAD_POLYTOPE_ROWS = [
     for command, argv in _BAD_POLYTOPE_ARGV.items()
     for kind, A in sorted(_BAD_POLYTOPES.items())
 ]
-assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9
 
 
 def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):
@@ -253,6 +267,54 @@ def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, 
 def test_cli_rejects_bad_polytope_file_writing_nothing(square_file, coeff_file, tmp_path, capsys,
                                                        argv, inputs, err, absent):
     _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent)
+
+
+# every numeric option and a literal it must reject: 1.5 for an integer, true for a float
+_NUMERIC = {
+    "partial-sum": (_PS, {"lam": True, "resolution": 1.5}),
+    "variation-field": (_VF, {"r": True, "p": True, "resolution": 1.5}),
+    "verify": (["verify"], {"seed": 1.5}),
+    "ratio": (["ratio"], {"bandwidths": 1.5, "r": True, "p": True, "dim": 1.5,
+                          "ensemble": 1.5, "density": True, "seed": 1.5}),
+    "converge": (["converge"], {"bandwidth": 1.5, "dim": 1.5}),
+}
+
+
+@pytest.mark.parametrize("argv,key,bad", [
+    pytest.param(argv, key, bad, id=f"{command}-{key}")
+    for command, (argv, bad_values) in _NUMERIC.items() for key, bad in bad_values.items()])
+def test_cli_flag_and_config_reject_the_same_bad_number(square_file, coeff_file, tmp_path,
+                                                        capsys, argv, key, bad):
+    cfg = {"cfg": json.dumps({key: bad})}
+    for given in ([f"--{key}", json.dumps(bad)], ["--config", "{cfg}"]):
+        _assert_exit_2(square_file, coeff_file, tmp_path, capsys, [*argv, *given, *_OUT], cfg,
+                       f"bad value for {key}:", ("out",))
+
+
+# each subcommand's positionals and option strings, as the README documents them
+_SURFACE = {
+    "triangulate": (["polytope"], {"--out"}),
+    "partial-sum": ([], {"--polytope", "--coeffs", "--lam", "--resolution", "--config", "--out"}),
+    "variation-field": ([], {"--polytope", "--coeffs", "--r", "--p", "--resolution", "--config",
+                             "--out", "--norms-out"}),
+    "verify": ([], {"--seed", "--polytope", "--config", "--out"}),
+    "ratio": ([], {"--bandwidths", "--r", "--p", "--dim", "--ensemble", "--density", "--seed",
+                   "--config", "--out"}),
+    "converge": ([], {"--bandwidth", "--dim", "--config", "--out"}),
+}
+
+
+def test_cli_surface():
+    import argparse
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        command: ([a.dest for a in p._actions if not a.option_strings],
+                  {s for a in p._actions for s in a.option_strings} - {"-h", "--help"})
+        for command, p in sub.choices.items()
+    }
+    assert surface == _SURFACE
 
 
 def test_cli_verify_pass_and_report(tmp_path, capsys):
