@@ -41,6 +41,7 @@ from .spectral import (
     TrigPolynomial,
     _direct_sum,
     _Shells,
+    _cutoff_sums,
     _frozen_rows,
     _grid_family,
     _halfspace_keep,
@@ -50,7 +51,6 @@ from .spectral import (
     grid_points,
     halfspace_multiplier,
     partial_sum,
-    partial_sum_by_pieces,
     sample_grid,
 )
 from .variation import (
@@ -60,8 +60,8 @@ from .variation import (
     lorentz_p1_norm,
     lp_norm,
     sup_family,
-    v_r_bruteforce,
-    v_r_exact,
+    _bruteforce_batch,
+    _v_r_batch,
     v_r_field,
     weak_lp_norm,
 )
@@ -228,24 +228,27 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
 def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |partial sum at the midpoint - at the left end| at X over the
     intervals between consecutive breakpoints of f (0 when there are none)."""
-    bps = breakpoints(f, P)
+    shells = _Shells(f, P)
+    bps = shells.breakpoints
     mids = 0.5 * (bps[:-1] + bps[1:])
-    return float(np.max(np.abs(
-        partial_sum(f, P, mids, X) - partial_sum(f, P, bps[:-1], X)), initial=0.0))
+    diff = _cutoff_sums(f, shells, mids, X, False) - _cutoff_sums(f, shells, bps[:-1], X, False)
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
-    bps = breakpoints(f, P)
-    return float(np.max(np.abs(
-        partial_sum_by_pieces(f, P, bps, X) - partial_sum(f, P, bps, X))))
+    shells = _Shells(f, P)
+    bps = shells.breakpoints
+    diff = _cutoff_sums(f, shells, bps, X, True) - _cutoff_sums(f, shells, bps, X, False)
+    return float(np.max(np.abs(diff)))
 
 
 def multiplier_partition(f: TrigPolynomial, P: HPolytope, pieces) -> float:
     """Largest |coefficient| of the sum of the cone multipliers of f minus f."""
-    parts = [cone_multiplier(f, pc, P) for pc in pieces] + [-1.0 * f]
-    diff = TrigPolynomial(f.dim, np.concatenate([g.freqs for g in parts]),
-                          np.concatenate([g.coeffs for g in parts]))
+    owner = _Shells(f, P).owner
+    keeps = [owner == pc.index for pc in pieces]
+    diff = TrigPolynomial(f.dim, np.concatenate([f.freqs[k] for k in keeps] + [f.freqs]),
+                          np.concatenate([f.coeffs[k] for k in keeps] + [-1.0 * f.coeffs]))
     return float(np.max(np.abs(diff.coeffs), initial=0.0))
 
 
@@ -304,35 +307,34 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
 
 def dp_equals_bruteforce(seqs, rs) -> float:
     """Largest |DP - exhaustive| r-variation over the sequences and exponents."""
-    return max(abs(v_r_exact(v, r) - v_r_bruteforce(v, r)) for v in seqs for r in rs)
+    return max(abs(a - b) for r in rs
+               for a, b in zip(_v_r_batch(seqs, r), _bruteforce_batch(seqs, r)))
 
 
 def r_monotonicity(seqs) -> float:
     """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4."""
-    ladders = [[v_r_exact(v, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)] for v in seqs]
-    return max(b - a for ladder in ladders for a, b in zip(ladder, ladder[1:]))
+    ladder = [_v_r_batch(seqs, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
+    return max(b - a for lo, hi in zip(ladder, ladder[1:]) for a, b in zip(lo, hi))
 
 
 def scaling(seqs, cs) -> float:
     """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars."""
-    return max(
-        abs(v_r_exact(c * v, 3.0) - abs(c) * v_r_exact(v, 3.0)) / (1.0 + abs(c))
-        for v, c in zip(seqs, cs)
-    )
+    scaled = _v_r_batch([c * v for v, c in zip(seqs, cs)], 3.0)
+    return max(abs(a - abs(c) * b) / (1.0 + abs(c))
+               for a, b, c in zip(scaled, _v_r_batch(seqs, 3.0), cs))
 
 
 def maximal_control(seqs) -> float:
     """Largest sup_k |v_k| - |v_0| - V_3(v); the triangle inequality makes it <= 0."""
-    return max(sup_family(v) - abs(v[0]) - v_r_exact(v, 3.0) for v in seqs)
+    return max(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, _v_r_batch(seqs, 3.0)))
 
 
 def concatenation(seqs, cuts) -> float:
     """Largest V_3 of v[:cut + 1] or v[cut:] minus V_3(v) over paired sequences
     and cut indices; a subsequence never has more variation, so it is <= 0."""
-    return max(
-        max(v_r_exact(v[: cut + 1], 3.0), v_r_exact(v[cut:], 3.0)) - v_r_exact(v, 3.0)
-        for v, cut in zip(seqs, cuts)
-    )
+    heads = _v_r_batch([v[: cut + 1] for v, cut in zip(seqs, cuts)], 3.0)
+    tails = _v_r_batch([v[cut:] for v, cut in zip(seqs, cuts)], 3.0)
+    return max(max(a, b) - w for a, b, w in zip(heads, tails, _v_r_batch(seqs, 3.0)))
 
 
 def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: float,
@@ -340,8 +342,9 @@ def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: f
     """Largest |field value - V_r of the direct partial sums at every breakpoint|
     over every ``stride``-th grid point of the r-variation field of f."""
     pts = grid_points(f.dim, field.resolution)[::stride]
-    fams = partial_sum(f, P, breakpoints(f, P), pts)
-    return max(abs(v - v_r_exact(fam, r)) for v, fam in zip(field.flat[::stride], fams))
+    shells = _Shells(f, P)
+    fams = _cutoff_sums(f, shells, shells.breakpoints, pts, by_pieces=False)
+    return max(abs(v - w) for v, w in zip(field.flat[::stride], _v_r_batch(fams, r)))
 
 
 def weak_le_strong(samples, ps) -> float:

@@ -94,9 +94,10 @@ def _int_freqs(freqs) -> np.ndarray:
 class TrigPolynomial:
     """Finitely supported Fourier coefficients on the integer lattice.
 
-    Frequencies are stored lexicographically sorted with duplicates combined;
-    evaluation at x is sum of c(n) exp(2 pi i n.x) in that fixed order, the
-    single source of truth for every operator built on top.
+    Frequencies are stored lexicographically sorted, by a stable ``np.lexsort``
+    of the int64 columns, with duplicates summed in input order; evaluation at
+    x is sum of c(n) exp(2 pi i n.x) in that fixed order, the single source of
+    truth for every operator built on top.
     """
 
     __slots__ = ("dim", "freqs", "coeffs")
@@ -115,9 +116,13 @@ class TrigPolynomial:
             raise ValueError("frequency/coefficient count mismatch")
         if not np.all(np.isfinite(co)):
             raise ValueError("non-finite coefficient")
-        fr, inverse = np.unique(fr, axis=0, return_inverse=True)
-        merged = np.zeros(fr.shape[0], dtype=complex)
-        np.add.at(merged, inverse.reshape(-1), co)
+        order = np.lexsort(fr.T[::-1])  # stable, so duplicates keep their order
+        fr, co = fr[order], co[order]
+        new = np.ones(fr.shape[0], dtype=bool)  # first row of each distinct frequency
+        new[1:] = np.any(fr[1:] != fr[:-1], axis=1)
+        merged = np.zeros(np.count_nonzero(new), dtype=complex)
+        np.add.at(merged, np.cumsum(new) - 1, co)
+        fr = fr[new]
         self.dim = dim
         self.freqs = fr
         self.coeffs = merged

@@ -5,14 +5,13 @@ step function of the cutoff parameter, so its r-variation over the whole
 half-line equals the r-variation of the finite value sequence at the jump
 points; :func:`v_r_exact` computes that by dynamic programming and
 :func:`v_r_bruteforce` by exhaustive enumeration of every index subset as a
-bitmask, capped at length 16.  :func:`v_r_field` runs the
-same DP batched over the grid points.  It copies each point chunk
-shell-major, as an ``(L, points)`` array, so every step works on contiguous
-rows; a chunk's temporaries, 6L floats per point, stay within a fixed entry
-budget, and the per-point values are bit-identical to :func:`v_r_exact`.
-Norms and distribution functions use the uniform probability measure on the
-sampling grid, with no interpolation, so identities like the Fubini slice
-reordering hold exactly.
+bitmask, capped at length 16.  The DP has one kernel, ``_dp_chunk``, over
+the contiguous rows of a shell-major ``(L, columns)`` array: :func:`v_r_exact`
+is its one-column case, a batch of sequences is one zero-padded chunk, and
+:func:`v_r_field` runs it on point chunks whose temporaries, 6L floats per
+point, stay within a fixed entry budget.  Norms and distribution functions
+use the uniform probability measure on the sampling grid, with no
+interpolation, so identities like the Fubini slice reordering hold exactly.
 """
 
 from __future__ import annotations
@@ -110,21 +109,26 @@ def v_r_exact(values, r: float) -> float:
     of consecutive differences.
 
     Dynamic programming on r-th powers: W(j) = max_{i<j} W(i) + |v_j - v_i|^r,
-    answer (max_j W(j))^{1/r}; O(L^2).  For the step families produced by
-    cutoff sweeps this equals the supremum over all real parameter sequences,
-    because every difference is realized at jump points.
+    answer (max_j W(j))^{1/r}; O(L^2); the one-column case of ``_dp_chunk``.
+    For the step families of cutoff sweeps this is the supremum over all real
+    parameter sequences, because every difference is realized at jump points.
     """
+    return _v_r_batch([values], r)[0]
+
+
+def _v_r_batch(seqs, r: float) -> list[float]:
+    """:func:`v_r_exact` of each sequence, as the zero-padded columns of one
+    ``_dp_chunk``: row j reads only rows i < j, so column k's answer is the
+    largest W of its own first L_k rows.  Roots are taken as Python scalars."""
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
-    v = np.asarray(values, dtype=complex).reshape(-1)
-    L = v.shape[0]
-    if L <= 1:
-        return 0.0
-    D = np.abs(v[:, None] - v[None, :]) ** r  # row j holds |v_j - v_i|^r
-    W = np.zeros(L)
-    for j in range(1, L):
-        W[j] = (W[:j] + D[j, :j]).max()
-    return float(W.max() ** (1.0 / r))
+    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
+    lengths = np.array([c.shape[0] for c in cols], dtype=np.intp)
+    V = np.zeros((lengths.max(initial=0), len(cols)), dtype=complex)
+    for k, c in enumerate(cols):
+        V[: c.shape[0], k] = c
+    best = np.max(_dp_chunk(V, r), axis=0, initial=0.0, where=np.arange(len(V))[:, None] < lengths)
+    return [w ** (1.0 / r) for w in best.tolist()]
 
 
 def v_r_bruteforce(values, r: float) -> float:
@@ -133,25 +137,33 @@ def v_r_bruteforce(values, r: float) -> float:
     Chain m is the index subset with bitmask m; its gap sum extends the chain
     without its top bit j by the gap from that chain's last index to j, so
     sweeping j = 0..L-1 fills all 2^L chains, each summed left to right.  The
-    length is capped at 16.
+    length is capped at 16.  One sequence of ``_bruteforce_batch``.
     """
+    return _bruteforce_batch([values], r)[0]
+
+
+def _bruteforce_batch(seqs, r: float) -> list[float]:
+    """:func:`v_r_bruteforce` of each sequence: equal-length sequences are the
+    rows of one chain sweep, and chains never mix across rows."""
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
-    v = np.asarray(values, dtype=complex).reshape(-1)
-    L = v.shape[0]
-    if L > BRUTE_FORCE_CAP:
+    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
+    if any(v.shape[0] > BRUTE_FORCE_CAP for v in rows):
         raise ValueError(f"brute force capped at length {BRUTE_FORCE_CAP}")
-    if L <= 1:
-        return 0.0
-    D = np.abs(v[None, :] - v[:, None]) ** r
-    acc = np.zeros(2**L)  # gap sum of chain m
-    last = np.zeros(2**L, dtype=np.intp)  # top index of chain m
-    for j in range(L):
-        lo = 1 << j
-        acc[lo + 1 : 2 * lo] = acc[1:lo] + D[last[1:lo], j]
-        last[lo : 2 * lo] = j
-    # a NaN chain never beats the running best of a left-to-right scan
-    return float(np.nanmax(acc)) ** (1.0 / r)
+    best = {}
+    for L in {v.shape[0] for v in rows}:
+        ks = [k for k, v in enumerate(rows) if v.shape[0] == L]
+        v = np.stack([rows[k] for k in ks])
+        D = np.abs(v[:, None, :] - v[:, :, None]) ** r
+        acc = np.zeros((len(ks), 2**L))  # gap sum of chain m, one row per sequence
+        last = np.zeros(2**L, dtype=np.intp)  # top index of chain m
+        for j in range(L):
+            lo = 1 << j
+            acc[:, lo + 1 : 2 * lo] = acc[:, 1:lo] + D[:, last[1:lo], j]
+            last[lo : 2 * lo] = j
+        # a NaN chain never beats the running best of a left-to-right scan
+        best.update(zip(ks, np.nanmax(acc, axis=1).tolist()))
+    return [best[k] ** (1.0 / r) for k in range(len(rows))]
 
 
 def sup_family(values) -> float:
@@ -241,12 +253,12 @@ def fubini_slice_check(h: GridSamples, alpha: float) -> tuple[float, float]:
 
 
 def _dp_chunk(V: np.ndarray, r: float) -> np.ndarray:
-    """Largest W(j) of the :func:`v_r_exact` recursion for each column of a
-    shell-major ``(L, points)`` chunk.
+    """The rows W(j) of the r-variation recursion for each column of a
+    shell-major ``(L, points)`` chunk; the only copy of the DP.
 
-    Step j runs on the contiguous rows 0..j-1; every pair gets the same
-    subtraction, modulus, power, sum and maximum as in :func:`v_r_exact`.
-    The temporaries die on return, so no two chunks hold them at once.
+    Step j runs on the contiguous rows 0..j-1, so row j of a column reads
+    only that column's rows i < j.  The temporaries die on return, so no two
+    chunks hold them at once.
     """
     W = np.zeros(V.shape)
     Z = np.empty_like(V)
@@ -257,7 +269,7 @@ def _dp_chunk(V: np.ndarray, r: float) -> np.ndarray:
         D[:j] **= r
         D[:j] += W[:j]
         np.max(D[:j], axis=0, out=W[j])
-    return W.max(axis=0)
+    return W
 
 
 def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
@@ -281,7 +293,7 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     field = np.empty(n)
     chunk = max(1, _DP_BUDGET // (6 * L))
     for lo in range(0, n, chunk):
-        best = _dp_chunk(np.ascontiguousarray(values[lo : lo + chunk].T), r)
+        best = _dp_chunk(np.ascontiguousarray(values[lo : lo + chunk].T), r).max(axis=0)
         # NumPy's array pow may differ from the scalar pow in the last bit,
         # so the root is taken per point, as v_r_exact takes it.
         field[lo : lo + chunk] = [w ** (1.0 / r) for w in best.tolist()]

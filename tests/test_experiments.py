@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+from polysum import spectral, variation
 from polysum.experiments import (
     BOUNDS,
     default_resolution,
+    field_vs_pointwise,
+    multiplier_partition,
+    piecewise_equals_direct,
     run_convergence,
     run_ratio_experiment,
     run_verify,
     smooth_polynomial,
+    step_constancy,
 )
 from polysum.fileio import save_polytope
 from polysum.generators import random_trig_polynomial
-from polysum.geometry import cross_polytope, gauge, hypercube
+from polysum.geometry import assign_rows, cross_polytope, gauge, hypercube, triangulate
 from polysum.spectral import family_at_point
+from polysum.variation import GridSamples
 
 
 def test_run_verify_all_green():
@@ -69,13 +75,44 @@ def test_run_verify_batches_its_gauge_calls(gauge_calls):
     assert 0 < len(gauge_calls) <= 400  # per-point loops make thousands
 
 
-@pytest.mark.parametrize("call", [
-    lambda: family_at_point(random_trig_polynomial(2, 5, 0.7, seed=1), hypercube(2), [0.1, 0.3]),
-    lambda: run_convergence(bandwidth=5, dim=2),
-], ids=["family_at_point", "run_convergence"])
-def test_one_shell_plan_per_call(gauge_calls, call):
+def test_run_verify_batches_its_variation_dp(monkeypatch):
+    calls = []
+    dp = variation._dp_chunk
+
+    def counted(*args):
+        calls.append(1)
+        return dp(*args)
+
+    monkeypatch.setattr(variation, "_dp_chunk", counted)
+    run_verify(seed=42)
+    assert 0 < len(calls) <= 20  # one DP per sequence makes 627
+
+
+_F = random_trig_polynomial(2, 5, 0.7, seed=1)
+_X = np.random.default_rng(2).random((5, 2))
+
+
+# (gauge passes, owner-row passes) over the support of f
+@pytest.mark.parametrize("call, passes", [
+    (lambda: family_at_point(_F, hypercube(2), [0.1, 0.3]), (1, 0)),
+    (lambda: run_convergence(bandwidth=5, dim=2), (1, 0)),
+    (lambda: step_constancy(_F, hypercube(2), _X), (1, 0)),
+    (lambda: piecewise_equals_direct(_F, hypercube(2), _X), (1, 1)),
+    (lambda: multiplier_partition(_F, hypercube(2), triangulate(hypercube(2))), (0, 1)),
+    (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
+                                3.0, 7), (1, 0)),
+], ids=["family_at_point", "run_convergence", "step_constancy", "piecewise_equals_direct",
+        "multiplier_partition", "field_vs_pointwise"])
+def test_one_shell_plan_per_call(gauge_calls, monkeypatch, call, passes):
+    owner_calls = []
+
+    def counted(*args):
+        owner_calls.append(1)
+        return assign_rows(*args)
+
+    monkeypatch.setattr(spectral, "assign_rows", counted)
     call()
-    assert len(gauge_calls) == 1
+    assert (len(gauge_calls), len(owner_calls)) == passes
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

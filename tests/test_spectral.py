@@ -41,6 +41,37 @@ def test_trig_polynomial_merges_duplicates_and_sorts():
     assert [n for n, _ in f] == [(0, 1), (1, 0)]
 
 
+def _merge_by_unique(dim, freqs, coeffs):
+    """The frequency merge by np.unique over rows, summed in input order."""
+    fr, inverse = np.unique(freqs.reshape(-1, dim), axis=0, return_inverse=True)
+    merged = np.zeros(fr.shape[0], dtype=complex)
+    np.add.at(merged, inverse.reshape(-1), coeffs)
+    return fr, merged
+
+
+def test_trig_polynomial_merge_bit_identical_to_unique():
+    rng = np.random.default_rng(3)
+    big = 2**63 - 1
+    cases = [(2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex)),
+             (3, np.array([[big, -big, 0]]), np.array([-0.0 - 0.0j]))]
+    for dim in (1, 2, 3, 4):
+        for _ in range(30):
+            n = int(rng.integers(1, 50))
+            freqs = rng.integers(-2, 3, size=(n, dim))  # few distinct rows: many duplicates
+            freqs[rng.random((n, dim)) < 0.1] = big
+            freqs[rng.random((n, dim)) < 0.1] = -big
+            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            coeffs.real[rng.random(n) < 0.3] = -0.0
+            coeffs.imag[rng.random(n) < 0.3] = -0.0
+            cases.append((dim, freqs, coeffs))
+    for dim, freqs, coeffs in cases:
+        f = TrigPolynomial(dim, freqs, coeffs)
+        fr, merged = _merge_by_unique(dim, freqs, coeffs)
+        assert f.freqs.dtype == np.int64 and f.freqs.shape == fr.shape
+        assert np.array_equal(f.freqs, fr)
+        assert f.coeffs.tobytes() == merged.tobytes()
+
+
 def test_trig_polynomial_evaluate_matches_bruteforce():
     f = random_trig_polynomial(2, 3, 0.6, seed=5)
     rng = np.random.default_rng(6)

@@ -88,6 +88,48 @@ def _bruteforce_by_recursion(values, r):
     return float(best ** (1.0 / r))
 
 
+def _dp_by_matrix(values, r):
+    """The DP oracle over the full L x L matrix of gap powers, one row per step."""
+    v = np.asarray(values, dtype=complex).reshape(-1)
+    L = v.shape[0]
+    if L <= 1:
+        return 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is never read
+        D = np.abs(v[:, None] - v[None, :]) ** r  # row j holds |v_j - v_i|^r
+    W = np.zeros(L)
+    for j in range(1, L):
+        W[j] = (W[:j] + D[j, :j]).max()
+    return float(W.max() ** (1.0 / r))
+
+
+def test_dp_kernel_bit_identical_to_the_matrix_recursion():
+    # the batch pads short sequences below their last entry; a maximum read
+    # over the padding rows would turn [0, inf] into nan under last-value padding
+    rng = np.random.default_rng(12)
+    seqs = [rng.normal(size=L) + 1j * rng.normal(size=L) for L in range(21)]
+    seqs += [np.full(7, 3.0 + 1.0j), np.array([0.0, np.inf]),
+             np.array([1.0, -0.5j, 2.0, np.inf]), np.array([0.0, np.nan, 1.0, 2.0])]
+    for r in (1.0, 1.7, 2.0, 2.5, 3.0, 4.0):
+        expect = [_dp_by_matrix(v, r) for v in seqs]
+        # assert_array_equal is exact and counts NaN equal to NaN
+        np.testing.assert_array_equal(variation._v_r_batch(seqs, r), expect)
+        np.testing.assert_array_equal([v_r_exact(v, r) for v in seqs], expect)
+        np.testing.assert_array_equal(variation._v_r_batch(seqs[::-1], r), expect[::-1])
+    assert variation._v_r_batch([], 2.0) == []
+    with pytest.raises(ValueError):
+        variation._v_r_batch(seqs, 0.5)
+
+
+def test_bruteforce_batch_equals_one_at_a_time():
+    rng = np.random.default_rng(9)
+    seqs = [rng.normal(size=L) + 1j * rng.normal(size=L)
+            for L in rng.permutation(np.repeat(np.arange(13), 3))]
+    for r in R_LADDER:
+        assert variation._bruteforce_batch(seqs, r) == [v_r_bruteforce(v, r) for v in seqs]
+    with pytest.raises(ValueError, match="capped"):
+        variation._bruteforce_batch([np.zeros(3), np.zeros(17)], 2.0)
+
+
 def test_bruteforce_bit_identical_to_the_recursion():
     rng = np.random.default_rng(7)
     for L in range(13):
@@ -329,8 +371,8 @@ def test_v_r_field_matches_pointwise_dp():
 
 @pytest.mark.parametrize("budget", [None, 400])
 def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
-    # the batched DP must reproduce v_r_exact exactly, root included; a budget
-    # of 400 entries splits every grid into several point chunks
+    # the batched DP must reproduce the matrix oracle exactly, root included;
+    # a budget of 400 entries splits every grid into several point chunks
     if budget is not None:
         monkeypatch.setattr(variation, "_DP_BUDGET", budget)
     cases = [
@@ -346,7 +388,7 @@ def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
         M = 2 * f.bandwidth + 3
         _, values = family_values_on_grid(f, P, M)
         for r in (1.0, 2.0, 2.5, 3.0):
-            assert v_r_field(f, P, M, r).flat.tolist() == [v_r_exact(row, r) for row in values]
+            assert v_r_field(f, P, M, r).flat.tolist() == [_dp_by_matrix(row, r) for row in values]
 
 
 def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
