@@ -4,14 +4,16 @@ Subcommands: triangulate, partial-sum, variation-field, verify, ratio,
 converge.  ``COMMANDS`` declares each one once: its help text, its handler
 and its options.  An option is a row ``(name, converter, default)``, with
 ``REQUIRED`` as the default of an option that must be given; a name without
-``--`` is a positional.  ``build_parser`` adds every row with no argparse
-``type``, so a flag arrives as a string, and ``_options`` takes each option
-from its flag, else from the JSON config file (--config), else its default.
-A flag and a config entry go through the same converter, and a value the
-converter cannot take exits 2 as ``bad value for <key>``.  A row whose
-converter is ``None`` is a path that a config file cannot set (--out,
---norms-out, triangulate's polytope) and reaches the handler as given; a
-subcommand with any other row also takes --config.
+``--`` is a positional.  ``main`` builds the parser of the invoked
+subcommand only, from its rows; ``build_parser`` builds every subcommand's
+parser, which only -h, a missing or an unknown subcommand needs.  Either adds
+each row with no argparse ``type``, so a flag arrives as a string, and
+``_options`` takes each option from its flag, else from the JSON config file
+(--config), else its default.  A flag and a config entry go through the
+same converter, and a value the converter cannot take exits 2 as ``bad value
+for <key>``.  A row whose converter is ``None`` is a path that a config file
+cannot set (--out, --norms-out, triangulate's polytope) and reaches the
+handler as given; a subcommand with any other row also takes --config.
 Every CSV output embeds the resolved configuration as '#' comment lines, and
 a fixed seed gives byte-identical output.
 """
@@ -210,6 +212,15 @@ def _options(rows, args) -> dict:
     return values
 
 
+def _add_options(parser: argparse.ArgumentParser, rows) -> argparse.ArgumentParser:
+    """Add one subcommand's option rows, and --config when a row takes one."""
+    for name, _, _, *doc in rows:
+        parser.add_argument(name, help=doc[0] if doc else None)
+    if any(row[1] is not None for row in rows):
+        parser.add_argument("--config")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysum",
@@ -217,17 +228,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, _, rows) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for name, _, _, *doc in rows:
-            p.add_argument(name, help=doc[0] if doc else None)
-        if any(row[1] is not None for row in rows):
-            p.add_argument("--config")
+        _add_options(sub.add_parser(command, help=text), rows)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> tuple[str, argparse.Namespace]:
+    """The invoked subcommand and its arguments.  An argv that starts with a
+    subcommand is parsed by that subcommand's parser alone; anything else
+    (-h, no or an unknown subcommand) goes to the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"polysum {argv[0]}")
+        return argv[0], _add_options(parser, COMMANDS[argv[0]][2]).parse_args(argv[1:])
     args = build_parser().parse_args(argv)
-    _, handler, rows = COMMANDS[args.command]
+    return args.command, args
+
+
+def main(argv=None) -> int:
+    command, args = _parse(argv)
+    _, handler, rows = COMMANDS[command]
     try:
         return handler(**_options(rows, args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:

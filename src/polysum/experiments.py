@@ -14,7 +14,6 @@ along its breakpoints.
 
 from __future__ import annotations
 
-import itertools
 import json
 import zlib
 from dataclasses import dataclass, asdict, field
@@ -36,7 +35,7 @@ from .geometry import (
     vertices_from_h,
     h_from_vertices,
 )
-from .generators import random_piece_points, random_polytope, random_trig_polynomial
+from .generators import _box, random_piece_points, random_polytope, random_trig_polynomial
 from .spectral import (
     TrigPolynomial,
     _direct_sum,
@@ -215,12 +214,13 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
     vals = X @ P.A.T
     srt = np.sort(vals, axis=1)
     clear = srt[:, -1] - srt[:, -2] > gap
+    top = np.argmax(vals, axis=1)
     violations = 0
     for k, pc in enumerate(pieces):
         rows = cone_halfspaces(pc, P)
         own = random_piece_points(pc, count, seed=seed + stride * k)
         violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
-        foreign = X[clear & (np.argmax(vals, axis=1) != pc.index)]
+        foreign = X[clear & (top != pc.index)]
         violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
     return float(violations)
 
@@ -426,11 +426,12 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     check = _checker(results, "spectral", label)
     rng = np.random.default_rng(seed)
     f = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed)
-    bps = breakpoints(f, P)
+    shells = _Shells(f, P)
+    bps = shells.breakpoints
     X = rng.random(size=(20, P.dim))
 
     check("step_constancy", step_constancy(f, P, X))
-    sat = float(np.max(np.abs(partial_sum(f, P, float(bps[-1]), X) - f.evaluate(X))))
+    sat = float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - f.evaluate(X))))
     check("saturation", sat)
     check("piecewise_equals_direct", piecewise_equals_direct(f, P, X))
     check("multiplier_partition", multiplier_partition(f, P, pieces))
@@ -631,10 +632,7 @@ def smooth_polynomial(dim: int, bandwidth: int) -> TrigPolynomial:
     """Coefficients (1 + |n|^2)^{-2} on the box |n_j| <= B; real and rapidly decaying."""
     if bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
-    freqs = np.array(
-        list(itertools.product(range(-bandwidth, bandwidth + 1), repeat=dim)),
-        dtype=np.int64,
-    )
+    freqs = _box(dim, bandwidth)
     coeffs = (1.0 + np.sum(freqs.astype(float) ** 2, axis=1)) ** -2.0
     return TrigPolynomial(dim, freqs, coeffs.astype(complex))
 

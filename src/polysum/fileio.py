@@ -132,15 +132,17 @@ def _index_columns(dim: int, resolution: int) -> np.ndarray:
     return np.indices((resolution,) * dim).reshape(dim, -1).T
 
 
+def _floats(part: np.ndarray) -> list:
+    """Entries as Python floats, also for an integer grid."""
+    return part.astype(float, copy=False).tolist()
+
+
 def write_grid_csv(samples: GridSamples, path, comments: Iterable[str] = ()) -> None:
     """Complex grid samples as rows (j_1, ..., j_d, re, im)."""
     idx = _index_columns(samples.dim, samples.resolution)
     header = [f"j{k + 1}" for k in range(samples.dim)] + ["re", "im"]
-    flat = samples.flat
-    rows = (
-        list(idx[i]) + [float(flat[i].real), float(flat[i].imag)]
-        for i in range(flat.shape[0])
-    )
+    re, im = (_floats(part) for part in (samples.flat.real, samples.flat.imag))
+    rows = (j + [x, y] for j, x, y in zip(idx.tolist(), re, im))
     write_csv(path, comments, header, rows)
 
 
@@ -148,6 +150,5 @@ def write_field_csv(samples: GridSamples, path, comments: Iterable[str] = ()) ->
     """Real nonnegative grid field as rows (j_1, ..., j_d, value)."""
     idx = _index_columns(samples.dim, samples.resolution)
     header = [f"j{k + 1}" for k in range(samples.dim)] + ["value"]
-    flat = samples.flat
-    rows = (list(idx[i]) + [float(flat[i].real)] for i in range(flat.shape[0]))
+    rows = (j + [v] for j, v in zip(idx.tolist(), _floats(samples.flat.real)))
     write_csv(path, comments, header, rows)

@@ -3,8 +3,6 @@ trigonometric polynomials.  Everything is deterministic per seed."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .geometry import Facet, HPolytope, h_from_vertices, VPolytope
@@ -51,6 +49,15 @@ def random_polytope(
     raise ValueError("rejection budget exhausted; loosen the margin or reseed")
 
 
+def _box(dim: int, bandwidth: int) -> np.ndarray:
+    """The lattice points of the box |n_j| <= B as int64 rows, in row-major
+    order (that of ``itertools.product``), so the last coordinate varies fastest."""
+    if dim < 1:
+        raise ValueError("dimension must be a positive integer")
+    side = 2 * bandwidth + 1
+    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T - bandwidth
+
+
 def random_trig_polynomial(
     dim: int,
     bandwidth: int,
@@ -68,10 +75,7 @@ def random_trig_polynomial(
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    lattice = np.array(
-        list(itertools.product(range(-bandwidth, bandwidth + 1), repeat=dim)),
-        dtype=np.int64,
-    )
+    lattice = _box(dim, bandwidth)
     keep = rng.random(lattice.shape[0]) < density
     k = int(keep.sum())
     coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)

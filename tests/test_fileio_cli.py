@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +17,12 @@ from polysum.fileio import (
     save_coefficients,
     save_polytope,
     write_csv,
+    write_field_csv,
+    write_grid_csv,
 )
 from polysum.geometry import gauge, hypercube, interval, triangulate
 from polysum.generators import random_trig_polynomial
+from polysum.variation import GridSamples
 
 
 @pytest.fixture
@@ -99,6 +107,18 @@ def test_write_csv_and_format(tmp_path):
     assert format_number(np.float64(0.1)) == "0.1"
     assert format_number(np.int64(3)) == "3"
     assert format_number(True) == "True"
+
+
+def test_write_grid_and_field_csv(tmp_path):
+    # integer samples are written as floats, and a -0.0 part keeps its sign
+    path = tmp_path / "t.csv"
+    write_grid_csv(GridSamples(2, 2, np.array([[1 + 2j, -0.5j], [3, 0.1]])), path, ["c"])
+    assert path.read_text() == ("# c\nj1,j2,re,im\n0,0,1.0,2.0\n0,1,-0.0,-0.5\n"
+                                "1,0,3.0,0.0\n1,1,0.1,0.0\n")
+    write_field_csv(GridSamples(1, 3, np.array([0, 2, 7])), path)
+    assert path.read_text() == "j1,value\n0,0.0\n1,2.0\n2,7.0\n"
+    write_grid_csv(GridSamples(1, 2, np.array([4, 5])), path)
+    assert path.read_text() == "j1,re,im\n0,4.0,0.0\n1,5.0,0.0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +324,68 @@ _SURFACE = {
 }
 
 
-def test_cli_surface():
-    import argparse
+def _surface(parser):
+    return ([a.dest for a in parser._actions if not a.option_strings],
+            {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"})
 
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    surface = {
-        command: ([a.dest for a in p._actions if not a.option_strings],
-                  {s for a in p._actions for s in a.option_strings} - {"-h", "--help"})
-        for command, p in sub.choices.items()
-    }
+
+def _built_parsers(monkeypatch):
+    """Every ArgumentParser built from now on, in construction order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_cli_surface(monkeypatch, capsys):
+    # the parser that main builds for each subcommand, and build_parser's subparser
+    built = _built_parsers(monkeypatch)
+    surface = {}
+    for command in _SURFACE:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: polysum {command} [-h]")
+        (parser,) = built
+        surface[command] = _surface(parser)
+        built.clear()
     assert surface == _SURFACE
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {command: _surface(p) for command, p in sub.choices.items()} == _SURFACE
+
+
+def test_cli_builds_one_parser_per_job(monkeypatch, tmp_path):
+    built = _built_parsers(monkeypatch)
+    assert cli.main(["ratio", "--bandwidths", "2", "--ensemble", "1",
+                     "--out", str(tmp_path / "ratio.csv")]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv,code", [(["-h"], 0), ([], 2), (["bogus"], 2)],
+                         ids=["help", "no_command", "unknown_command"])
+def test_cli_top_level(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    if code == 0:
+        listing = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert listing.split(",") == list(cli.COMMANDS) and len(cli.COMMANDS) == 6
+
+
+def test_cli_module_help_from_sys_argv():
+    # ``main()`` with no argv reads sys.argv, which the in-process tests never do
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for argv, usage in ((["--help"], "usage: polysum [-h]"),
+                        (["ratio", "--help"], "usage: polysum ratio [-h]")):
+        done = subprocess.run([sys.executable, "-m", "polysum.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0 and done.stdout.startswith(usage), done.stderr
 
 
 def test_cli_verify_pass_and_report(tmp_path, capsys):
@@ -382,10 +453,6 @@ def test_cli_missing_subcommand_errors():
 
 
 def test_verify_csv_identical_across_blas_thread_counts(square_file, coeff_file, tmp_path):
-    import os
-    import subprocess
-    import sys
-
     jobs = {
         "verify": (["verify", "--seed", "3"], ["out"]),
         "ratio": (["ratio", "--seed", "3", "--bandwidths", "4,8", "--ensemble", "2"], ["out"]),

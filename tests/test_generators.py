@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polysum.geometry import gauge, piece_contains, triangulate
 from polysum.generators import (
+    _box,
     random_piece_points,
     random_polytope,
     random_trig_polynomial,
 )
-from polysum.spectral import sample_grid
+from polysum.spectral import TrigPolynomial, sample_grid
 
 
 def test_random_polytope_is_deterministic_per_seed():
@@ -57,6 +60,20 @@ def test_random_trig_polynomial_determinism_and_parseval():
     assert abs(float(np.mean(np.abs(s.flat) ** 2)) - float(np.sum(np.abs(f1.coeffs) ** 2))) <= 1e-10
 
 
+@pytest.mark.parametrize("dim,bandwidth,density", [(1, 5, 1.0), (2, 4, 0.6), (3, 2, 0.8)])
+def test_random_trig_polynomial_matches_the_product_box(dim, bandwidth, density):
+    # the box in itertools.product order, with the same draws in the same order
+    rng = np.random.default_rng(13)
+    lattice = np.array(list(itertools.product(range(-bandwidth, bandwidth + 1), repeat=dim)),
+                       dtype=np.int64)
+    keep = rng.random(lattice.shape[0]) < density
+    k = int(keep.sum())
+    want = TrigPolynomial(dim, lattice[keep], rng.normal(size=k) + 1j * rng.normal(size=k))
+    f = random_trig_polynomial(dim, bandwidth, density, seed=13)
+    assert np.array_equal(_box(dim, bandwidth), lattice)
+    assert np.array_equal(f.freqs, want.freqs) and np.array_equal(f.coeffs, want.coeffs)
+
+
 def test_random_trig_polynomial_rejects_bad_arguments():
     with pytest.raises(ValueError):
         random_trig_polynomial(2, 0, 1.0, seed=0)
@@ -64,6 +81,8 @@ def test_random_trig_polynomial_rejects_bad_arguments():
         random_trig_polynomial(2, 3, 0.0, seed=0)
     with pytest.raises(ValueError):
         random_trig_polynomial(2, 3, 1.5, seed=0)
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        random_trig_polynomial(0, 3, 1.0, seed=0)
 
 
 def test_random_piece_points_stay_in_their_piece():
