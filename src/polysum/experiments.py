@@ -23,6 +23,7 @@ import numpy as np
 from . import fileio
 from .geometry import (
     HPolytope,
+    _row_max,
     cone_halfspaces,
     contains,
     gauge,
@@ -219,16 +220,23 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
     for k, pc in enumerate(pieces):
         rows = cone_halfspaces(pc, P)
         own = random_piece_points(pc, count, seed=seed + stride * k)
-        violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
+        violations += int(np.sum(_row_max(own @ rows.T) > 1e-9))
         foreign = X[clear & (top != pc.index)]
-        violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
+        violations += int(np.sum(_row_max(foreign @ rows.T) <= 0.0))
     return float(violations)
+
+
+# The four spectral checks below read f's shell plan; each public form builds
+# it, and verify hands one plan per instance to the private forms.
 
 
 def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |partial sum at the midpoint - at the left end| at X over the
     intervals between consecutive breakpoints of f (0 when there are none)."""
-    shells = _Shells(f, P)
+    return _step_constancy(f, _Shells(f, P), X)
+
+
+def _step_constancy(f: TrigPolynomial, shells: _Shells, X) -> float:
     bps = shells.breakpoints
     mids = 0.5 * (bps[:-1] + bps[1:])
     diff = _cutoff_sums(f, shells, mids, X, False) - _cutoff_sums(f, shells, bps[:-1], X, False)
@@ -237,7 +245,10 @@ def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
 
 def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
     """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
-    shells = _Shells(f, P)
+    return _piecewise_equals_direct(f, _Shells(f, P), X)
+
+
+def _piecewise_equals_direct(f: TrigPolynomial, shells: _Shells, X) -> float:
     bps = shells.breakpoints
     diff = _cutoff_sums(f, shells, bps, X, True) - _cutoff_sums(f, shells, bps, X, False)
     return float(np.max(np.abs(diff)))
@@ -245,8 +256,11 @@ def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
 
 def multiplier_partition(f: TrigPolynomial, P: HPolytope, pieces) -> float:
     """Largest |coefficient| of the sum of the cone multipliers of f minus f."""
-    owner = _Shells(f, P).owner
-    keeps = [owner == pc.index for pc in pieces]
+    return _multiplier_partition(f, _Shells(f, P), pieces)
+
+
+def _multiplier_partition(f: TrigPolynomial, shells: _Shells, pieces) -> float:
+    keeps = [shells.owner == pc.index for pc in pieces]
     diff = TrigPolynomial(f.dim, np.concatenate([f.freqs[k] for k in keeps] + [f.freqs]),
                           np.concatenate([f.coeffs[k] for k in keeps] + [-1.0 * f.coeffs]))
     return float(np.max(np.abs(diff.coeffs), initial=0.0))
@@ -255,9 +269,15 @@ def multiplier_partition(f: TrigPolynomial, P: HPolytope, pieces) -> float:
 def linearity(f: TrigPolynomial, g: TrigPolynomial, P: HPolytope, lam, X, alpha,
               beta) -> float:
     """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam."""
+    return _linearity(f, _Shells(f, P), g, lam, X, alpha, beta)
+
+
+def _linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, lam, X, alpha,
+               beta) -> float:
+    P = shells.P
     return float(np.max(np.abs(
         partial_sum(alpha * f + beta * g, P, lam, X)
-        - alpha * partial_sum(f, P, lam, X) - beta * partial_sum(g, P, lam, X))))
+        - alpha * _cutoff_sums(f, shells, lam, X, False) - beta * partial_sum(g, P, lam, X))))
 
 
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
@@ -430,14 +450,14 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     bps = shells.breakpoints
     X = rng.random(size=(20, P.dim))
 
-    check("step_constancy", step_constancy(f, P, X))
+    check("step_constancy", _step_constancy(f, shells, X))
     sat = float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - f.evaluate(X))))
     check("saturation", sat)
-    check("piecewise_equals_direct", piecewise_equals_direct(f, P, X))
-    check("multiplier_partition", multiplier_partition(f, P, pieces))
+    check("piecewise_equals_direct", _piecewise_equals_direct(f, shells, X))
+    check("multiplier_partition", _multiplier_partition(f, shells, pieces))
     g2 = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed + 1)
     lam = float(bps[len(bps) // 2])
-    check("linearity", linearity(f, g2, P, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
+    check("linearity", _linearity(f, shells, g2, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
     samples = sample_grid(f, default_resolution(f.bandwidth))
     check("parseval", parseval(f, samples), "err")
 

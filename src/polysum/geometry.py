@@ -181,9 +181,15 @@ def gauge(P: HPolytope, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != P.dim:
         raise ValueError(f"expected points with trailing dimension {P.dim}")
-    vals = x @ P.A.T
-    g = np.maximum(np.max(vals, axis=-1), 0.0)
+    g = np.maximum(_row_max(x @ P.A.T), 0.0)
     return float(g) if g.ndim == 0 else g
+
+
+def _row_max(vals: np.ndarray) -> np.ndarray:
+    """Maximum over the short trailing axis of vals, shape (..., m) -> (...)."""
+    # np.max(vals, axis=-1) gives the same maxima but is several times slower at small m
+    rows = vals.reshape(-1, vals.shape[-1]).T.copy()
+    return np.maximum.reduce(rows).reshape(vals.shape[:-1])
 
 
 def contains(P: HPolytope, x, lam):
@@ -313,7 +319,7 @@ def triangulate(P: HPolytope) -> list[Facet]:
 def assign_rows(P: HPolytope, x) -> int | np.ndarray:
     """Index of the first row attaining max_i a_i.x (vectorized piece label)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != P.dim:
+    if x.ndim == 0 or x.shape[-1] != P.dim:
         raise ValueError(f"expected points with trailing dimension {P.dim}")
     idx = np.argmax(x @ P.A.T, axis=-1)
     return int(idx) if idx.ndim == 0 else idx

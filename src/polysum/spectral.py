@@ -63,8 +63,9 @@ def _direct_sum(parts, x: np.ndarray) -> np.ndarray:
     ``parts`` is a list of (freqs (N_j, d), weights (K, N_j)) pairs; column k
     of the result is the sum over the parts, in order, of
     sum_n weights[k, n] exp(2 pi i n.x).  Points go in chunks of at most
-    _CHUNK_BUDGET phase entries, and each weight row is one matrix-vector
-    product over a part's phase chunk.
+    _CHUNK_BUDGET phase entries.  Each weight row is its own matrix-vector
+    product over a part's phase chunk, and the K of them go out as one
+    stacked ``matmul``; one matrix product would sum in another order.
     """
     pts = x.reshape(-1, x.shape[-1])
     n_total = sum(freqs.shape[0] for freqs, _ in parts)
@@ -74,8 +75,7 @@ def _direct_sum(parts, x: np.ndarray) -> np.ndarray:
         block = out[lo:lo + chunk]
         for freqs, weights in parts:
             phases = np.exp(_TWO_PI_I * (pts[lo:lo + chunk] @ freqs.T))
-            for k, w in enumerate(weights):
-                block[:, k] += phases @ w
+            block += np.matmul(phases, weights[:, :, None])[..., 0].T
     return out.reshape(x.shape[:-1] + out.shape[1:])
 
 

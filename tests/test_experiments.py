@@ -4,6 +4,7 @@ import pytest
 from polysum import spectral, variation
 from polysum.experiments import (
     BOUNDS,
+    _spectral_checks,
     default_resolution,
     field_vs_pointwise,
     multiplier_partition,
@@ -101,8 +102,11 @@ _X = np.random.default_rng(2).random((5, 2))
     (lambda: multiplier_partition(_F, hypercube(2), triangulate(hypercube(2))), (0, 1)),
     (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
                                 3.0, 7), (1, 0)),
+    # one plan each for f, g and their combination in linearity
+    (lambda: _spectral_checks([], hypercube(2), triangulate(hypercube(2)), "square", 59),
+     (3, 1)),
 ], ids=["family_at_point", "run_convergence", "step_constancy", "piecewise_equals_direct",
-        "multiplier_partition", "field_vs_pointwise"])
+        "multiplier_partition", "field_vs_pointwise", "_spectral_checks"])
 def test_one_shell_plan_per_call(gauge_calls, monkeypatch, call, passes):
     owner_calls = []
 

@@ -9,6 +9,7 @@ from polysum.geometry import (
     Facet,
     HPolytope,
     VPolytope,
+    assign_rows,
     cone_halfspaces,
     contains,
     cross_polytope,
@@ -57,8 +58,34 @@ def test_gauge_of_cross_polytope_is_l1_norm():
 
 
 def test_gauge_dimension_mismatch():
+    P = hypercube(2)
     with pytest.raises(ValueError):
-        gauge(hypercube(2), [1.0, 2.0, 3.0])
+        gauge(P, [1.0, 2.0, 3.0])
+    piece = triangulate(P)[0]
+    for op in (gauge, assign_rows, piece_assign, lambda P, x: piece_contains(piece, P, x)):
+        with pytest.raises(ValueError, match="trailing dimension 2"):
+            op(P, 3.0)  # a bare scalar is no 2-d point
+
+
+def test_gauge_equals_the_trailing_axis_maximum():
+    P = random_polytope(3, 9, seed=5)
+    rng = np.random.default_rng(6)
+
+    def reference(x):
+        return np.maximum(np.max(x @ P.A.T, axis=-1), 0.0)
+
+    x = rng.normal(size=3)
+    assert gauge(P, x) == float(reference(x))
+    for X in (rng.normal(size=(200, 3)), rng.normal(size=(4, 5, 3)), np.zeros((0, 3))):
+        got = gauge(P, X)
+        assert got.shape == X.shape[:-1] and np.array_equal(got, reference(X))
+    X = rng.normal(size=(6, 3))
+    X[0, 0], X[1, 1], X[2, 2], X[3] = np.nan, np.inf, -np.inf, [np.inf, -np.inf, 0.0]
+    X[4] = -0.0  # signed-zero products
+    with np.errstate(invalid="ignore"):  # inf * 0 in the row products
+        got, want = gauge(P, X), reference(X)
+    assert np.isnan(got[0]) and np.isnan(got[3])  # only a NaN's sign bit may differ
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @given(

@@ -504,6 +504,37 @@ def test_chunked_direct_evaluators_match_unchunked(monkeypatch):
         assert np.max(np.abs(ev() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _direct_sum_by_rows(parts, x):
+    # one phases @ w product per weight row, over the same point chunks
+    pts = x.reshape(-1, x.shape[-1])
+    out = np.zeros((pts.shape[0], parts[0][1].shape[0]), dtype=complex)
+    chunk = max(1, spectral._CHUNK_BUDGET // max(sum(fr.shape[0] for fr, _ in parts), 1))
+    for lo in range(0, pts.shape[0], chunk):
+        for freqs, weights in parts:
+            phases = np.exp(2j * np.pi * (pts[lo:lo + chunk] @ freqs.T))
+            for k, w in enumerate(weights):
+                out[lo:lo + chunk, k] += phases @ w
+    return out.reshape(x.shape[:-1] + out.shape[1:])
+
+
+@pytest.mark.parametrize("budget", [None, 200], ids=["default_budget", "small_budget"])
+@pytest.mark.parametrize("K", [0, 1, 37])
+def test_direct_sum_equals_one_product_per_cutoff(monkeypatch, budget, K):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_CHUNK_BUDGET", budget)  # a few points per chunk
+    rng = np.random.default_rng(K)
+    parts = []
+    for n in (13, 0, 40, 1):  # pieces of a fan, one of them empty
+        freqs = rng.integers(-6, 7, size=(n, 2))
+        weights = (rng.normal(size=(K, n)) + 1j * rng.normal(size=(K, n))) * (
+            rng.random((K, n)) < 0.6)
+        parts.append((freqs, weights))
+    for x in (rng.random((3, 7, 2)), rng.random(2), np.zeros((0, 2))):
+        got = spectral._direct_sum(parts, x)
+        assert got.shape == x.shape[:-1] + (K,)
+        assert np.array_equal(got, _direct_sum_by_rows(parts, x))
+
+
 def test_direct_evaluators_stay_within_the_chunk_budget(monkeypatch):
     P = hypercube(2)
     f = random_trig_polynomial(2, 4, 1.0, seed=34)
