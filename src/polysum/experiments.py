@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fileio
 from .geometry import (
+    GEO_TOL,
     HPolytope,
     _row_max,
     cone_halfspaces,
@@ -41,12 +42,11 @@ from .spectral import (
     TrigPolynomial,
     _direct_sum,
     _Shells,
+    _cone_multiplier,
     _cutoff_sums,
     _frozen_rows,
     _grid_family,
     _halfspace_keep,
-    breakpoints,
-    cone_multiplier,
     family_values_on_grid,
     grid_points,
     halfspace_multiplier,
@@ -174,10 +174,22 @@ def roundtrip(P: HPolytope, X, g) -> float:
     return float(np.max(np.abs(g - gauge(P2, X)) / (1.0 + g)))
 
 
+def _worst(margins) -> float:
+    """Largest of the margins, NaN if any is NaN; the built-in ``max`` keeps a
+    NaN only when it comes first, so a NaN margin could pass its bound."""
+    return float(np.max(np.fromiter(margins, dtype=float)))
+
+
 def _piece_counts(P: HPolytope, pieces, X) -> np.ndarray:
-    """Number of closed pieces containing each point of X; ``cover`` and
-    ``disjoint`` both read it, so callers build it once."""
-    return np.stack([piece_contains(pc, P, X) for pc in pieces]).sum(axis=0)
+    """Number of closed pieces containing each point of X, by the test of
+    :func:`piece_contains` on the columns of one row product and its row
+    maximum (the gauge); ``cover`` and ``disjoint`` both read it, so callers
+    build it once."""
+    vals = X @ P.A.T
+    g = np.maximum(_row_max(vals), 0.0)
+    rows = vals[:, [pc.index for pc in pieces]]
+    b = np.array([pc.b for pc in pieces])
+    return np.sum((rows >= g[:, None] - GEO_TOL) & (rows <= b + GEO_TOL), axis=1)
 
 
 def cover(counts) -> float:
@@ -193,11 +205,10 @@ def disjoint(P: HPolytope, X, counts) -> float:
 
 
 def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
-    """Largest gauge - 1 over ``count`` random points of each piece k (seed ``seed + k``)."""
-    return max(
-        float(np.max(gauge(P, random_piece_points(pc, count, seed=seed + k)))) - 1.0
-        for k, pc in enumerate(pieces)
-    )
+    """Largest gauge - 1 over ``count`` random points of each piece k (seed
+    ``seed + k``), all pieces' points in one ``gauge`` call."""
+    samples = [random_piece_points(pc, count, seed=seed + k) for k, pc in enumerate(pieces)]
+    return float(np.max(gauge(P, np.concatenate(samples)))) - 1.0
 
 
 def assign_in_piece(P: HPolytope, pieces, X) -> float:
@@ -211,18 +222,26 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
                     stride: int) -> float:
     """Violations of the cone half-spaces of each piece k: its own ``count``
     random points (seed ``seed + stride * k``) outside them by > 1e-9, and points
-    of X whose top row is another piece's, ahead by > ``gap``, inside them."""
+    of X whose top row is another piece's, ahead by > ``gap``, inside them.
+    Every piece's rows are stacked, each padded to the longest by repeating
+    its last row, so each point set takes one product for all pieces."""
     vals = X @ P.A.T
     srt = np.sort(vals, axis=1)
     clear = srt[:, -1] - srt[:, -2] > gap
-    top = np.argmax(vals, axis=1)
-    violations = 0
-    for k, pc in enumerate(pieces):
-        rows = cone_halfspaces(pc, P)
-        own = random_piece_points(pc, count, seed=seed + stride * k)
-        violations += int(np.sum(_row_max(own @ rows.T) > 1e-9))
-        foreign = X[clear & (top != pc.index)]
-        violations += int(np.sum(_row_max(foreign @ rows.T) <= 0.0))
+    top = np.argmax(vals, axis=1)[clear]
+    walls = [cone_halfspaces(pc, P) for pc in pieces]
+    width = max(w.shape[0] for w in walls)
+    stack = np.concatenate([w[np.minimum(np.arange(width), w.shape[0] - 1)] for w in walls])
+
+    def wall_max(points):  # (points, pieces): each piece's largest wall value
+        return _row_max((points @ stack.T).reshape(points.shape[0], len(pieces), width))
+
+    own = wall_max(np.concatenate([random_piece_points(pc, count, seed=seed + stride * k)
+                                   for k, pc in enumerate(pieces)]))
+    piece = np.repeat(np.arange(len(pieces)), count)
+    violations = np.sum(own[np.arange(piece.shape[0]), piece] > 1e-9)
+    index = np.array([pc.index for pc in pieces])
+    violations += np.sum((wall_max(X[clear]) <= 0.0) & (top[:, None] != index))
     return float(violations)
 
 
@@ -284,18 +303,20 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
     """Largest |cone-restricted - frozen 1-d partial sum| at every breakpoint and
     grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
     Every x' row freezes at once, as ``freeze`` does; the frozen sum at lam keeps
-    the n_1 with a_1 n_1 <= lam b, for all x' and lam at once."""
+    the n_1 with a_1 n_1 <= lam b, for all x' and lam at once.  One shell plan
+    of f serves the breakpoints and every piece's frequencies."""
     M = resolution
-    bps = breakpoints(f, P)
+    shells = _Shells(f, P)
+    bps = shells.breakpoints
     xs = (np.arange(M) / M)[:, None]
     xprimes = grid_points(f.dim - 1, M)
     worst = 0.0
     for pc in pieces:
         try:
-            n1, frozen = _frozen_rows(f, P, pc, xprimes)
+            n1, frozen = _frozen_rows(f, shells, pc, xprimes)
         except ValueError:  # not axis-aligned: freezing is undefined on this piece
             continue
-        restricted = cone_multiplier(f, pc, P)
+        restricted = _cone_multiplier(f, shells, pc)
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
         lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
@@ -309,13 +330,14 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
     """Frequencies where the composed closed half-space cutoffs of a piece's cone
     differ from its assigned cone cutoff other than on a boundary shared with a
     lower-indexed piece."""
+    shells = _Shells(f, P)
     violations = 0
     for pc in pieces:
         composed = f
         for a in cone_halfspaces(pc, P):
             composed = halfspace_multiplier(composed, a, 0.0)
         comp = dict(composed)
-        assg = dict(cone_multiplier(f, pc, P))
+        assg = dict(_cone_multiplier(f, shells, pc))
         for n, c in assg.items():
             violations += int(abs(comp.get(n, 0.0j) - c) > 0.0)
         for n in set(comp) - set(assg):
@@ -327,26 +349,26 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
 
 def dp_equals_bruteforce(seqs, rs) -> float:
     """Largest |DP - exhaustive| r-variation over the sequences and exponents."""
-    return max(abs(a - b) for r in rs
-               for a, b in zip(_v_r_batch(seqs, r), _bruteforce_batch(seqs, r)))
+    return _worst(abs(a - b) for r, brute in zip(rs, _bruteforce_batch(seqs, rs))
+                  for a, b in zip(_v_r_batch(seqs, r), brute))
 
 
 def r_monotonicity(seqs) -> float:
     """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4."""
     ladder = [_v_r_batch(seqs, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
-    return max(b - a for lo, hi in zip(ladder, ladder[1:]) for a, b in zip(lo, hi))
+    return _worst(b - a for lo, hi in zip(ladder, ladder[1:]) for a, b in zip(lo, hi))
 
 
 def scaling(seqs, cs) -> float:
     """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars."""
     scaled = _v_r_batch([c * v for v, c in zip(seqs, cs)], 3.0)
-    return max(abs(a - abs(c) * b) / (1.0 + abs(c))
-               for a, b, c in zip(scaled, _v_r_batch(seqs, 3.0), cs))
+    return _worst(abs(a - abs(c) * b) / (1.0 + abs(c))
+                  for a, b, c in zip(scaled, _v_r_batch(seqs, 3.0), cs))
 
 
 def maximal_control(seqs) -> float:
     """Largest sup_k |v_k| - |v_0| - V_3(v); the triangle inequality makes it <= 0."""
-    return max(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, _v_r_batch(seqs, 3.0)))
+    return _worst(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, _v_r_batch(seqs, 3.0)))
 
 
 def concatenation(seqs, cuts) -> float:
@@ -354,7 +376,7 @@ def concatenation(seqs, cuts) -> float:
     and cut indices; a subsequence never has more variation, so it is <= 0."""
     heads = _v_r_batch([v[: cut + 1] for v, cut in zip(seqs, cuts)], 3.0)
     tails = _v_r_batch([v[cut:] for v, cut in zip(seqs, cuts)], 3.0)
-    return max(max(a, b) - w for a, b, w in zip(heads, tails, _v_r_batch(seqs, 3.0)))
+    return _worst(np.maximum(heads, tails) - _v_r_batch(seqs, 3.0))
 
 
 def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: float,
@@ -364,17 +386,17 @@ def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: f
     pts = grid_points(f.dim, field.resolution)[::stride]
     shells = _Shells(f, P)
     fams = _cutoff_sums(f, shells, shells.breakpoints, pts, by_pieces=False)
-    return max(abs(v - w) for v, w in zip(field.flat[::stride], _v_r_batch(fams, r)))
+    return _worst(abs(v - w) for v, w in zip(field.flat[::stride], _v_r_batch(fams, r)))
 
 
 def weak_le_strong(samples, ps) -> float:
     """Largest weak-L^p minus L^p norm over nonnegative grid samples and exponents."""
-    return max(weak_lp_norm(h, p) - lp_norm(h, p) for h in samples for p in ps)
+    return _worst(weak_lp_norm(h, p) - lp_norm(h, p) for h in samples for p in ps)
 
 
 def fubini_slices(h: GridSamples, alphas) -> float:
     """Largest |global - slice-averaged| distribution function of h."""
-    return max(abs(a - b) for a, b in (fubini_slice_check(h, al) for al in alphas))
+    return _worst(abs(a - b) for a, b in (fubini_slice_check(h, al) for al in alphas))
 
 
 def parseval(f: TrigPolynomial, samples: GridSamples) -> float:

@@ -14,7 +14,7 @@ over the neighbouring rows j.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class HPolytope:
     dim: int
     A: np.ndarray
     b: np.ndarray | None = None
+    # vertex form, stored by the first vertices_from_h(self)
+    _vertices: VPolytope | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -244,7 +246,15 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
 
 def vertices_from_h(P: HPolytope) -> VPolytope:
     """Vertices as the feasible intersections of d tight rows, over all C(m, d)
-    row tuples.  Raises ``ValueError`` on unbounded or lower-dimensional input."""
+    row tuples.  Raises ``ValueError`` on unbounded or lower-dimensional input.
+
+    Each polytope object is enumerated once: the result is stored on P and
+    later calls return it, so ``validate``, :func:`triangulate` and the round
+    trip share one enumeration.  P's rows and the vertices are read-only, so
+    sharing is safe; a failed enumeration is not stored and raises again.
+    """
+    if P._vertices is not None:
+        return P._vertices
     if not _bounded_rows(P.A):
         raise ValueError("unbounded: row normals do not positively span R^d")
     found = []
@@ -260,7 +270,8 @@ def vertices_from_h(P: HPolytope) -> VPolytope:
     verts = _dedup_points(found, DEDUP_TOL)
     if verts.shape[0] < P.dim + 1:
         raise ValueError("degenerate input: fewer than d+1 vertices")
-    return VPolytope(P.dim, verts)
+    P._vertices = VPolytope(P.dim, verts)
+    return P._vertices
 
 
 def h_from_vertices(Q: VPolytope) -> HPolytope:

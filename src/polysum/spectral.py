@@ -313,8 +313,9 @@ def _axis_aligned(a: np.ndarray) -> bool:
     return bool(a[0] != 0.0 and np.linalg.norm(a[1:]) <= 1e-12 * abs(a[0]))
 
 
-def _frozen_rows(f: TrigPolynomial, P: HPolytope, piece: Facet, xprimes: np.ndarray):
-    """The piece's frequencies collapsed onto n_1 at each x' row of xprimes.
+def _frozen_rows(f: TrigPolynomial, shells: _Shells, piece: Facet, xprimes: np.ndarray):
+    """The piece's frequencies, by f's shell plan, collapsed onto n_1 at each x'
+    row of xprimes.
 
     Returns (n1, rows): the piece's distinct n_1, shape (N_1, 1), and rows of
     shape (len(xprimes), N_1), entry (x', n_1) the sum over its frequencies
@@ -324,7 +325,7 @@ def _frozen_rows(f: TrigPolynomial, P: HPolytope, piece: Facet, xprimes: np.ndar
             "freezing needs a facet normal of +-e_1; rotations do not preserve "
             "the integer lattice"
         )
-    sel = _Shells(f, P).owner == piece.index
+    sel = shells.owner == piece.index
     n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
     weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (xprimes @ f.freqs[sel, 1:].T))
     rows = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
@@ -346,7 +347,7 @@ def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynom
     xprime = np.asarray(xprime, dtype=float).reshape(-1)
     if xprime.shape[0] != f.dim - 1:
         raise ValueError("x' must have d-1 coordinates")
-    n1, rows = _frozen_rows(f, P, piece, xprime[None])
+    n1, rows = _frozen_rows(f, _Shells(f, P), piece, xprime[None])
     return TrigPolynomial(1, n1, rows[0])
 
 
@@ -356,7 +357,12 @@ def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolyno
     Idempotent; summing the outputs over all pieces of a fan reproduces f
     coefficient for coefficient.
     """
-    keep = _Shells(f, P).owner == piece.index
+    return _cone_multiplier(f, _Shells(f, P), piece)
+
+
+def _cone_multiplier(f: TrigPolynomial, shells: _Shells, piece: Facet) -> TrigPolynomial:
+    """:func:`cone_multiplier` on the caller's shell plan of f."""
+    keep = shells.owner == piece.index
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 
 

@@ -137,15 +137,17 @@ def v_r_bruteforce(values, r: float) -> float:
     Chain m is the index subset with bitmask m; its gap sum extends the chain
     without its top bit j by the gap from that chain's last index to j, so
     sweeping j = 0..L-1 fills all 2^L chains, each summed left to right.  The
-    length is capped at 16.  One sequence of ``_bruteforce_batch``.
+    length is capped at 16.  One sequence and one exponent of
+    ``_bruteforce_batch``.
     """
-    return _bruteforce_batch([values], r)[0]
+    return _bruteforce_batch([values], (r,))[0][0]
 
 
-def _bruteforce_batch(seqs, r: float) -> list[float]:
-    """:func:`v_r_bruteforce` of each sequence: equal-length sequences are the
-    rows of one chain sweep, and chains never mix across rows."""
-    if not 1.0 <= r < np.inf:
+def _bruteforce_batch(seqs, rs) -> list[list[float]]:
+    """:func:`v_r_bruteforce` of each sequence at each exponent of ``rs``, as
+    one list per exponent: the (exponent, sequence) pairs of equal length are
+    the rows of one chain sweep, and chains never mix across rows."""
+    if not all(1.0 <= r < np.inf for r in rs):
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
     rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
     if any(v.shape[0] > BRUTE_FORCE_CAP for v in rows):
@@ -154,16 +156,18 @@ def _bruteforce_batch(seqs, r: float) -> list[float]:
     for L in {v.shape[0] for v in rows}:
         ks = [k for k, v in enumerate(rows) if v.shape[0] == L]
         v = np.stack([rows[k] for k in ks])
-        D = np.abs(v[:, None, :] - v[:, :, None]) ** r
-        acc = np.zeros((len(ks), 2**L))  # gap sum of chain m, one row per sequence
+        gaps = np.abs(v[:, None, :] - v[:, :, None])
+        D = np.concatenate([gaps ** r for r in rs])  # row e * len(ks) + i: rs[e], ks[i]
+        acc = np.zeros((D.shape[0], 2**L))  # gap sum of chain m, one row per pair
         last = np.zeros(2**L, dtype=np.intp)  # top index of chain m
         for j in range(L):
             lo = 1 << j
             acc[:, lo + 1 : 2 * lo] = acc[:, 1:lo] + D[:, last[1:lo], j]
             last[lo : 2 * lo] = j
         # a NaN chain never beats the running best of a left-to-right scan
-        best.update(zip(ks, np.nanmax(acc, axis=1).tolist()))
-    return [best[k] ** (1.0 / r) for k in range(len(rows))]
+        pairs = [(e, k) for e in range(len(rs)) for k in ks]
+        best.update(zip(pairs, np.nanmax(acc, axis=1).tolist()))
+    return [[best[e, k] ** (1.0 / r) for k in range(len(rows))] for e, r in enumerate(rs)]
 
 
 def sup_family(values) -> float:

@@ -5,15 +5,22 @@ from polysum import spectral, variation
 from polysum.experiments import (
     BOUNDS,
     _spectral_checks,
+    concatenation,
     default_resolution,
+    dp_equals_bruteforce,
     field_vs_pointwise,
+    freezing_identity,
+    maximal_control,
     multiplier_partition,
     piecewise_equals_direct,
+    r_monotonicity,
     run_convergence,
     run_ratio_experiment,
     run_verify,
+    scaling,
     smooth_polynomial,
     step_constancy,
+    weak_le_strong,
 )
 from polysum.fileio import save_polytope
 from polysum.generators import random_trig_polynomial
@@ -105,8 +112,10 @@ _X = np.random.default_rng(2).random((5, 2))
     # one plan each for f, g and their combination in linearity
     (lambda: _spectral_checks([], hypercube(2), triangulate(hypercube(2)), "square", 59),
      (3, 1)),
+    # f's plan, then one of each of the two +-e_1 pieces' restrictions
+    (lambda: freezing_identity(_F, hypercube(2), triangulate(hypercube(2)), 11), (3, 1)),
 ], ids=["family_at_point", "run_convergence", "step_constancy", "piecewise_equals_direct",
-        "multiplier_partition", "field_vs_pointwise", "_spectral_checks"])
+        "multiplier_partition", "field_vs_pointwise", "_spectral_checks", "freezing_identity"])
 def test_one_shell_plan_per_call(gauge_calls, monkeypatch, call, passes):
     owner_calls = []
 
@@ -117,6 +126,30 @@ def test_one_shell_plan_per_call(gauge_calls, monkeypatch, call, passes):
     monkeypatch.setattr(spectral, "assign_rows", counted)
     call()
     assert (len(gauge_calls), len(owner_calls)) == passes
+
+
+_OK = np.array([0.0, 1.0 + 1.0j, 2.0])
+_NAN = np.array([0.0, np.nan, 1.0])
+_GRID = GridSamples(2, 3, np.arange(9.0).reshape(3, 3))
+_NAN_GRID = GridSamples(2, 3, np.where(np.arange(9) == 4, np.nan, np.arange(9.0)).reshape(3, 3))
+
+
+_NAN_CASES = [
+    ("dp_equals_bruteforce", lambda seqs: dp_equals_bruteforce(seqs, (2.0,)), _OK, _NAN),
+    ("r_monotonicity", r_monotonicity, _OK, _NAN),
+    ("scaling", lambda seqs: scaling(seqs, [1.5, 1.5]), _OK, _NAN),
+    ("maximal_control", maximal_control, _OK, _NAN),
+    ("concatenation", lambda seqs: concatenation(seqs, [1, 1]), _OK, _NAN),
+    ("weak_le_strong", lambda grids: weak_le_strong(grids, (1.0, 2.0)), _GRID, _NAN_GRID),
+]
+
+
+@pytest.mark.parametrize("kind, check, ok, bad", _NAN_CASES, ids=[c[0] for c in _NAN_CASES])
+def test_a_nan_margin_fails_wherever_it_falls(kind, check, ok, bad):
+    # the built-in max keeps a NaN only in first place
+    for inputs in ([ok, bad], [bad, ok]):
+        margin = check(inputs)
+        assert np.isnan(margin) and not margin <= BOUNDS[kind], inputs
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

@@ -25,7 +25,7 @@ from polysum.geometry import (
     vertices_from_h,
 )
 from polysum import experiments
-from polysum.generators import random_polytope
+from polysum.generators import random_piece_points, random_polytope
 
 
 def _sorted_rows(A):
@@ -257,6 +257,42 @@ def test_vertices_rejects_unbounded():
                 vertices_from_h(HPolytope(dim, A))
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """One entry per vertex enumeration, counted at its boundedness test."""
+    from polysum import geometry
+
+    calls = []
+    bounded = geometry._bounded_rows
+
+    def counted(A):
+        calls.append(1)
+        return bounded(A)
+
+    monkeypatch.setattr(geometry, "_bounded_rows", counted)
+    return calls
+
+
+def test_each_polytope_is_enumerated_once(enumerations):
+    P = random_polytope(2, 7, seed=3)
+    enumerations.clear()  # random_polytope enumerates the polars it tries
+    assert vertices_from_h(P) is vertices_from_h(P)
+    P.validate()
+    assert len(triangulate(P)) == P.m and len(enumerations) == 1
+    assert not vertices_from_h(P).vertices.flags.writeable
+    # a failed enumeration is not stored: it raises again
+    unbounded = HPolytope(2, [[1, 0], [0, 1], [1, 1]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unbounded"):
+            vertices_from_h(unbounded)
+    assert len(enumerations) == 3
+
+
+def test_run_verify_enumerates_each_polytope_once(enumerations):
+    experiments.run_verify(seed=42)
+    assert len(enumerations) == 21  # one enumeration per use makes 27
+
+
 def test_enumeration_in_four_dimensions():
     P = hypercube(4)
     assert gauge(P, [0.5, -0.25, 0.1, 0.9]) == 0.9
@@ -406,6 +442,55 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
     vals = np.sort(X @ P.A.T, axis=1)
     assert np.sum(vals[:, -1] - vals[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
     assert experiments.disjoint(P, X, counts) == 0
+
+
+# per-piece forms of the batched fan checks: one membership, gather and
+# product per piece, as the checks were first written
+def _piece_counts_per_piece(P, pieces, X):
+    return np.stack([piece_contains(pc, P, X) for pc in pieces]).sum(axis=0)
+
+
+def _piece_bounded_per_piece(P, pieces, count, seed):
+    return max(float(np.max(gauge(P, random_piece_points(pc, count, seed=seed + k)))) - 1.0
+               for k, pc in enumerate(pieces))
+
+
+def _cone_rows_agree_per_piece(P, pieces, X, gap, count, seed, stride):
+    vals = X @ P.A.T
+    srt = np.sort(vals, axis=1)
+    clear = srt[:, -1] - srt[:, -2] > gap
+    top = np.argmax(vals, axis=1)
+    violations = 0
+    for k, pc in enumerate(pieces):
+        rows = cone_halfspaces(pc, P)
+        own = random_piece_points(pc, count, seed=seed + stride * k)
+        violations += int(np.sum(np.max(own @ rows.T, axis=1) > 1e-9))
+        foreign = X[clear & (top != pc.index)]
+        violations += int(np.sum(np.max(foreign @ rows.T, axis=1) <= 0.0))
+    return float(violations)
+
+
+_FAN_INSTANCES = [random_polytope(2, 4 + k % 5, seed=300 + k) for k in range(12)]
+_FAN_INSTANCES += [random_polytope(3, 4 + k % 3, seed=400 + k) for k in range(8)]
+_FAN_INSTANCES += [hypercube(2), hypercube(2, radius=1.009), cross_polytope(3), hypercube(3),
+                   HPolytope(2, [[1, 2], [-3, 1], [1, -1], [-1, -2], [2, -5]], [5, 7, 3, 4, 11])]
+
+
+@pytest.mark.parametrize("k", range(len(_FAN_INSTANCES)))
+def test_batched_fan_checks_equal_their_per_piece_forms(k):
+    P = _FAN_INSTANCES[k]
+    pieces = triangulate(P)
+    rng = np.random.default_rng(k)
+    X = rng.uniform(-1.5, 1.5, size=(10_000, P.dim))
+    inside = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
+    for Y in (X, inside):
+        assert np.array_equal(experiments._piece_counts(P, pieces, Y),
+                              _piece_counts_per_piece(P, pieces, Y))
+        for gap, stride in ((1e-7, 1), (0.0, 31)):
+            assert (experiments.cone_rows_agree(P, pieces, Y, gap, 500, k, stride)
+                    == _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride))
+    assert (experiments.piece_bounded(P, pieces, 500, k)
+            == _piece_bounded_per_piece(P, pieces, 500, k))
 
 
 def test_piece_boundedness():

@@ -124,10 +124,10 @@ def test_bruteforce_batch_equals_one_at_a_time():
     rng = np.random.default_rng(9)
     seqs = [rng.normal(size=L) + 1j * rng.normal(size=L)
             for L in rng.permutation(np.repeat(np.arange(13), 3))]
-    for r in R_LADDER:
-        assert variation._bruteforce_batch(seqs, r) == [v_r_bruteforce(v, r) for v in seqs]
+    assert variation._bruteforce_batch(seqs, R_LADDER) == [
+        [v_r_bruteforce(v, r) for v in seqs] for r in R_LADDER]
     with pytest.raises(ValueError, match="capped"):
-        variation._bruteforce_batch([np.zeros(3), np.zeros(17)], 2.0)
+        variation._bruteforce_batch([np.zeros(3), np.zeros(17)], (2.0,))
 
 
 def test_bruteforce_bit_identical_to_the_recursion():
