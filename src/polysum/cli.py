@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     _, handler, rows = COMMANDS[command]
     try:
         return handler(**_options(rows, args))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

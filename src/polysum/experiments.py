@@ -30,8 +30,6 @@ from .geometry import (
     gauge,
     hypercube,
     cross_polytope,
-    piece_assign,
-    piece_contains,
     rotation_to_e1,
     triangulate,
     vertices_from_h,
@@ -180,16 +178,20 @@ def _worst(margins) -> float:
     return float(np.max(np.fromiter(margins, dtype=float)))
 
 
-def _piece_counts(P: HPolytope, pieces, X) -> np.ndarray:
-    """Number of closed pieces containing each point of X, by the test of
-    :func:`piece_contains` on the columns of one row product and its row
-    maximum (the gauge); ``cover`` and ``disjoint`` both read it, so callers
-    build it once."""
+def _row_table(P: HPolytope, X):
+    """Row values ``X @ P.A.T``, each point's sorted values and its top row (the
+    lowest index attaining the maximum, as :func:`piece_assign`)."""
     vals = X @ P.A.T
+    return vals, np.sort(vals, axis=1), np.argmax(vals, axis=1)
+
+
+def _members(pieces, vals) -> np.ndarray:
+    """Closed membership (points, pieces) of points with row values ``vals``:
+    the test of :func:`piece_contains` on its columns and row maximum (the gauge)."""
     g = np.maximum(_row_max(vals), 0.0)
     rows = vals[:, [pc.index for pc in pieces]]
     b = np.array([pc.b for pc in pieces])
-    return np.sum((rows >= g[:, None] - GEO_TOL) & (rows <= b + GEO_TOL), axis=1)
+    return (rows >= g[:, None] - GEO_TOL) & (rows <= b + GEO_TOL)
 
 
 def cover(counts) -> float:
@@ -199,9 +201,12 @@ def cover(counts) -> float:
 
 def disjoint(P: HPolytope, X, counts) -> float:
     """Points of X off piece boundaries (top row ahead by > 1e-7) that lie in two pieces."""
-    srt = np.sort(X @ P.A.T, axis=1)
-    unique_arg = srt[:, -1] - srt[:, -2] > 1e-7
-    return float(np.sum(counts[unique_arg] > 1))
+    return _disjoint(_row_table(P, X)[1], counts)
+
+
+def _disjoint(srt, counts) -> float:
+    """:func:`disjoint` on the points' sorted row values."""
+    return float(np.sum(counts[srt[:, -1] - srt[:, -2] > 1e-7] > 1))
 
 
 def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
@@ -213,9 +218,13 @@ def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
 
 def assign_in_piece(P: HPolytope, pieces, X) -> float:
     """Points of X outside the closed piece that ``piece_assign`` gives them."""
-    assigned = piece_assign(P, X)
-    return float(sum(np.sum(~piece_contains(pc, P, X[assigned == k]))
-                     for k, pc in enumerate(pieces)))
+    vals, _, top = _row_table(P, X)
+    return _assign_in_piece(_members(pieces, vals), top)
+
+
+def _assign_in_piece(members, top) -> float:
+    """:func:`assign_in_piece` on the points' piece membership and top rows."""
+    return float(np.sum(~members[np.arange(top.shape[0]), top]))
 
 
 def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
@@ -225,10 +234,14 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
     of X whose top row is another piece's, ahead by > ``gap``, inside them.
     Every piece's rows are stacked, each padded to the longest by repeating
     its last row, so each point set takes one product for all pieces."""
-    vals = X @ P.A.T
-    srt = np.sort(vals, axis=1)
+    _, srt, top = _row_table(P, X)
+    return _cone_rows_agree(P, pieces, X, srt, top, gap, count, seed, stride)
+
+
+def _cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, seed: int,
+                     stride: int) -> float:
+    """:func:`cone_rows_agree` on the sorted row values and top rows of X."""
     clear = srt[:, -1] - srt[:, -2] > gap
-    top = np.argmax(vals, axis=1)[clear]
     walls = [cone_halfspaces(pc, P) for pc in pieces]
     width = max(w.shape[0] for w in walls)
     stack = np.concatenate([w[np.minimum(np.arange(width), w.shape[0] - 1)] for w in walls])
@@ -241,7 +254,7 @@ def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
     piece = np.repeat(np.arange(len(pieces)), count)
     violations = np.sum(own[np.arange(piece.shape[0]), piece] > 1e-9)
     index = np.array([pc.index for pc in pieces])
-    violations += np.sum((wall_max(X[clear]) <= 0.0) & (top[:, None] != index))
+    violations += np.sum((wall_max(X[clear]) <= 0.0) & (top[clear][:, None] != index))
     return float(violations)
 
 
@@ -288,14 +301,15 @@ def _multiplier_partition(f: TrigPolynomial, shells: _Shells, pieces) -> float:
 def linearity(f: TrigPolynomial, g: TrigPolynomial, P: HPolytope, lam, X, alpha,
               beta) -> float:
     """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam."""
-    return _linearity(f, _Shells(f, P), g, lam, X, alpha, beta)
+    return _linearity(f, _Shells(f, P), g, alpha * f + beta * g, lam, X, alpha, beta)
 
 
-def _linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, lam, X, alpha,
-               beta) -> float:
+def _linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial,
+               lam, X, alpha, beta) -> float:
+    """:func:`linearity` on f's plan and the caller's combination alpha f + beta g."""
     P = shells.P
     return float(np.max(np.abs(
-        partial_sum(alpha * f + beta * g, P, lam, X)
+        partial_sum(combo, P, lam, X)
         - alpha * _cutoff_sums(f, shells, lam, X, False) - beta * partial_sum(g, P, lam, X))))
 
 
@@ -329,18 +343,20 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
 def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
     """Frequencies where the composed closed half-space cutoffs of a piece's cone
     differ from its assigned cone cutoff other than on a boundary shared with a
-    lower-indexed piece."""
-    shells = _Shells(f, P)
+    lower-indexed piece.  Both cutoffs are read as masks over f's support."""
+    owner = _Shells(f, P).owner
+    key = np.dtype((np.void, f.freqs.itemsize * f.dim))  # one byte string per frequency
     violations = 0
     for pc in pieces:
         composed = f
         for a in cone_halfspaces(pc, P):
             composed = halfspace_multiplier(composed, a, 0.0)
-        comp = dict(composed)
-        assg = dict(_cone_multiplier(f, shells, pc))
-        for n, c in assg.items():
-            violations += int(abs(comp.get(n, 0.0j) - c) > 0.0)
-        for n in set(comp) - set(assg):
+        kept = np.isin(f.freqs.view(key).ravel(), composed.freqs.view(key).ravel())
+        comp = np.zeros(len(f), dtype=complex)
+        comp[kept] = composed.coeffs  # a subset of f's sorted support keeps its order
+        own = owner == pc.index
+        violations += int(np.sum(np.abs(comp[own] - f.coeffs[own]) > 0.0))
+        for n in f.freqs[kept & ~own]:
             vals = np.asarray(n, dtype=float) @ P.A.T
             ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
             violations += int(ties < 2 or np.argmax(vals) >= pc.index)
@@ -355,28 +371,47 @@ def dp_equals_bruteforce(seqs, rs) -> float:
 
 def r_monotonicity(seqs) -> float:
     """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4."""
-    ladder = [_v_r_batch(seqs, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
+    return _r_monotonicity(seqs, _v_r_batch(seqs, 3.0))
+
+
+def _r_monotonicity(seqs, v3) -> float:
+    """:func:`r_monotonicity` with the caller's V_3 values as its r = 3 rung."""
+    ladder = [v3 if r == 3.0 else _v_r_batch(seqs, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
     return _worst(b - a for lo, hi in zip(ladder, ladder[1:]) for a, b in zip(lo, hi))
 
 
 def scaling(seqs, cs) -> float:
     """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars."""
+    return _scaling(seqs, cs, _v_r_batch(seqs, 3.0))
+
+
+def _scaling(seqs, cs, v3) -> float:
+    """:func:`scaling` with the caller's V_3 values of the sequences."""
     scaled = _v_r_batch([c * v for v, c in zip(seqs, cs)], 3.0)
-    return _worst(abs(a - abs(c) * b) / (1.0 + abs(c))
-                  for a, b, c in zip(scaled, _v_r_batch(seqs, 3.0), cs))
+    return _worst(abs(a - abs(c) * b) / (1.0 + abs(c)) for a, b, c in zip(scaled, v3, cs))
 
 
 def maximal_control(seqs) -> float:
     """Largest sup_k |v_k| - |v_0| - V_3(v); the triangle inequality makes it <= 0."""
-    return _worst(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, _v_r_batch(seqs, 3.0)))
+    return _maximal_control(seqs, _v_r_batch(seqs, 3.0))
+
+
+def _maximal_control(seqs, v3) -> float:
+    """:func:`maximal_control` with the caller's V_3 values of the sequences."""
+    return _worst(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, v3))
 
 
 def concatenation(seqs, cuts) -> float:
     """Largest V_3 of v[:cut + 1] or v[cut:] minus V_3(v) over paired sequences
     and cut indices; a subsequence never has more variation, so it is <= 0."""
+    return _concatenation(seqs, cuts, _v_r_batch(seqs, 3.0))
+
+
+def _concatenation(seqs, cuts, v3) -> float:
+    """:func:`concatenation` with the caller's V_3 values of the sequences."""
     heads = _v_r_batch([v[: cut + 1] for v, cut in zip(seqs, cuts)], 3.0)
     tails = _v_r_batch([v[cut:] for v, cut in zip(seqs, cuts)], 3.0)
-    return _worst(np.maximum(heads, tails) - _v_r_batch(seqs, 3.0))
+    return _worst(np.maximum(heads, tails) - v3)
 
 
 def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: float,
@@ -439,11 +474,13 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     check("roundtrip", roundtrip(P, X, g))
 
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
-    counts = _piece_counts(P, pieces, inside)
+    vals, srt, top = _row_table(P, inside)  # one table for the four fan checks below
+    members = _members(pieces, vals)
+    counts = np.sum(members, axis=1)
     check("cover", cover(counts), "uncovered")
-    check("disjoint", disjoint(P, inside, counts), "overlaps")
+    check("disjoint", _disjoint(srt, counts), "overlaps")
     check("piece_bounded", piece_bounded(P, pieces, 400, _label_seed(label)), "max_excess")
-    check("assign_in_piece", assign_in_piece(P, pieces, inside[:300]), "misses")
+    check("assign_in_piece", _assign_in_piece(members[:300], top[:300]), "misses")
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
         rot_err, sample = 0.0, X[:200]
@@ -460,28 +497,33 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
         check("rotation", rot_err)
 
     check("cone_rows_agree",
-          cone_rows_agree(P, pieces, inside, 1e-6, 200, _label_seed(label), 31), "violations")
+          _cone_rows_agree(P, pieces, inside, srt, top, 1e-6, 200, _label_seed(label), 31),
+          "violations")
+
+
+def _spectral_draw(dim: int, seed: int):
+    """What the spectral instances of one dimension share, drawn from ``seed``: f, g,
+    the points X, f(X), linearity's combination and f's Parseval margin."""
+    f, g = (random_trig_polynomial(dim, 6 if dim <= 2 else 3, 0.6, s) for s in (seed, seed + 1))
+    X = np.random.default_rng(seed).random(size=(20, dim))
+    err = parseval(f, sample_grid(f, default_resolution(f.bandwidth)))
+    return f, g, X, f.evaluate(X), (1.5 - 0.5j) * f + (-0.75 + 0.25j) * g, err
 
 
 def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
-                     seed: int) -> None:
+                     draw) -> None:
     check = _checker(results, "spectral", label)
-    rng = np.random.default_rng(seed)
-    f = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed)
+    f, g, X, fX, combo, parseval_err = draw
     shells = _Shells(f, P)
     bps = shells.breakpoints
-    X = rng.random(size=(20, P.dim))
 
     check("step_constancy", _step_constancy(f, shells, X))
-    sat = float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - f.evaluate(X))))
-    check("saturation", sat)
+    check("saturation", float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - fX))))
     check("piecewise_equals_direct", _piecewise_equals_direct(f, shells, X))
     check("multiplier_partition", _multiplier_partition(f, shells, pieces))
-    g2 = random_trig_polynomial(P.dim, 6 if P.dim <= 2 else 3, 0.6, seed + 1)
     lam = float(bps[len(bps) // 2])
-    check("linearity", _linearity(f, shells, g2, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
-    samples = sample_grid(f, default_resolution(f.bandwidth))
-    check("parseval", parseval(f, samples), "err")
+    check("linearity", _linearity(f, shells, g, combo, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
+    check("parseval", parseval_err, "err")
 
 
 def _variation_checks(results: list[CheckResult], seed: int) -> None:
@@ -500,10 +542,11 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
         seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
         cs.append(complex(rng.normal(), rng.normal()))
         cuts.append(int(rng.integers(1, L)))
-    check("r_monotonicity", r_monotonicity(seqs))
-    check("scaling", scaling(seqs, cs))
-    check("maximal_control", maximal_control(seqs))
-    check("concatenation", concatenation(seqs, cuts))
+    v3 = _v_r_batch(seqs, 3.0)  # one V_3 batch for the four checks below
+    check("r_monotonicity", _r_monotonicity(seqs, v3))
+    check("scaling", _scaling(seqs, cs, v3))
+    check("maximal_control", _maximal_control(seqs, v3))
+    check("concatenation", _concatenation(seqs, cuts, v3))
 
     h = GridSamples(2, 9, rng.exponential(size=(9, 9)))
     check("weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)))
@@ -548,9 +591,12 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
     for label, P in instances:
         rng = np.random.default_rng((seed + 1000, _label_seed(label)))
         _geometry_checks(results, P, pieces[label], label, rng)
+    draws = {}  # one spectral draw per dimension: every instance of it reads the same
     for label, P in instances:
         if label in ("file", "square", "cross2", "rand2b", "rand3"):
-            _spectral_checks(results, P, pieces[label], label, seed + 17)
+            if P.dim not in draws:
+                draws[P.dim] = _spectral_draw(P.dim, seed + 17)
+            _spectral_checks(results, P, pieces[label], label, draws[P.dim])
     square = dict(instances)["square"]
     f = random_trig_polynomial(2, 6, 0.7, seed + 23)
     _checker(results, "spectral", "square")(

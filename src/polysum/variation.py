@@ -67,6 +67,8 @@ class StepFunction:
         self.values.setflags(write=False)
 
     def value_at(self, lam: float) -> complex:
+        if not lam >= 0.0:  # NaN too, as partial_sum
+            raise ValueError("cutoff parameter must be nonnegative")
         idx = int(np.searchsorted(self.breakpoints, lam, side="right"))
         return complex(self.values[idx])
 

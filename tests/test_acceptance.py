@@ -54,7 +54,7 @@ def test_criterion_1_triangulation():
         rng = np.random.default_rng(seed + 1)
         X = rng.normal(size=(10_000, dim))
         X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-        counts = experiments._piece_counts(P, pieces, X)
+        counts = np.sum(experiments._members(pieces, X @ P.A.T), axis=1)
         _worst(margins, cover=experiments.cover(counts),
                disjoint=experiments.disjoint(P, X, counts),
                piece_bounded=experiments.piece_bounded(P, pieces, 500, seed + 2))

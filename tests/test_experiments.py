@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from polysum import spectral, variation
+from polysum import experiments, spectral, variation
 from polysum.experiments import (
     BOUNDS,
     _spectral_checks,
+    _spectral_draw,
     concatenation,
     default_resolution,
     dp_equals_bruteforce,
     field_vs_pointwise,
     freezing_identity,
+    linearity,
     maximal_control,
     multiplier_partition,
+    parseval,
     piecewise_equals_direct,
     r_monotonicity,
     run_convergence,
@@ -23,9 +26,9 @@ from polysum.experiments import (
     weak_le_strong,
 )
 from polysum.fileio import save_polytope
-from polysum.generators import random_trig_polynomial
+from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.geometry import assign_rows, cross_polytope, gauge, hypercube, triangulate
-from polysum.spectral import family_at_point
+from polysum.spectral import breakpoints, family_at_point, partial_sum, sample_grid
 from polysum.variation import GridSamples
 
 
@@ -93,7 +96,47 @@ def test_run_verify_batches_its_variation_dp(monkeypatch):
 
     monkeypatch.setattr(variation, "_dp_chunk", counted)
     run_verify(seed=42)
-    assert 0 < len(calls) <= 20  # one DP per sequence makes 627
+    # one DP per sequence makes 627; one V_3 batch for r_monotonicity, scaling,
+    # maximal_control and concatenation makes 13 rather than 16
+    assert len(calls) == 13
+
+
+def test_verify_spectral_rows_equal_their_public_forms(monkeypatch):
+    # verify draws f, g and X once per dimension; each instance's margins must
+    # equal the public checks on that instance's own draw, bit for bit
+    margins = {}
+    checker = experiments._checker
+
+    def recording(results, suite, label):
+        check = checker(results, suite, label)
+
+        def record(kind, margin, key="max"):
+            margins[f"{kind}[{label}]"] = float(margin)
+            check(kind, margin, key)
+        return record
+
+    monkeypatch.setattr(experiments, "_checker", recording)
+    run_verify(seed=7)
+    seed = 7 + 17
+    for label, P in (("square", hypercube(2)), ("cross2", cross_polytope(2)),
+                     ("rand2b", random_polytope(2, 8, 7 + 1)),
+                     ("rand3", random_polytope(3, 5, 7 + 2))):
+        B = 6 if P.dim <= 2 else 3
+        f = random_trig_polynomial(P.dim, B, 0.6, seed)
+        g = random_trig_polynomial(P.dim, B, 0.6, seed + 1)
+        X = np.random.default_rng(seed).random(size=(20, P.dim))
+        bps = breakpoints(f, P)
+        expected = {
+            "step_constancy": step_constancy(f, P, X),
+            "saturation": float(np.max(np.abs(partial_sum(f, P, bps[-1], X) - f.evaluate(X)))),
+            "piecewise_equals_direct": piecewise_equals_direct(f, P, X),
+            "multiplier_partition": multiplier_partition(f, P, triangulate(P)),
+            "linearity": linearity(f, g, P, float(bps[len(bps) // 2]), X, 1.5 - 0.5j,
+                                   -0.75 + 0.25j),
+            "parseval": parseval(f, sample_grid(f, default_resolution(B))),
+        }
+        for kind, margin in expected.items():
+            assert margins[f"{kind}[{label}]"] == margin, (label, kind)
 
 
 _F = random_trig_polynomial(2, 5, 0.7, seed=1)
@@ -110,8 +153,8 @@ _X = np.random.default_rng(2).random((5, 2))
     (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
                                 3.0, 7), (1, 0)),
     # one plan each for f, g and their combination in linearity
-    (lambda: _spectral_checks([], hypercube(2), triangulate(hypercube(2)), "square", 59),
-     (3, 1)),
+    (lambda: _spectral_checks([], hypercube(2), triangulate(hypercube(2)), "square",
+                              _spectral_draw(2, 59)), (3, 1)),
     # f's plan, then one of each of the two +-e_1 pieces' restrictions
     (lambda: freezing_identity(_F, hypercube(2), triangulate(hypercube(2)), 11), (3, 1)),
 ], ids=["family_at_point", "run_convergence", "step_constancy", "piecewise_equals_direct",

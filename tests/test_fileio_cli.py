@@ -185,6 +185,26 @@ def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeyp
     assert "pass --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, handler", [
+    (["partial-sum", "--polytope", "{square}", "--coeffs", "{coeffs}", "--out", "{out}"],
+     (cli, "partial_sum")),
+    (["converge", "--bandwidth", "100000", "--out", "{out}"],
+     (cli.experiments, "run_convergence")),
+], ids=["partial-sum", "converge"])
+def test_cli_out_of_memory_exits_2(square_file, coeff_file, tmp_path, monkeypatch, capsys, argv,
+                                   handler):
+    # an impossible grid asks NumPy for hundreds of GiB; stand in for that
+    # allocation rather than make it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(*handler, out_of_memory)
+    paths = {"square": square_file, "coeffs": coeff_file, "out": tmp_path / "out.csv"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 149. GiB for an array\n"
+    assert not paths["out"].exists()
+
+
 _BAD_POLYTOPES = {
     "unbounded": [[1, 0], [0, 1], [1, 1]],
     "duplicate_row": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]],

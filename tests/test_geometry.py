@@ -437,7 +437,7 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(10_000, dim))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-    counts = experiments._piece_counts(P, pieces, X)
+    counts = np.sum(experiments._members(pieces, X @ P.A.T), axis=1)
     assert experiments.cover(counts) == 0
     vals = np.sort(X @ P.A.T, axis=1)
     assert np.sum(vals[:, -1] - vals[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
@@ -448,6 +448,18 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
 # product per piece, as the checks were first written
 def _piece_counts_per_piece(P, pieces, X):
     return np.stack([piece_contains(pc, P, X) for pc in pieces]).sum(axis=0)
+
+
+def _disjoint_per_piece(P, pieces, X):
+    srt = np.sort(X @ P.A.T, axis=1)
+    counts = _piece_counts_per_piece(P, pieces, X)
+    return float(np.sum(counts[srt[:, -1] - srt[:, -2] > 1e-7] > 1))
+
+
+def _assign_in_piece_per_piece(P, pieces, X):
+    assigned = piece_assign(P, X)
+    return float(sum(np.sum(~piece_contains(pc, P, X[assigned == k]))
+                     for k, pc in enumerate(pieces)))
 
 
 def _piece_bounded_per_piece(P, pieces, count, seed):
@@ -484,11 +496,22 @@ def test_batched_fan_checks_equal_their_per_piece_forms(k):
     X = rng.uniform(-1.5, 1.5, size=(10_000, P.dim))
     inside = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
     for Y in (X, inside):
-        assert np.array_equal(experiments._piece_counts(P, pieces, Y),
-                              _piece_counts_per_piece(P, pieces, Y))
+        # verify's forms read one row table; assign_in_piece reads its first rows
+        vals, srt, top = experiments._row_table(P, Y)
+        members = experiments._members(pieces, vals)
+        counts = np.sum(members, axis=1)
+        assert np.array_equal(counts, _piece_counts_per_piece(P, pieces, Y))
+        expected = _disjoint_per_piece(P, pieces, Y)
+        assert experiments._disjoint(srt, counts) == experiments.disjoint(P, Y, counts) == expected
+        for n in (300, Y.shape[0]):
+            expected = _assign_in_piece_per_piece(P, pieces, Y[:n])
+            assert experiments.assign_in_piece(P, pieces, Y[:n]) == expected
+            assert experiments._assign_in_piece(members[:n], top[:n]) == expected
         for gap, stride in ((1e-7, 1), (0.0, 31)):
-            assert (experiments.cone_rows_agree(P, pieces, Y, gap, 500, k, stride)
-                    == _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride))
+            expected = _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride)
+            assert experiments.cone_rows_agree(P, pieces, Y, gap, 500, k, stride) == expected
+            assert experiments._cone_rows_agree(P, pieces, Y, srt, top, gap, 500, k,
+                                                stride) == expected
     assert (experiments.piece_bounded(P, pieces, 500, k)
             == _piece_bounded_per_piece(P, pieces, 500, k))
 
@@ -506,6 +529,24 @@ def test_piece_assign_lowest_index_rule():
     assert piece_assign(P, [0.0, 0.0]) == 0
     assert piece_assign(P, [-1.0, -1.0]) == 1  # rows 1 and 3 tie
     assert piece_assign(P, [0.0, 0.5]) == 2
+
+
+def test_assign_rows_is_the_first_maximum_with_ties_and_nan():
+    P = hypercube(2)  # rows ordered +e1, -e1, +e2, -e2
+    ties = np.array([[1.0, 1.0], [-1.0, -1.0], [-2.0, 2.0], [0.0, 0.0]])
+    assert assign_rows(P, ties).tolist() == [0, 1, 1, 0]
+    # a row holding NaN gets its first NaN's index; inf * 0 is NaN
+    Q = HPolytope(2, [[1.0, 1.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    nans = np.array([[np.inf, 1.0], [1.0, np.inf], [0.5, np.nan], [-np.inf, 0.0]])
+    with np.errstate(invalid="ignore"):
+        assert assign_rows(Q, nans).tolist() == [1, 2, 0, 1]
+        for R, x in ((P, ties), (Q, nans)):
+            assert np.array_equal(assign_rows(R, x), np.argmax(x @ R.A.T, axis=-1))
+            assert np.array_equal(piece_assign(R, x), assign_rows(R, x))
+            assert [assign_rows(R, y) for y in x] == assign_rows(R, x).tolist()
+    lattice = np.array(list(itertools.product(range(-4, 5), repeat=3)), dtype=float)
+    for R in (cross_polytope(3), hypercube(3), random_polytope(3, 6, seed=71)):
+        assert np.array_equal(assign_rows(R, lattice), np.argmax(lattice @ R.A.T, axis=-1))
 
 
 def test_piece_assign_on_a_batch():

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from polysum import experiments, spectral
-from polysum.geometry import cross_polytope, gauge, hypercube, interval, triangulate
+from polysum.geometry import (
+    cone_halfspaces,
+    cross_polytope,
+    gauge,
+    hypercube,
+    interval,
+    triangulate,
+)
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
@@ -445,6 +452,42 @@ def test_halfspace_composition_vs_assigned_cone_differs_only_on_boundaries():
     P = hypercube(2)
     f = random_trig_polynomial(2, 3, 1.0, seed=22)
     assert experiments.halfspace_cone_boundary(f, P, triangulate(P)) == 0
+
+
+def _halfspace_cone_boundary_by_dicts(f, P, pieces):
+    # the check as first written, frequency by frequency over dict(TrigPolynomial)
+    violations = 0
+    for pc in pieces:
+        composed = f
+        for a in cone_halfspaces(pc, P):
+            composed = halfspace_multiplier(composed, a, 0.0)
+        comp = dict(composed)
+        assg = dict(cone_multiplier(f, pc, P))
+        for n, c in assg.items():
+            violations += int(abs(comp.get(n, 0.0j) - c) > 0.0)
+        for n in set(comp) - set(assg):
+            vals = np.asarray(n, dtype=float) @ P.A.T
+            ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
+            violations += int(ties < 2 or np.argmax(vals) >= pc.index)
+    return violations
+
+
+# the last two pair a polytope with another's fan, so many frequencies violate
+_BOUNDARY_CASES = [(hypercube(2), None), (cross_polytope(2), None),
+                   (random_polytope(2, 7, 3), None), (hypercube(3), None),
+                   (cross_polytope(3), None), (hypercube(2), cross_polytope(2)),
+                   (cross_polytope(2), hypercube(2))]
+
+
+@pytest.mark.parametrize("k", range(len(_BOUNDARY_CASES)))
+def test_halfspace_cone_boundary_equals_its_dict_form(k):
+    P, Q = _BOUNDARY_CASES[k]
+    pieces = triangulate(P if Q is None else Q)
+    f = random_trig_polynomial(P.dim, 4 if P.dim == 2 else 2, 1.0, seed=k)
+    expected = _halfspace_cone_boundary_by_dicts(f, P, pieces)
+    assert experiments.halfspace_cone_boundary(f, P, pieces) == expected
+    assert (expected > 0) == (Q is not None)
+    assert experiments.halfspace_cone_boundary(TrigPolynomial.zero(P.dim), P, pieces) == 0
 
 
 # ---------------------------------------------------------------------------

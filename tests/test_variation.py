@@ -216,6 +216,9 @@ def test_step_function_contract():
     assert s.value_at(1.0) == 1.0j  # right continuity at the jump
     assert s.value_at(1.99) == 1.0j
     assert s.value_at(2.0) == 2.0
+    for lam in (-1.0, np.nan):  # as partial_sum, not the constant coefficient or f(x)
+        with pytest.raises(ValueError, match="cutoff parameter must be nonnegative"):
+            s.value_at(lam)
     with pytest.raises(ValueError):
         StepFunction([1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
