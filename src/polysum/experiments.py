@@ -484,6 +484,7 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
         rot_err, sample = 0.0, X[:200]
+        g_sample = gauge(P, sample)
         for pc in pieces:
             R = rotation_to_e1(pc)
             P_rot = HPolytope(P.dim, P.A @ R.T)
@@ -492,7 +493,7 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
                 float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
                 float(np.linalg.norm(R @ pc.normal - np.eye(P.dim)[0])),
                 abs(float(np.linalg.det(R)) - 1.0),
-                float(np.max(np.abs(gauge(P, sample) - gauge(P_rot, sample @ R.T)))),
+                float(np.max(np.abs(g_sample - gauge(P_rot, sample @ R.T)))),
             )
         check("rotation", rot_err)
 

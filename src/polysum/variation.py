@@ -264,17 +264,19 @@ def _dp_chunk(V: np.ndarray, r: float) -> np.ndarray:
 
     Step j runs on the contiguous rows 0..j-1, so row j of a column reads
     only that column's rows i < j.  The temporaries die on return, so no two
-    chunks hold them at once.
+    chunks hold them at once.  Row j is copied before the subtraction, since a
+    broadcast operand would make NumPy fill a hidden buffer on every step.
     """
     W = np.zeros(V.shape)
     Z = np.empty_like(V)
     D = np.empty(V.shape)
     for j in range(1, V.shape[0]):
-        np.subtract(V[j], V[:j], out=Z[:j])
+        Z[:j] = V[j]
+        np.subtract(Z[:j], V[:j], out=Z[:j])
         np.abs(Z[:j], out=D[:j])
         D[:j] **= r
         D[:j] += W[:j]
-        np.max(D[:j], axis=0, out=W[j])
+        np.maximum.reduce(D[:j], axis=0, out=W[j])
     return W
 
 

@@ -394,6 +394,18 @@ def test_v_r_field_bit_identical_to_pointwise_dp(monkeypatch, budget):
             assert v_r_field(f, P, M, r).flat.tolist() == [_dp_by_matrix(row, r) for row in values]
 
 
+def test_v_r_field_bit_identical_in_numpys_buffered_regime():
+    # L = N = 169 in one chunk of 169 points, as in a B = 6 polygon field:
+    # from j = 49 on, each step's j x 169 block exceeds np.getbufsize()
+    P, f, M = random_polytope(2, 7, seed=21), random_trig_polynomial(2, 6, 1.0, seed=21), 13
+    _, values = family_values_on_grid(f, P, M)
+    assert values.shape == (169, 169) and values.size > np.getbufsize()
+    for r in (2.5, 3.0):
+        field = v_r_field(f, P, M, r).flat
+        for k in range(0, values.shape[0], 4):
+            assert field[k] == _dp_by_matrix(values[k], r)
+
+
 def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
     # the DP holds 6L floats per point: the transposed copy and the complex
     # differences 2L each, the moduli and the DP rows L each; the family is
@@ -412,10 +424,9 @@ def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the field, the budget, the buffer NumPy fills for the broadcast
-    # subtraction (its buffer size in complex entries) and a fixed slack;
-    # a divisor of 4L would overshoot by 4 B * budget, about 300 KB here
-    assert peak <= 8 * n + 8 * budget + 16 * np.getbufsize() + 32768
+    # the field, the budget and a fixed slack; a divisor of 4L would overshoot
+    # by 4 B * budget, about 300 KB here
+    assert peak <= 8 * n + 8 * budget + 32768
 
 
 def test_v_r_field_aliasing_guard():
