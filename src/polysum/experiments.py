@@ -199,13 +199,9 @@ def cover(counts) -> float:
     return float(np.sum(counts < 1))
 
 
-def disjoint(P: HPolytope, X, counts) -> float:
-    """Points of X off piece boundaries (top row ahead by > 1e-7) that lie in two pieces."""
-    return _disjoint(_row_table(P, X)[1], counts)
-
-
-def _disjoint(srt, counts) -> float:
-    """:func:`disjoint` on the points' sorted row values."""
+def disjoint(srt, counts) -> float:
+    """Points off piece boundaries (top row ahead by > 1e-7) that lie in two pieces,
+    read from their sorted row values ``srt`` (of :func:`_row_table`) and piece counts."""
     return float(np.sum(counts[srt[:, -1] - srt[:, -2] > 1e-7] > 1))
 
 
@@ -216,31 +212,20 @@ def piece_bounded(P: HPolytope, pieces, count: int, seed: int) -> float:
     return float(np.max(gauge(P, np.concatenate(samples)))) - 1.0
 
 
-def assign_in_piece(P: HPolytope, pieces, X) -> float:
-    """Points of X outside the closed piece that ``piece_assign`` gives them."""
-    vals, _, top = _row_table(P, X)
-    return _assign_in_piece(_members(pieces, vals), top)
-
-
-def _assign_in_piece(members, top) -> float:
-    """:func:`assign_in_piece` on the points' piece membership and top rows."""
+def assign_in_piece(members, top) -> float:
+    """Points outside the closed piece that ``piece_assign`` gives them, read from
+    their membership (of :func:`_members`) and top rows (of :func:`_row_table`)."""
     return float(np.sum(~members[np.arange(top.shape[0]), top]))
 
 
-def cone_rows_agree(P: HPolytope, pieces, X, gap: float, count: int, seed: int,
+def cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, seed: int,
                     stride: int) -> float:
     """Violations of the cone half-spaces of each piece k: its own ``count``
     random points (seed ``seed + stride * k``) outside them by > 1e-9, and points
-    of X whose top row is another piece's, ahead by > ``gap``, inside them.
+    of X whose top row is another piece's, ahead by > ``gap``, inside them; the
+    sorted row values ``srt`` and top rows ``top`` of X are :func:`_row_table`'s.
     Every piece's rows are stacked, each padded to the longest by repeating
     its last row, so each point set takes one product for all pieces."""
-    _, srt, top = _row_table(P, X)
-    return _cone_rows_agree(P, pieces, X, srt, top, gap, count, seed, stride)
-
-
-def _cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, seed: int,
-                     stride: int) -> float:
-    """:func:`cone_rows_agree` on the sorted row values and top rows of X."""
     clear = srt[:, -1] - srt[:, -2] > gap
     walls = [cone_halfspaces(pc, P) for pc in pieces]
     width = max(w.shape[0] for w in walls)
@@ -258,55 +243,37 @@ def _cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, 
     return float(violations)
 
 
-# The four spectral checks below read f's shell plan; each public form builds
-# it, and verify hands one plan per instance to the private forms.
-
-
-def step_constancy(f: TrigPolynomial, P: HPolytope, X) -> float:
+def step_constancy(f: TrigPolynomial, shells: _Shells, X) -> float:
     """Largest |partial sum at the midpoint - at the left end| at X over the
-    intervals between consecutive breakpoints of f (0 when there are none)."""
-    return _step_constancy(f, _Shells(f, P), X)
-
-
-def _step_constancy(f: TrigPolynomial, shells: _Shells, X) -> float:
+    intervals between consecutive breakpoints of f (0 when there are none),
+    from f's shell plan ``shells``."""
     bps = shells.breakpoints
     mids = 0.5 * (bps[:-1] + bps[1:])
     diff = _cutoff_sums(f, shells, mids, X, False) - _cutoff_sums(f, shells, bps[:-1], X, False)
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-def piecewise_equals_direct(f: TrigPolynomial, P: HPolytope, X) -> float:
-    """Largest |fan-wise - direct| partial sum at X over every breakpoint of f."""
-    return _piecewise_equals_direct(f, _Shells(f, P), X)
-
-
-def _piecewise_equals_direct(f: TrigPolynomial, shells: _Shells, X) -> float:
+def piecewise_equals_direct(f: TrigPolynomial, shells: _Shells, X) -> float:
+    """Largest |fan-wise - direct| partial sum at X over every breakpoint of f,
+    from f's shell plan ``shells``."""
     bps = shells.breakpoints
     diff = _cutoff_sums(f, shells, bps, X, True) - _cutoff_sums(f, shells, bps, X, False)
     return float(np.max(np.abs(diff)))
 
 
-def multiplier_partition(f: TrigPolynomial, P: HPolytope, pieces) -> float:
-    """Largest |coefficient| of the sum of the cone multipliers of f minus f."""
-    return _multiplier_partition(f, _Shells(f, P), pieces)
-
-
-def _multiplier_partition(f: TrigPolynomial, shells: _Shells, pieces) -> float:
+def multiplier_partition(f: TrigPolynomial, shells: _Shells, pieces) -> float:
+    """Largest |coefficient| of the sum of the cone multipliers of f minus f,
+    from f's shell plan ``shells``."""
     keeps = [shells.owner == pc.index for pc in pieces]
     diff = TrigPolynomial(f.dim, np.concatenate([f.freqs[k] for k in keeps] + [f.freqs]),
                           np.concatenate([f.coeffs[k] for k in keeps] + [-1.0 * f.coeffs]))
     return float(np.max(np.abs(diff.coeffs), initial=0.0))
 
 
-def linearity(f: TrigPolynomial, g: TrigPolynomial, P: HPolytope, lam, X, alpha,
-              beta) -> float:
-    """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam."""
-    return _linearity(f, _Shells(f, P), g, alpha * f + beta * g, lam, X, alpha, beta)
-
-
-def _linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial,
-               lam, X, alpha, beta) -> float:
-    """:func:`linearity` on f's plan and the caller's combination alpha f + beta g."""
+def linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial,
+              lam, X, alpha, beta) -> float:
+    """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam,
+    from f's shell plan ``shells`` and the combination ``combo`` = alpha f + beta g."""
     P = shells.P
     return float(np.max(np.abs(
         partial_sum(combo, P, lam, X)
@@ -324,7 +291,7 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
     bps = shells.breakpoints
     xs = (np.arange(M) / M)[:, None]
     xprimes = grid_points(f.dim - 1, M)
-    worst = 0.0
+    margins = [0.0]  # the margin when no piece is axis-aligned
     for pc in pieces:
         try:
             n1, frozen = _frozen_rows(f, shells, pc, xprimes)
@@ -336,8 +303,8 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
         rows = (frozen[:, None, :] * keep).reshape(-1, n1.shape[0])
         sums = _direct_sum([(n1, rows)], xs).reshape(lines.shape)
-        worst = max(worst, float(np.max(np.abs(lines - sums))))
-    return worst
+        margins.append(float(np.max(np.abs(lines - sums))))
+    return _worst(margins)
 
 
 def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
@@ -369,46 +336,30 @@ def dp_equals_bruteforce(seqs, rs) -> float:
                   for a, b in zip(_v_r_batch(seqs, r), brute))
 
 
-def r_monotonicity(seqs) -> float:
-    """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4."""
-    return _r_monotonicity(seqs, _v_r_batch(seqs, 3.0))
-
-
-def _r_monotonicity(seqs, v3) -> float:
-    """:func:`r_monotonicity` with the caller's V_3 values as its r = 3 rung."""
+def r_monotonicity(seqs, v3) -> float:
+    """Largest increase of V_r(v) along r = 1, 2, 2.5, 3, 4; the V_3 values ``v3``
+    of the sequences (``_v_r_batch(seqs, 3.0)``) are the r = 3 rung."""
     ladder = [v3 if r == 3.0 else _v_r_batch(seqs, r) for r in (1.0, 2.0, 2.5, 3.0, 4.0)]
     return _worst(b - a for lo, hi in zip(ladder, ladder[1:]) for a, b in zip(lo, hi))
 
 
-def scaling(seqs, cs) -> float:
-    """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars."""
-    return _scaling(seqs, cs, _v_r_batch(seqs, 3.0))
-
-
-def _scaling(seqs, cs, v3) -> float:
-    """:func:`scaling` with the caller's V_3 values of the sequences."""
+def scaling(seqs, cs, v3) -> float:
+    """Largest |V_3(c v) - |c| V_3(v)| / (1 + |c|) over paired sequences and scalars,
+    with the V_3 values ``v3`` of the sequences."""
     scaled = _v_r_batch([c * v for v, c in zip(seqs, cs)], 3.0)
     return _worst(abs(a - abs(c) * b) / (1.0 + abs(c)) for a, b, c in zip(scaled, v3, cs))
 
 
-def maximal_control(seqs) -> float:
-    """Largest sup_k |v_k| - |v_0| - V_3(v); the triangle inequality makes it <= 0."""
-    return _maximal_control(seqs, _v_r_batch(seqs, 3.0))
-
-
-def _maximal_control(seqs, v3) -> float:
-    """:func:`maximal_control` with the caller's V_3 values of the sequences."""
+def maximal_control(seqs, v3) -> float:
+    """Largest sup_k |v_k| - |v_0| - V_3(v) over the sequences with their V_3
+    values ``v3``; the triangle inequality makes it <= 0."""
     return _worst(sup_family(v) - abs(v[0]) - w for v, w in zip(seqs, v3))
 
 
-def concatenation(seqs, cuts) -> float:
+def concatenation(seqs, cuts, v3) -> float:
     """Largest V_3 of v[:cut + 1] or v[cut:] minus V_3(v) over paired sequences
-    and cut indices; a subsequence never has more variation, so it is <= 0."""
-    return _concatenation(seqs, cuts, _v_r_batch(seqs, 3.0))
-
-
-def _concatenation(seqs, cuts, v3) -> float:
-    """:func:`concatenation` with the caller's V_3 values of the sequences."""
+    and cut indices, with the V_3 values ``v3``; a subsequence never has more
+    variation, so it is <= 0."""
     heads = _v_r_batch([v[: cut + 1] for v, cut in zip(seqs, cuts)], 3.0)
     tails = _v_r_batch([v[cut:] for v, cut in zip(seqs, cuts)], 3.0)
     return _worst(np.maximum(heads, tails) - v3)
@@ -478,9 +429,9 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     members = _members(pieces, vals)
     counts = np.sum(members, axis=1)
     check("cover", cover(counts), "uncovered")
-    check("disjoint", _disjoint(srt, counts), "overlaps")
+    check("disjoint", disjoint(srt, counts), "overlaps")
     check("piece_bounded", piece_bounded(P, pieces, 400, _label_seed(label)), "max_excess")
-    check("assign_in_piece", _assign_in_piece(members[:300], top[:300]), "misses")
+    check("assign_in_piece", assign_in_piece(members[:300], top[:300]), "misses")
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
         rot_err, sample = 0.0, X[:200]
@@ -498,7 +449,7 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
         check("rotation", rot_err)
 
     check("cone_rows_agree",
-          _cone_rows_agree(P, pieces, inside, srt, top, 1e-6, 200, _label_seed(label), 31),
+          cone_rows_agree(P, pieces, inside, srt, top, 1e-6, 200, _label_seed(label), 31),
           "violations")
 
 
@@ -518,12 +469,12 @@ def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     shells = _Shells(f, P)
     bps = shells.breakpoints
 
-    check("step_constancy", _step_constancy(f, shells, X))
+    check("step_constancy", step_constancy(f, shells, X))
     check("saturation", float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - fX))))
-    check("piecewise_equals_direct", _piecewise_equals_direct(f, shells, X))
-    check("multiplier_partition", _multiplier_partition(f, shells, pieces))
+    check("piecewise_equals_direct", piecewise_equals_direct(f, shells, X))
+    check("multiplier_partition", multiplier_partition(f, shells, pieces))
     lam = float(bps[len(bps) // 2])
-    check("linearity", _linearity(f, shells, g, combo, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
+    check("linearity", linearity(f, shells, g, combo, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
     check("parseval", parseval_err, "err")
 
 
@@ -544,10 +495,10 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
         cs.append(complex(rng.normal(), rng.normal()))
         cuts.append(int(rng.integers(1, L)))
     v3 = _v_r_batch(seqs, 3.0)  # one V_3 batch for the four checks below
-    check("r_monotonicity", _r_monotonicity(seqs, v3))
-    check("scaling", _scaling(seqs, cs, v3))
-    check("maximal_control", _maximal_control(seqs, v3))
-    check("concatenation", _concatenation(seqs, cuts, v3))
+    check("r_monotonicity", r_monotonicity(seqs, v3))
+    check("scaling", scaling(seqs, cs, v3))
+    check("maximal_control", maximal_control(seqs, v3))
+    check("concatenation", concatenation(seqs, cuts, v3))
 
     h = GridSamples(2, 9, rng.exponential(size=(9, 9)))
     check("weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)))
@@ -558,11 +509,10 @@ def _variation_checks(results: list[CheckResult], seed: int) -> None:
     field = v_r_field(f, P, default_resolution(3), 3.0)
     check("field_vs_pointwise", field_vs_pointwise(f, P, field, 3.0, 7))
 
-    excess = max(
-        max(0.0, -d, d - 1.0)
-        for d in (distribution_function(field, al) for al in (0.0, 0.5, 1.0))
-    )
-    check("distribution_range", excess, "excess")
+    ds = [distribution_function(field, al) for al in (0.0, 0.5, 1.0)]
+    # a NaN lies outside [0, 1] too, so its row reads NaN
+    check("distribution_range", _worst([0.0] + [max(-d, d - 1.0) for d in ds
+                                                if not 0.0 <= d <= 1.0]), "excess")
 
 
 def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[CheckResult]]:

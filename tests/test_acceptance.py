@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from polysum import experiments
+from polysum import experiments, spectral, variation
 from polysum.geometry import gauge, hypercube, triangulate
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.spectral import (
@@ -37,8 +37,8 @@ def _gate_margins(num: int, name: str, t0: float, budget: float, margins: dict, 
 
 
 def _worst(margins: dict, **new) -> None:
-    for check, margin in new.items():
-        margins[check] = max(margins.get(check, -np.inf), margin)
+    for check, margin in new.items():  # np.maximum keeps a NaN wherever it falls
+        margins[check] = float(np.maximum(margins.get(check, -np.inf), margin))
 
 
 def test_criterion_1_triangulation():
@@ -54,9 +54,10 @@ def test_criterion_1_triangulation():
         rng = np.random.default_rng(seed + 1)
         X = rng.normal(size=(10_000, dim))
         X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-        counts = np.sum(experiments._members(pieces, X @ P.A.T), axis=1)
+        vals, srt, _ = experiments._row_table(P, X)
+        counts = np.sum(experiments._members(pieces, vals), axis=1)
         _worst(margins, cover=experiments.cover(counts),
-               disjoint=experiments.disjoint(P, X, counts),
+               disjoint=experiments.disjoint(srt, counts),
                piece_bounded=experiments.piece_bounded(P, pieces, 500, seed + 2))
     _gate_margins(1, "triangulation cover/disjointness/boundedness", t0, 10.0, margins,
                   "20 polytopes, 1e4 points each")
@@ -71,7 +72,7 @@ def test_criterion_2_frequency_partition():
         f = random_trig_polynomial(2, 8, 1.0, seed=530 + k)
         X = rng.random(size=(100, 2))
         _worst(margins, piecewise_equals_direct=experiments.piecewise_equals_direct(
-            f, P, X))
+            f, spectral._Shells(f, P), X))
     _gate_margins(2, "piecewise partial sums equal direct sums", t0, 30.0, margins,
                   "16 polynomials (B=8), all breakpoints, 100 points")
 
@@ -109,8 +110,9 @@ def test_criterion_5_analytic_identities():
         L = int(rng.integers(2, 13))
         seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
         cs.append(complex(rng.normal(), rng.normal()))
-    margins = {"r_monotonicity": experiments.r_monotonicity(seqs),
-               "scaling": experiments.scaling(seqs, cs)}
+    v3 = variation._v_r_batch(seqs, 3.0)
+    margins = {"r_monotonicity": experiments.r_monotonicity(seqs, v3),
+               "scaling": experiments.scaling(seqs, cs, v3)}
 
     for k in range(6):
         P = hypercube(2) if k % 2 == 0 else random_polytope(2, 6, seed=810 + k)
@@ -123,7 +125,8 @@ def test_criterion_5_analytic_identities():
                weak_le_strong=experiments.weak_le_strong([field, fsamp.abs()],
                                                          (1.5, 2.0, 3.0)),
                fubini_slices=experiments.fubini_slices(field, (0.0, 0.5, 1.5)),
-               maximal_control=experiments.maximal_control(families),
+               maximal_control=experiments.maximal_control(
+                   families, variation._v_r_batch(families, 3.0)),
                parseval=experiments.parseval(f, fsamp))
     _gate_margins(5, "analytic identities on every tested instance", t0, 60.0, margins,
                   "60 sequences, 6 functions on the 9x9 grid")

@@ -29,7 +29,7 @@ from polysum.fileio import save_polytope
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.geometry import assign_rows, cross_polytope, gauge, hypercube, triangulate
 from polysum.spectral import breakpoints, family_at_point, partial_sum, sample_grid
-from polysum.variation import GridSamples
+from polysum.variation import GridSamples, _v_r_batch
 
 
 def test_run_verify_all_green():
@@ -83,7 +83,7 @@ def gauge_calls(monkeypatch):
 
 def test_run_verify_batches_its_gauge_calls(gauge_calls):
     run_verify(seed=42)
-    # per-point loops make thousands; a gauge of the sample per rotated piece, 133
+    # per-point loops make thousands; 9 per geometry instance, 1 per rotated piece and shell plan
     assert 0 < len(gauge_calls) <= 105
 
 
@@ -102,9 +102,9 @@ def test_run_verify_batches_its_variation_dp(monkeypatch):
     assert len(calls) == 13
 
 
-def test_verify_spectral_rows_equal_their_public_forms(monkeypatch):
+def test_verify_spectral_rows_equal_the_checks_on_their_own_draw_and_plan(monkeypatch):
     # verify draws f, g and X once per dimension; each instance's margins must
-    # equal the public checks on that instance's own draw, bit for bit
+    # equal the checks run on that instance's own draw and plan, bit for bit
     margins = {}
     checker = experiments._checker
 
@@ -127,13 +127,14 @@ def test_verify_spectral_rows_equal_their_public_forms(monkeypatch):
         g = random_trig_polynomial(P.dim, B, 0.6, seed + 1)
         X = np.random.default_rng(seed).random(size=(20, P.dim))
         bps = breakpoints(f, P)
+        shells = spectral._Shells(f, P)
         expected = {
-            "step_constancy": step_constancy(f, P, X),
+            "step_constancy": step_constancy(f, shells, X),
             "saturation": float(np.max(np.abs(partial_sum(f, P, bps[-1], X) - f.evaluate(X)))),
-            "piecewise_equals_direct": piecewise_equals_direct(f, P, X),
-            "multiplier_partition": multiplier_partition(f, P, triangulate(P)),
-            "linearity": linearity(f, g, P, float(bps[len(bps) // 2]), X, 1.5 - 0.5j,
-                                   -0.75 + 0.25j),
+            "piecewise_equals_direct": piecewise_equals_direct(f, shells, X),
+            "multiplier_partition": multiplier_partition(f, shells, triangulate(P)),
+            "linearity": linearity(f, shells, g, (1.5 - 0.5j) * f + (-0.75 + 0.25j) * g,
+                                   float(bps[len(bps) // 2]), X, 1.5 - 0.5j, -0.75 + 0.25j),
             "parseval": parseval(f, sample_grid(f, default_resolution(B))),
         }
         for kind, margin in expected.items():
@@ -148,9 +149,10 @@ _X = np.random.default_rng(2).random((5, 2))
 @pytest.mark.parametrize("call, passes", [
     (lambda: family_at_point(_F, hypercube(2), [0.1, 0.3]), (1, 0)),
     (lambda: run_convergence(bandwidth=5, dim=2), (1, 0)),
-    (lambda: step_constancy(_F, hypercube(2), _X), (1, 0)),
-    (lambda: piecewise_equals_direct(_F, hypercube(2), _X), (1, 1)),
-    (lambda: multiplier_partition(_F, hypercube(2), triangulate(hypercube(2))), (0, 1)),
+    (lambda: step_constancy(_F, spectral._Shells(_F, hypercube(2)), _X), (1, 0)),
+    (lambda: piecewise_equals_direct(_F, spectral._Shells(_F, hypercube(2)), _X), (1, 1)),
+    (lambda: multiplier_partition(_F, spectral._Shells(_F, hypercube(2)),
+                                  triangulate(hypercube(2))), (0, 1)),
     (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
                                 3.0, 7), (1, 0)),
     # one plan each for f, g and their combination in linearity
@@ -180,10 +182,10 @@ _NAN_GRID = GridSamples(2, 3, np.where(np.arange(9) == 4, np.nan, np.arange(9.0)
 
 _NAN_CASES = [
     ("dp_equals_bruteforce", lambda seqs: dp_equals_bruteforce(seqs, (2.0,)), _OK, _NAN),
-    ("r_monotonicity", r_monotonicity, _OK, _NAN),
-    ("scaling", lambda seqs: scaling(seqs, [1.5, 1.5]), _OK, _NAN),
-    ("maximal_control", maximal_control, _OK, _NAN),
-    ("concatenation", lambda seqs: concatenation(seqs, [1, 1]), _OK, _NAN),
+    ("r_monotonicity", lambda s: r_monotonicity(s, _v_r_batch(s, 3.0)), _OK, _NAN),
+    ("scaling", lambda s: scaling(s, [1.5, 1.5], _v_r_batch(s, 3.0)), _OK, _NAN),
+    ("maximal_control", lambda s: maximal_control(s, _v_r_batch(s, 3.0)), _OK, _NAN),
+    ("concatenation", lambda s: concatenation(s, [1, 1], _v_r_batch(s, 3.0)), _OK, _NAN),
     ("weak_le_strong", lambda grids: weak_le_strong(grids, (1.0, 2.0)), _GRID, _NAN_GRID),
 ]
 
@@ -194,6 +196,27 @@ def test_a_nan_margin_fails_wherever_it_falls(kind, check, ok, bad):
     for inputs in ([ok, bad], [bad, ok]):
         margin = check(inputs)
         assert np.isnan(margin) and not margin <= BOUNDS[kind], inputs
+
+
+def test_a_nan_in_freezing_or_distribution_range_fails_its_row(monkeypatch):
+    # max(0.0, nan) is 0.0: neither margin may grow by the built-in max from 0.0
+    direct_sum, frozen = experiments._direct_sum, []
+
+    def nan_on_second_piece(*args):
+        frozen.append(1)
+        return direct_sum(*args) * (np.nan if len(frozen) % 2 == 0 else 1.0)
+
+    monkeypatch.setattr(experiments, "_direct_sum", nan_on_second_piece)
+    monkeypatch.setattr(experiments, "distribution_function", lambda h, alpha: np.nan)
+    assert np.isnan(freezing_identity(_F, hypercube(2), triangulate(hypercube(2)), 11))
+    rows = {r.name: r for r in run_verify(seed=42)[1]}
+    for name in ("freezing_identity[square]", "distribution_range"):
+        assert not rows[name].passed and rows[name].detail.endswith("=nan"), rows[name]
+
+
+def test_each_check_has_one_form():
+    names = set(vars(experiments))
+    assert sorted(name for name in names if "_" + name in names) == []
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

@@ -437,11 +437,11 @@ def test_cover_and_disjointness_by_sampling(dim, m, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(10_000, dim))
     X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-    counts = np.sum(experiments._members(pieces, X @ P.A.T), axis=1)
+    vals, srt, _ = experiments._row_table(P, X)
+    counts = np.sum(experiments._members(pieces, vals), axis=1)
     assert experiments.cover(counts) == 0
-    vals = np.sort(X @ P.A.T, axis=1)
-    assert np.sum(vals[:, -1] - vals[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
-    assert experiments.disjoint(P, X, counts) == 0
+    assert np.sum(srt[:, -1] - srt[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
+    assert experiments.disjoint(srt, counts) == 0
 
 
 # per-piece forms of the batched fan checks: one membership, gather and
@@ -496,22 +496,18 @@ def test_batched_fan_checks_equal_their_per_piece_forms(k):
     X = rng.uniform(-1.5, 1.5, size=(10_000, P.dim))
     inside = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
     for Y in (X, inside):
-        # verify's forms read one row table; assign_in_piece reads its first rows
+        # the checks read one row table; assign_in_piece as verify reads its first rows
         vals, srt, top = experiments._row_table(P, Y)
         members = experiments._members(pieces, vals)
         counts = np.sum(members, axis=1)
         assert np.array_equal(counts, _piece_counts_per_piece(P, pieces, Y))
-        expected = _disjoint_per_piece(P, pieces, Y)
-        assert experiments._disjoint(srt, counts) == experiments.disjoint(P, Y, counts) == expected
+        assert experiments.disjoint(srt, counts) == _disjoint_per_piece(P, pieces, Y)
         for n in (300, Y.shape[0]):
-            expected = _assign_in_piece_per_piece(P, pieces, Y[:n])
-            assert experiments.assign_in_piece(P, pieces, Y[:n]) == expected
-            assert experiments._assign_in_piece(members[:n], top[:n]) == expected
+            assert (experiments.assign_in_piece(members[:n], top[:n])
+                    == _assign_in_piece_per_piece(P, pieces, Y[:n]))
         for gap, stride in ((1e-7, 1), (0.0, 31)):
-            expected = _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride)
-            assert experiments.cone_rows_agree(P, pieces, Y, gap, 500, k, stride) == expected
-            assert experiments._cone_rows_agree(P, pieces, Y, srt, top, gap, 500, k,
-                                                stride) == expected
+            assert (experiments.cone_rows_agree(P, pieces, Y, srt, top, gap, 500, k, stride)
+                    == _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride))
     assert (experiments.piece_bounded(P, pieces, 500, k)
             == _piece_bounded_per_piece(P, pieces, 500, k))
 
@@ -589,7 +585,8 @@ def test_piece_assignment_is_a_partition():
     one_hot = np.zeros((len(pieces), X.shape[0]))
     one_hot[assigned, np.arange(X.shape[0])] = 1.0
     assert np.all(one_hot.sum(axis=0) == 1.0)
-    assert experiments.assign_in_piece(P, pieces, X) == 0
+    vals, _, top = experiments._row_table(P, X)
+    assert experiments.assign_in_piece(experiments._members(pieces, vals), top) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +669,9 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
     pieces = triangulate(P)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
-    assert experiments.cone_rows_agree(P, pieces, X, 1e-7, 500, seed + 2, 1) == 0
+    vals, srt, top = experiments._row_table(P, X)
+    assert experiments.cone_rows_agree(P, pieces, X, srt, top, 1e-7, 500, seed + 2, 1) == 0
     # and both ways: away from sector boundaries, in the cone iff the top row is its own
-    vals = X @ P.A.T
-    srt = np.sort(vals, axis=1)
     clear = srt[:, -1] - srt[:, -2] > 1e-7
     for pc in pieces:
         in_cone = np.max(X @ cone_halfspaces(pc, P).T, axis=1) <= 1e-9

@@ -197,9 +197,9 @@ def test_partial_sum_constant_between_breakpoints():
     rng = np.random.default_rng(10)
     X = rng.random(size=(10, 2))
     assert bps.shape[0] > 2
-    assert experiments.step_constancy(f, P, X) <= 1e-14
-    # L = 1: no interval between breakpoints to check
-    assert experiments.step_constancy(TrigPolynomial(2, {(0, 0): 1.0}), P, X) == 0.0
+    # a constant has L = 1: no interval between breakpoints to check, so its margin is 0
+    for h, bound in ((f, 1e-14), (TrigPolynomial(2, {(0, 0): 1.0}), 0.0)):
+        assert experiments.step_constancy(h, spectral._Shells(h, P), X) <= bound
 
 
 def test_family_at_point_trivial_cases():
@@ -309,7 +309,7 @@ def test_piecewise_equals_direct_on_random_ensembles(seed):
     f = random_trig_polynomial(2, 5, 0.6, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     X = rng.random(size=(20, 2))
-    assert experiments.piecewise_equals_direct(f, P, X) <= 1e-12
+    assert experiments.piecewise_equals_direct(f, spectral._Shells(f, P), X) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,8 @@ def test_fan_sums_and_freezing_in_four_dimensions():
     P = hypercube(4)
     f = random_trig_polynomial(4, 2, 0.5, seed=41)
     X = np.random.default_rng(42).random(size=(20, 4))
-    assert experiments.piecewise_equals_direct(f, P, X) <= experiments.BOUNDS[
+    shells = spectral._Shells(f, P)
+    assert experiments.piecewise_equals_direct(f, shells, X) <= experiments.BOUNDS[
         "piecewise_equals_direct"]
     assert experiments.freezing_identity(f, P, triangulate(P), 5) <= experiments.BOUNDS[
         "freezing_identity"]
@@ -427,7 +428,7 @@ def test_cone_multiplier_identity_zero_and_partition():
     for pc in pieces:
         part = cone_multiplier(f, pc, P)
         assert dict(cone_multiplier(part, pc, P)) == dict(part)  # idempotent
-    assert experiments.multiplier_partition(f, P, pieces) == 0.0
+    assert experiments.multiplier_partition(f, spectral._Shells(f, P), pieces) == 0.0
 
 
 def test_halfspace_multiplier_examples():
@@ -598,7 +599,8 @@ def test_partial_sum_linearity():
     alpha, beta = 1.25 - 0.5j, -0.4 + 2.0j
     rng = np.random.default_rng(27)
     X = rng.random(size=(10, 2))
-    assert experiments.linearity(f, g, P, [0.0, 1.0, 2.5, 4.0], X, alpha, beta) <= 1e-12
+    assert experiments.linearity(f, spectral._Shells(f, P), g, alpha * f + beta * g,
+                                 [0.0, 1.0, 2.5, 4.0], X, alpha, beta) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_dp_equals_bruteforce_on_random_complex_sequences():
 def test_variation_monotone_in_r():
     rng = np.random.default_rng(2)
     seqs = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(50)]
-    assert experiments.r_monotonicity(seqs) <= 1e-12
+    assert experiments.r_monotonicity(seqs, variation._v_r_batch(seqs, 3.0)) <= 1e-12
 
 
 @given(
@@ -196,7 +196,7 @@ def test_concatenation_never_decreases_variation():
     for _ in range(30):
         seqs.append(rng.normal(size=11) + 1j * rng.normal(size=11))
         cuts.append(int(rng.integers(1, 10)))
-    assert experiments.concatenation(seqs, cuts) <= 1e-12
+    assert experiments.concatenation(seqs, cuts, variation._v_r_batch(seqs, 3.0)) <= 1e-12
 
 
 def test_sup_family_examples():
