@@ -40,7 +40,6 @@ from .spectral import (
     TrigPolynomial,
     _direct_sum,
     _Shells,
-    _cone_multiplier,
     _cutoff_sums,
     _frozen_rows,
     _grid_family,
@@ -297,11 +296,12 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
             n1, frozen = _frozen_rows(f, shells, pc, xprimes)
         except ValueError:  # not axis-aligned: freezing is undefined on this piece
             continue
-        restricted = _cone_multiplier(f, shells, pc)
+        own = shells.owner == pc.index
+        restricted = TrigPolynomial(f.dim, f.freqs[own], f.coeffs[own])
         _, vals = family_values_on_grid(restricted, P, M, at=bps)
         lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
-        rows = (frozen[:, None, :] * keep).reshape(-1, n1.shape[0])
+        rows = (frozen[:, None, :] * keep).reshape(frozen.shape[0] * bps.shape[0], -1)
         sums = _direct_sum([(n1, rows)], xs).reshape(lines.shape)
         margins.append(float(np.max(np.abs(lines - sums))))
     return _worst(margins)
@@ -434,19 +434,18 @@ def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: st
     check("assign_in_piece", assign_in_piece(members[:300], top[:300]), "misses")
 
     if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
-        rot_err, sample = 0.0, X[:200]
+        errs, sample = [], X[:200]
         g_sample = gauge(P, sample)
         for pc in pieces:
             R = rotation_to_e1(pc)
             P_rot = HPolytope(P.dim, P.A @ R.T)
-            rot_err = max(
-                rot_err,
+            errs += [
                 float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
                 float(np.linalg.norm(R @ pc.normal - np.eye(P.dim)[0])),
                 abs(float(np.linalg.det(R)) - 1.0),
                 float(np.max(np.abs(g_sample - gauge(P_rot, sample @ R.T)))),
-            )
-        check("rotation", rot_err)
+            ]
+        check("rotation", _worst(errs))
 
     check("cone_rows_agree",
           cone_rows_agree(P, pieces, inside, srt, top, 1e-6, 200, _label_seed(label), 31),

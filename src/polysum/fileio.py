@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .geometry import Facet, HPolytope, VPolytope, h_from_vertices, cone_halfspaces
-from .spectral import TrigPolynomial
+from .spectral import TrigPolynomial, _lattice
 from .variation import GridSamples
 
 __all__ = [
@@ -128,10 +128,6 @@ def write_norm_summary_csv(path, entries: Iterable, comments: Iterable[str] = ()
     write_csv(path, comments, ["quantity", "p", "r", "value"], entries)
 
 
-def _index_columns(dim: int, resolution: int) -> np.ndarray:
-    return np.indices((resolution,) * dim).reshape(dim, -1).T
-
-
 def _floats(part: np.ndarray) -> list:
     """Entries as Python floats, also for an integer grid."""
     return part.astype(float, copy=False).tolist()
@@ -139,7 +135,7 @@ def _floats(part: np.ndarray) -> list:
 
 def write_grid_csv(samples: GridSamples, path, comments: Iterable[str] = ()) -> None:
     """Complex grid samples as rows (j_1, ..., j_d, re, im)."""
-    idx = _index_columns(samples.dim, samples.resolution)
+    idx = _lattice(samples.dim, samples.resolution)
     header = [f"j{k + 1}" for k in range(samples.dim)] + ["re", "im"]
     re, im = (_floats(part) for part in (samples.flat.real, samples.flat.imag))
     rows = (j + [x, y] for j, x, y in zip(idx.tolist(), re, im))
@@ -148,7 +144,7 @@ def write_grid_csv(samples: GridSamples, path, comments: Iterable[str] = ()) -> 
 
 def write_field_csv(samples: GridSamples, path, comments: Iterable[str] = ()) -> None:
     """Real nonnegative grid field as rows (j_1, ..., j_d, value)."""
-    idx = _index_columns(samples.dim, samples.resolution)
+    idx = _lattice(samples.dim, samples.resolution)
     header = [f"j{k + 1}" for k in range(samples.dim)] + ["value"]
     rows = (j + [v] for j, v in zip(idx.tolist(), _floats(samples.flat.real)))
     write_csv(path, comments, header, rows)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Facet, HPolytope, h_from_vertices, VPolytope
-from .spectral import TrigPolynomial
+from .spectral import TrigPolynomial, _lattice
 
 __all__ = [
     "random_polytope",
@@ -50,12 +50,11 @@ def random_polytope(
 
 
 def _box(dim: int, bandwidth: int) -> np.ndarray:
-    """The lattice points of the box |n_j| <= B as int64 rows, in row-major
-    order (that of ``itertools.product``), so the last coordinate varies fastest."""
+    """The lattice points of the box |n_j| <= B as int64 rows, in the row-major
+    order of ``spectral._lattice``: the last coordinate varies fastest."""
     if dim < 1:
         raise ValueError("dimension must be a positive integer")
-    side = 2 * bandwidth + 1
-    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T - bandwidth
+    return _lattice(dim, 2 * bandwidth + 1) - bandwidth
 
 
 def random_trig_polynomial(

@@ -252,10 +252,15 @@ def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     return StepFunction(bps[1:], _cutoff_sums(f, shells, bps, x, by_pieces=False))
 
 
+def _lattice(dim: int, side: int) -> np.ndarray:
+    """Index points of {0, ..., side-1}^d as int64 rows (side^d, d), row-major as
+    ``itertools.product``: the one lattice order of grids, CSV columns and boxes."""
+    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, side**dim).T
+
+
 def grid_points(dim: int, resolution: int) -> np.ndarray:
     """All grid points (j_1/M, ..., j_d/M), shape (M^d, d), row-major in j."""
-    idx = np.indices((resolution,) * dim).reshape(dim, resolution**dim).T
-    return idx / float(resolution)
+    return _lattice(dim, resolution) / float(resolution)
 
 
 def _grid_sums(f: TrigPolynomial, slots: np.ndarray, n_slots: int, resolution: int):
@@ -357,12 +362,7 @@ def cone_multiplier(f: TrigPolynomial, piece: Facet, P: HPolytope) -> TrigPolyno
     Idempotent; summing the outputs over all pieces of a fan reproduces f
     coefficient for coefficient.
     """
-    return _cone_multiplier(f, _Shells(f, P), piece)
-
-
-def _cone_multiplier(f: TrigPolynomial, shells: _Shells, piece: Facet) -> TrigPolynomial:
-    """:func:`cone_multiplier` on the caller's shell plan of f."""
-    keep = shells.owner == piece.index
+    keep = _Shells(f, P).owner == piece.index
     return TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep])
 
 

@@ -6,10 +6,10 @@ half-line equals the r-variation of the finite value sequence at the jump
 points; :func:`v_r_exact` computes that by dynamic programming and
 :func:`v_r_bruteforce` by exhaustive enumeration of every index subset as a
 bitmask, capped at length 16.  The DP has one kernel, ``_dp_chunk``, over
-the contiguous rows of a shell-major ``(L, columns)`` array: :func:`v_r_exact`
-is its one-column case, a batch of sequences is one zero-padded chunk, and
-:func:`v_r_field` runs it on point chunks whose temporaries, 6L floats per
-point, stay within a fixed entry budget.  Norms and distribution functions
+the contiguous rows of a shell-major ``(L, columns)`` array, and one chunk
+loop, ``_v_r_rows``, over row chunks within a fixed budget of temporaries: a batch
+of sequences is its zero-padded rows, :func:`v_r_exact` a batch of one and
+:func:`v_r_field` one row per grid point.  Norms and distribution functions
 use the uniform probability measure on the sampling grid, with no
 interpolation, so identities like the Fubini slice reordering hold exactly.
 """
@@ -119,18 +119,17 @@ def v_r_exact(values, r: float) -> float:
 
 
 def _v_r_batch(seqs, r: float) -> list[float]:
-    """:func:`v_r_exact` of each sequence, as the zero-padded columns of one
-    ``_dp_chunk``: row j reads only rows i < j, so column k's answer is the
-    largest W of its own first L_k rows.  Roots are taken as Python scalars."""
+    """:func:`v_r_exact` of each sequence, as the zero-padded rows of one
+    :func:`_v_r_rows` call: row j of the DP reads only rows i < j, so a
+    sequence's answer is the largest W of its own first L_k entries."""
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
-    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
-    lengths = np.array([c.shape[0] for c in cols], dtype=np.intp)
-    V = np.zeros((lengths.max(initial=0), len(cols)), dtype=complex)
-    for k, c in enumerate(cols):
-        V[: c.shape[0], k] = c
-    best = np.max(_dp_chunk(V, r), axis=0, initial=0.0, where=np.arange(len(V))[:, None] < lengths)
-    return [w ** (1.0 / r) for w in best.tolist()]
+    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
+    lengths = np.array([v.shape[0] for v in rows], dtype=np.intp)
+    V = np.zeros((len(rows), lengths.max(initial=0)), dtype=complex)
+    for k, v in enumerate(rows):
+        V[k, : v.shape[0]] = v
+    return _v_r_rows(V, r, lengths).tolist()
 
 
 def v_r_bruteforce(values, r: float) -> float:
@@ -284,10 +283,9 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     """Pointwise r-variation of the cutoff family over the full sampling grid.
 
     Evaluates the step family of partial sums at every grid point and runs
-    the :func:`v_r_exact` recursion for all points at once.  Each point chunk
-    is copied shell-major, as an ``(L, points)`` array, so step j is one
-    vectorised pass over the contiguous rows of the earlier indices i < j.
-    Chunks hold at most ``_DP_BUDGET`` float entries of DP temporaries.  Each
+    the :func:`v_r_exact` recursion for all points at once, in point chunks
+    copied shell-major, as ``(L, points)`` arrays, so step j is one vectorised
+    pass over the contiguous rows of the earlier indices i < j.  Each
     point's value is bit-identical to :func:`v_r_exact` on its family (same
     differences, powers and maxima, root taken per point as a scalar).
     Requires 1 <= r < inf and resolution >= 2B+1.
@@ -297,12 +295,20 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
     _, values = family_values_on_grid(f, P, resolution)
-    n, L = values.shape
-    field = np.empty(n)
-    chunk = max(1, _DP_BUDGET // (6 * L))
+    return GridSamples(f.dim, resolution, _v_r_rows(values, r).reshape((resolution,) * f.dim))
+
+
+def _v_r_rows(V: np.ndarray, r: float, lengths=None) -> np.ndarray:
+    """V_r of each row of V (rows, L), or of its first lengths[k] entries, in
+    shell-major row chunks whose DP temporaries (6L floats a row) fit ``_DP_BUDGET``."""
+    n, L = V.shape
+    out = np.empty(n)
+    chunk = max(1, _DP_BUDGET // max(6 * L, 1))
     for lo in range(0, n, chunk):
-        best = _dp_chunk(np.ascontiguousarray(values[lo : lo + chunk].T), r).max(axis=0)
+        mask = True if lengths is None else np.arange(L)[:, None] < lengths[lo : lo + chunk]
+        rows = np.ascontiguousarray(V[lo : lo + chunk].T)  # shell-major
+        best = np.max(_dp_chunk(rows, r), axis=0, initial=0.0, where=mask)
         # NumPy's array pow may differ from the scalar pow in the last bit,
-        # so the root is taken per point, as v_r_exact takes it.
-        field[lo : lo + chunk] = [w ** (1.0 / r) for w in best.tolist()]
-    return GridSamples(f.dim, resolution, field.reshape((resolution,) * f.dim))
+        # so the root is taken per row as a Python scalar.
+        out[lo : lo + chunk] = [w ** (1.0 / r) for w in best.tolist()]
+    return out

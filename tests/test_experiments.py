@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from polysum import experiments, spectral, variation
+import polysum
+from polysum import cli, experiments, fileio, generators, geometry, spectral, variation
 from polysum.experiments import (
     BOUNDS,
     _spectral_checks,
@@ -27,7 +28,8 @@ from polysum.experiments import (
 )
 from polysum.fileio import save_polytope
 from polysum.generators import random_polytope, random_trig_polynomial
-from polysum.geometry import assign_rows, cross_polytope, gauge, hypercube, triangulate
+from polysum.geometry import (assign_rows, cross_polytope, gauge, hypercube, rotation_to_e1,
+                              triangulate)
 from polysum.spectral import breakpoints, family_at_point, partial_sum, sample_grid
 from polysum.variation import GridSamples, _v_r_batch
 
@@ -68,8 +70,6 @@ def test_every_verify_row_passes_by_its_bounds_entry():
 @pytest.fixture
 def gauge_calls(monkeypatch):
     """One entry per ``gauge`` call, under every name polysum calls it by."""
-    from polysum import experiments, geometry, spectral
-
     calls = []
 
     def counted(*args):
@@ -199,24 +199,34 @@ def test_a_nan_margin_fails_wherever_it_falls(kind, check, ok, bad):
 
 
 def test_a_nan_in_freezing_or_distribution_range_fails_its_row(monkeypatch):
-    # max(0.0, nan) is 0.0: neither margin may grow by the built-in max from 0.0
-    direct_sum, frozen = experiments._direct_sum, []
+    # max(0.0, nan) is 0.0: no margin may grow by the built-in max from 0.0
+    direct_sum, frozen, rotations = experiments._direct_sum, [], []
 
     def nan_on_second_piece(*args):
         frozen.append(1)
         return direct_sum(*args) * (np.nan if len(frozen) % 2 == 0 else 1.0)
 
+    def counted_rotation(piece):
+        rotations.append(1)
+        return rotation_to_e1(piece)
+
     monkeypatch.setattr(experiments, "_direct_sum", nan_on_second_piece)
     monkeypatch.setattr(experiments, "distribution_function", lambda h, alpha: np.nan)
+    # the square comes first: a NaN gauge of its second rotated sample
+    monkeypatch.setattr(experiments, "rotation_to_e1", counted_rotation)
+    monkeypatch.setattr(experiments, "gauge",
+                        lambda P, X: gauge(P, X) * (np.nan if len(rotations) == 2 else 1.0))
     assert np.isnan(freezing_identity(_F, hypercube(2), triangulate(hypercube(2)), 11))
     rows = {r.name: r for r in run_verify(seed=42)[1]}
-    for name in ("freezing_identity[square]", "distribution_range"):
+    for name in ("freezing_identity[square]", "distribution_range", "rotation[square]"):
         assert not rows[name].passed and rows[name].detail.endswith("=nan"), rows[name]
 
 
 def test_each_check_has_one_form():
-    names = set(vars(experiments))
-    assert sorted(name for name in names if "_" + name in names) == []
+    # no private twin _name beside a public name, in any polysum module
+    for module in (polysum, cli, experiments, fileio, generators, geometry, spectral, variation):
+        names = set(vars(module))
+        assert sorted(name for name in names if "_" + name in names) == [], module.__name__
 
 
 def test_run_verify_includes_polytope_file(tmp_path):

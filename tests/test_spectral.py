@@ -191,15 +191,10 @@ def test_breakpoints_examples():
 
 
 def test_partial_sum_constant_between_breakpoints():
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 5, 0.5, seed=9)
-    bps = breakpoints(f, P)
-    rng = np.random.default_rng(10)
-    X = rng.random(size=(10, 2))
-    assert bps.shape[0] > 2
     # a constant has L = 1: no interval between breakpoints to check, so its margin is 0
-    for h, bound in ((f, 1e-14), (TrigPolynomial(2, {(0, 0): 1.0}), 0.0)):
-        assert experiments.step_constancy(h, spectral._Shells(h, P), X) <= bound
+    h = TrigPolynomial(2, {(0, 0): 1.0})
+    X = np.random.default_rng(10).random(size=(10, 2))
+    assert experiments.step_constancy(h, spectral._Shells(h, hypercube(2)), X) == 0.0
 
 
 def test_family_at_point_trivial_cases():
@@ -302,10 +297,7 @@ def test_partial_sum_by_pieces_rejects_bad_input():
 
 @pytest.mark.parametrize("seed", [15, 16])
 def test_piecewise_equals_direct_on_random_ensembles(seed):
-    from polysum.generators import random_polytope
-
     P = random_polytope(2, 6, seed=seed)
-    pieces = triangulate(P)
     f = random_trig_polynomial(2, 5, 0.6, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     X = rng.random(size=(20, 2))
@@ -379,6 +371,18 @@ def test_fan_sums_and_freezing_in_four_dimensions():
         "freezing_identity"]
 
 
+@pytest.mark.parametrize("P,f,resolution", [
+    (hypercube(2, radius=2.0), random_trig_polynomial(2, 4, 0.8, seed=20), 9),  # |a_1| = 1/2
+    # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 would drop n_1 = 3
+    (hypercube(2, radius=1.009), random_trig_polynomial(2, 6, 1.0, seed=5), 13),
+    (hypercube(3, radius=1.009), random_trig_polynomial(3, 3, 1.0, seed=7), 7),
+    (interval(-1.0, 2.0), random_trig_polynomial(1, 5, 1.0, seed=3), 11),  # no x' coordinate
+], ids=["square-r2", "square-r1.009", "cube3-r1.009", "interval"])
+def test_freezing_identity_on_scaled_cubes(P, f, resolution):
+    assert experiments.freezing_identity(f, P, triangulate(P), resolution) <= experiments.BOUNDS[
+        "freezing_identity"]
+
+
 def test_halfspace_multiplier_on_the_line_bruteforce_and_extremes():
     # the frozen partial sum: keep a_1 n_1 <= mu on the line, for either facet normal
     rng = np.random.default_rng(19)
@@ -400,18 +404,6 @@ def test_halfspace_multiplier_on_the_line_bruteforce_and_extremes():
         assert abs(halfspace_multiplier(g, [a1], 6.0).evaluate(0.3) - full) <= 1e-12
 
 
-@pytest.mark.parametrize("P,f,resolution", [
-    (hypercube(2, radius=2.0), random_trig_polynomial(2, 4, 0.8, seed=20), 9),  # |a_1| = 1/2
-    # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 would drop n_1 = 3
-    (hypercube(2, radius=1.009), random_trig_polynomial(2, 6, 1.0, seed=5), 13),
-    (hypercube(3, radius=1.009), random_trig_polynomial(3, 3, 1.0, seed=7), 7),
-    (interval(-1.0, 2.0), random_trig_polynomial(1, 5, 1.0, seed=3), 11),  # no x' coordinate
-], ids=["square-r2", "square-r1.009", "cube3-r1.009", "interval"])
-def test_freezing_identity_on_scaled_cubes(P, f, resolution):
-    assert experiments.freezing_identity(f, P, triangulate(P), resolution) <= experiments.BOUNDS[
-        "freezing_identity"]
-
-
 # ---------------------------------------------------------------------------
 # multipliers
 
@@ -428,7 +420,6 @@ def test_cone_multiplier_identity_zero_and_partition():
     for pc in pieces:
         part = cone_multiplier(f, pc, P)
         assert dict(cone_multiplier(part, pc, P)) == dict(part)  # idempotent
-    assert experiments.multiplier_partition(f, spectral._Shells(f, P), pieces) == 0.0
 
 
 def test_halfspace_multiplier_examples():
@@ -447,12 +438,6 @@ def test_halfspace_composition_equals_closed_cone_filter():
     composed = halfspace_multiplier(halfspace_multiplier(f, [-1, 0], 0.0), [0, -1], 0.0)
     expected = {n: c for n, c in f if n[0] >= 0 and n[1] >= 0}
     assert dict(composed) == expected
-
-
-def test_halfspace_composition_vs_assigned_cone_differs_only_on_boundaries():
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 3, 1.0, seed=22)
-    assert experiments.halfspace_cone_boundary(f, P, triangulate(P)) == 0
 
 
 def _halfspace_cone_boundary_by_dicts(f, P, pieces):
@@ -510,12 +495,6 @@ def test_sample_grid_matches_direct_evaluation():
         M = 2 * f.bandwidth + 1
         s = sample_grid(f, M)
         assert np.max(np.abs(s.flat - f.evaluate(grid_points(f.dim, M)))) <= 1e-12
-
-
-def test_sample_grid_parseval():
-    f = random_trig_polynomial(2, 6, 0.5, seed=23)
-    s = sample_grid(f, 2 * f.bandwidth + 1)
-    assert experiments.parseval(f, s) <= 1e-10
 
 
 def test_sample_grid_aliasing_guard():
@@ -592,17 +571,6 @@ def test_direct_evaluators_stay_within_the_chunk_budget(monkeypatch):
         assert peak <= 2 * 2**20, peak
 
 
-def test_partial_sum_linearity():
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 4, 0.6, seed=25)
-    g = random_trig_polynomial(2, 4, 0.6, seed=26)
-    alpha, beta = 1.25 - 0.5j, -0.4 + 2.0j
-    rng = np.random.default_rng(27)
-    X = rng.random(size=(10, 2))
-    assert experiments.linearity(f, spectral._Shells(f, P), g, alpha * f + beta * g,
-                                 [0.0, 1.0, 2.5, 4.0], X, alpha, beta) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # shell plan: empty support and dimension checks
 
@@ -627,8 +595,9 @@ def _plus_e1(pieces):
     (lambda f: freeze(f, _SQUARE, _plus_e1(_FAN), np.full(f.dim - 1, 0.3)).coeffs,
      np.zeros(0, dtype=complex)),
     (lambda f: cone_multiplier(f, _FAN[0], _SQUARE).freqs, np.zeros((0, 2), dtype=np.int64)),
+    (lambda f: np.asarray(experiments.freezing_identity(f, _SQUARE, _FAN, 3)), np.zeros(())),
 ], ids=["partial_sum", "partial_sum_point", "partial_sum_by_pieces", "evaluate", "breakpoints",
-        "family_at_point", "family_values_on_grid", "freeze", "cone_multiplier"])
+        "family_at_point", "family_values_on_grid", "freeze", "cone_multiplier", "freezing_identity"])
 def test_zero_polynomial_and_dimension_mismatch(op, expected):
     out = op(TrigPolynomial.zero(2))
     assert out.shape == expected.shape and out.dtype == expected.dtype
