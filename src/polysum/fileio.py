@@ -3,9 +3,11 @@
 Polytope files carry either half-space data {"dim": d, "H": {"A": ..., "b": ...}}
 or vertex data {"dim": d, "V": {"vertices": ...}}; rows need not be normalized
 on input.  Coefficient files are {"dim": d, "coeffs": [{"n": [...], "re": r,
-"im": i}, ...]}.  CSV output uses '#'-prefixed comment lines for the resolved
-configuration and shortest round-trip float formatting, so a fixed seed yields
-byte-identical files.
+"im": i}, ...]}.  ``dim`` must be a JSON integer and every other number a
+JSON number: a bool or a string raises ValueError, never a coercion.  CSV
+output uses '#'-prefixed comment lines for the resolved configuration and
+shortest round-trip float formatting, so a fixed seed yields byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -33,6 +35,26 @@ __all__ = [
 ]
 
 
+def _json_int(value, path, key: str) -> int:
+    """A JSON integer; a bool, float or string raises ValueError naming the file and key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: '{key}' must be a JSON integer, not {value!r}")
+    return value
+
+
+def _json_floats(value, path, key: str) -> np.ndarray:
+    """A JSON number or nested lists of them as floats; any other entry (a
+    bool, a string, a ragged row) or one beyond float range raises ValueError."""
+    entries = np.asarray(value, dtype=object)
+    for v in entries.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{path}: '{key}' must be JSON numbers in equal rows, found {v!r}")
+    try:
+        return entries.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: '{key}' entry {exc}") from None
+
+
 def load_polytope(path) -> HPolytope:
     """Read a polytope file; vertex data is converted to half-space form.
 
@@ -42,12 +64,13 @@ def load_polytope(path) -> HPolytope:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], path, "dim")
         if "H" in data:
-            return HPolytope(dim, np.array(data["H"]["A"], dtype=float),
-                             np.array(data["H"]["b"], dtype=float)).validate()
+            return HPolytope(dim, _json_floats(data["H"]["A"], path, "H.A"),
+                             _json_floats(data["H"]["b"], path, "H.b")).validate()
         if "V" in data:
-            return h_from_vertices(VPolytope(dim, np.array(data["V"]["vertices"], dtype=float)))
+            vertices = _json_floats(data["V"]["vertices"], path, "V.vertices")
+            return h_from_vertices(VPolytope(dim, vertices))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polytope file {path}: {exc}") from exc
     raise ValueError(f"polytope file {path} has neither 'H' nor 'V' data")
@@ -64,12 +87,12 @@ def load_coefficients(path) -> TrigPolynomial:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], path, "dim")
         entries = data["coeffs"]
         freqs = [e["n"] for e in entries]
-        coeffs = np.array(
-            [complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))) for e in entries]
-        )
+        re, im = (_json_floats([e.get(k, 0.0) for e in entries], path, k) for k in ("re", "im"))
+        coeffs = re.astype(complex)
+        coeffs.imag = im  # re + 1j * im would turn an imaginary -0.0 into 0.0
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
     return TrigPolynomial(dim, freqs, coeffs)

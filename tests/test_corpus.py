@@ -4,6 +4,7 @@ check: differential testing (W. M. McKeeman, Digital Technical Journal 10,
 1998).  The first 25 instances are those of the batched fan test in
 test_geometry.py, in its order; new ones go at the end."""
 
+import itertools
 from functools import cache
 from types import SimpleNamespace
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from polysum import experiments, spectral
 from polysum.generators import random_polytope, random_trig_polynomial
 from polysum.geometry import HPolytope, cross_polytope, gauge, hypercube, interval, triangulate
-from polysum.spectral import sample_grid
-from polysum.variation import v_r_field
+from polysum.spectral import family_values_on_grid, sample_grid
+from polysum.variation import lorentz_p1_norm, lp_norm, v_r_field, weak_lp_norm
 
 CORPUS = {
     **{f"rand2-{300 + k}": random_polytope(2, 4 + k % 5, seed=300 + k) for k in range(12)},
@@ -124,3 +125,25 @@ SPECTRAL = {
 def test_spectral_check_on_the_corpus(check, seed, density):
     _assert_margins(check, {label: SPECTRAL[check](_draw(label, seed, density)) for label in CORPUS},
                     strict=density == 1.0)
+
+
+def test_f_on_the_grid_is_the_family_last_column():
+    """The identity ``run_ratio_experiment`` reads f by, on every instance, and
+    its rows against a reference that transforms the grid twice per member."""
+    for label in CORPUS:
+        s = _draw(label, 0, 1.0)
+        assert np.array_equal(family_values_on_grid(s.f, s.P, s.M)[1][:, -1],
+                              sample_grid(s.f, s.M).flat), label
+    r, p = 3.0, 2.0
+    for dim, density, seed in itertools.product((1, 2, 3), (1.0, 0.5), (0, 7)):
+        rows = []
+        for B, member in itertools.product((1, 2, 3), range(2)):
+            child = np.random.SeedSequence((seed, B, member))
+            f, M = random_trig_polynomial(dim, B, density, child), 2 * B + 1
+            fs, field = sample_grid(f, M).abs(), v_r_field(f, hypercube(dim), M, r)
+            f_lp, vr_lp = lp_norm(fs, p), lp_norm(field, p)
+            rows.append(experiments.RatioRow(
+                member, B, r, p, f_lp, vr_lp, vr_lp / f_lp if f_lp > 0.0 else 0.0,
+                weak_lp_norm(field, p), lorentz_p1_norm(fs, p)))
+        report = experiments.run_ratio_experiment((1, 2, 3), r, p, dim, 2, density, seed)
+        assert report.rows == rows, (dim, density, seed)

@@ -273,6 +273,19 @@ _EXIT_2 = [
     _row("verify_negative_seed", ["verify", "--seed", "-1", *_OUT], "seed must be nonnegative"),
     _row("ratio_negative_bandwidth", ["ratio", "--bandwidths=-2", "--ensemble", "1", *_OUT],
          "bandwidth must be at least 1"),
+    # file numbers once truncated or coerced: dim must be a JSON integer, entries JSON numbers
+    *(_row(f"polytope_{k}", ["partial-sum", "--polytope", "{bad}", *_PS[3:], *_OUT], err,
+           bad=json.dumps({"dim": dim, "H": {"A": [[a, 0], [-1, 0], [0, 1], [0, -1]],
+                                             "b": [1] * 4}}))
+      for k, dim, a, err in (("dim_float", 2.9, 1, "'dim' must be a JSON integer"),
+                             ("dim_bool", True, 1, "'dim' must be a JSON integer"),
+                             ("A_bool", 2, True, "'H.A' must be JSON numbers"))),
+    *(_row(f"coeffs_{k}", [*_PS[:4], "{bad}", *_OUT], err, bad=text)
+      for k, text, err in (
+          ("dim_float", '{"dim": 2.0, "coeffs": []}', "'dim' must be a JSON integer"),
+          ("re_bool", _one_term("[1, 0]", "true"), "'re' must be JSON numbers"),
+          ("re_string", _one_term("[1, 0]", '"1.5"'), "'re' must be JSON numbers"),
+          ("re_beyond_float", _one_term("[1, 0]", "1" + "0" * 400), "too large"))),
 ]
 # coefficients of the polytope's dimension, so only the polytope is at fault
 _BAD_POLYTOPE_ROWS = [
@@ -282,7 +295,7 @@ _BAD_POLYTOPE_ROWS = [
     for command, argv in _BAD_POLYTOPE_ARGV.items()
     for kind, A in sorted(_BAD_POLYTOPES.items())
 ]
-assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9 + 7
 
 
 def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):

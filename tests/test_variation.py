@@ -444,8 +444,9 @@ def test_parseval_under_the_grid_measure():
 
 
 def test_ratio_experiment_rejects_bad_arguments():
-    bad = [{"r": 2.0}, {"r": float("nan")}, {"p": 1.4}, {"p": float("inf")}, {"ensemble": 0},
-           {"bandwidths": ()}, {"bandwidths": (-2,)}, {"seed": -1}]
-    for kwargs in bad:  # r > 2, r' = 1.5 <= p < inf, ensemble >= 1, bandwidths >= 1, seed >= 0
+    bad = [{"r": 2.0}, {"r": float("nan")}, {"r": float("inf")}, {"p": 1.4}, {"p": float("inf")},
+           {"ensemble": 0}, {"bandwidths": ()}, {"bandwidths": (-2,)}, {"seed": -1}]
+    # 2 < r < inf, r' = 1.5 <= p < inf, ensemble >= 1, bandwidths >= 1, seed >= 0
+    for kwargs in bad:
         with pytest.raises(ValueError):
             experiments.run_ratio_experiment(**{"bandwidths": (2,), "ensemble": 1, **kwargs})
