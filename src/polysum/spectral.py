@@ -116,13 +116,18 @@ class TrigPolynomial:
             raise ValueError("frequency/coefficient count mismatch")
         if not np.all(np.isfinite(co)):
             raise ValueError("non-finite coefficient")
-        order = np.lexsort(fr.T[::-1])  # stable, so duplicates keep their order
-        fr, co = fr[order], co[order]
-        new = np.ones(fr.shape[0], dtype=bool)  # first row of each distinct frequency
-        new[1:] = np.any(fr[1:] != fr[:-1], axis=1)
-        merged = np.zeros(np.count_nonzero(new), dtype=complex)
-        np.add.at(merged, np.cumsum(new) - 1, co)
-        fr = fr[new]
+        gt = fr[1:] > fr[:-1]  # compared, not subtracted: +-(2^63-1) would overflow
+        first = np.argmax(gt | (fr[1:] < fr[:-1]), axis=1)[:, None]  # first differing column
+        if np.all(np.take_along_axis(gt, first, axis=1)):  # strictly increasing, as a box
+            fr, merged = fr.copy(), co + 0.0  # + 0.0 maps -0.0 to +0.0, as the merge does
+        else:
+            order = np.lexsort(fr.T[::-1])  # stable, so duplicates keep their order
+            fr, co = fr[order], co[order]
+            new = np.ones(fr.shape[0], dtype=bool)  # first row of each distinct frequency
+            new[1:] = np.any(fr[1:] != fr[:-1], axis=1)
+            merged = np.zeros(np.count_nonzero(new), dtype=complex)
+            np.add.at(merged, np.cumsum(new) - 1, co)
+            fr = fr[new]
         self.dim = dim
         self.freqs = fr
         self.coeffs = merged
@@ -268,23 +273,24 @@ def _grid_sums(f: TrigPolynomial, slots: np.ndarray, n_slots: int, resolution: i
     the sum of c(n) exp(2 pi i n.j/M) over the frequencies with slot <= k;
     slots >= n_slots drop out.  Needs M >= 2B+1, so that the residues n mod M
     of distinct frequencies differ and one scatter places every coefficient.
-    Cumulating over the last axis and transforming the grid axes in place
-    keeps the peak near the size of the result."""
+    Built shell-major, as (n_slots,) + (M,)*d, cumulated over the shells and
+    transformed over the grid axes in place, so the peak stays near the size of
+    the result, which is the transpose view of the (n_slots, M^d) array."""
     keep = slots < n_slots
-    A = np.zeros((resolution,) * f.dim + (n_slots,), dtype=complex)
-    A[tuple((f.freqs[keep] % resolution).T) + (slots[keep],)] = f.coeffs[keep]
-    np.cumsum(A, axis=-1, out=A)
-    np.fft.ifftn(A, axes=range(f.dim), norm="forward", out=A)
-    return A.reshape(resolution**f.dim, n_slots)
+    A = np.zeros((n_slots,) + (resolution,) * f.dim, dtype=complex)
+    A[(slots[keep],) + tuple((f.freqs[keep] % resolution).T)] = f.coeffs[keep]
+    np.cumsum(A, axis=0, out=A)
+    np.fft.ifftn(A, axes=range(1, f.dim + 1), norm="forward", out=A)
+    return A.reshape(n_slots, resolution**f.dim).T
 
 
 def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=None):
     """Family values at every breakpoint for every grid point.
 
-    Returns (cutoffs, values) with values of shape (M^d, len(cutoffs));
-    column k holds the partial sum at the k-th cutoff.  The cutoffs default
-    to the breakpoints of f but any nondecreasing array without NaN works.
-    Requires an alias-free grid, resolution >= 2B+1.
+    Returns (cutoffs, values) with values of shape (M^d, len(cutoffs)), a
+    transpose view whose contiguous column k holds the partial sum at the
+    k-th cutoff.  The cutoffs default to the breakpoints of f but any
+    nondecreasing array without NaN works.  Needs resolution >= 2B+1.
     """
     return _grid_family(f, _Shells(f, P), resolution, at)
 

@@ -36,8 +36,8 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 16
 # float entries of v_r_field's DP temporaries per point chunk; a point holds
-# 6L of them: 2L for its shell-major copy, 2L for its complex differences,
-# L for their moduli and L for its DP row
+# 2L for its complex differences, L for their moduli, L for its DP row and,
+# only when the family spans several chunks, 2L for its shell-major copy
 _DP_BUDGET = 1_000_000
 
 
@@ -196,10 +196,13 @@ def distribution_function(h: GridSamples, alpha: float) -> float:
     return float(np.count_nonzero(vals >= alpha)) * h.cell_volume
 
 
-def _level_fractions(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Fraction of samples >= each level (levels ascending)."""
+def _level_fractions(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample values, ascending, and the fraction of samples >= each."""
     svals = np.sort(vals)
-    return (vals.shape[0] - np.searchsorted(svals, levels, side="left")) / vals.shape[0]
+    new = np.ones(svals.shape[0], dtype=bool)  # first sorted index of each value
+    new[1:] = svals[1:] != svals[:-1]
+    first = np.flatnonzero(new)
+    return svals[first], (vals.shape[0] - first) / vals.shape[0]
 
 
 def weak_lp_norm(h: GridSamples, p: float) -> float:
@@ -210,9 +213,7 @@ def weak_lp_norm(h: GridSamples, p: float) -> float:
     """
     if not 1.0 <= p < np.inf:
         raise ValueError("norm exponent must satisfy 1 <= p < inf")
-    vals = _nonneg_values(h)
-    levels = np.unique(vals)
-    frac = _level_fractions(vals, levels)
+    levels, frac = _level_fractions(_nonneg_values(h))
     return float(np.max(levels * frac ** (1.0 / p), initial=0.0))
 
 
@@ -224,12 +225,10 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
     """
     if not 1.0 <= p < np.inf:
         raise ValueError("norm exponent must satisfy 1 <= p < inf")
-    vals = _nonneg_values(h)
-    levels = np.unique(vals)
-    levels = levels[levels > 0.0]
+    levels, frac = _level_fractions(_nonneg_values(h))
+    levels, frac = levels[levels > 0.0], frac[levels > 0.0]
     if not levels.size:
         return 0.0
-    frac = _level_fractions(vals, levels)
     widths = np.diff(np.concatenate([[0.0], levels]))
     return p * float(np.sum(widths * frac ** (1.0 / p)))
 
@@ -283,9 +282,9 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     """Pointwise r-variation of the cutoff family over the full sampling grid.
 
     Evaluates the step family of partial sums at every grid point and runs
-    the :func:`v_r_exact` recursion for all points at once, in point chunks
-    copied shell-major, as ``(L, points)`` arrays, so step j is one vectorised
-    pass over the contiguous rows of the earlier indices i < j.  Each
+    the :func:`v_r_exact` recursion for all points at once on the family's
+    shell-major ``(L, points)`` form, read in place or copied chunk by chunk,
+    so step j is one pass over the contiguous rows of the earlier i < j.  Each
     point's value is bit-identical to :func:`v_r_exact` on its family (same
     differences, powers and maxima, root taken per point as a scalar).
     Requires 1 <= r < inf and resolution >= 2B+1.
@@ -302,7 +301,7 @@ def _v_r_rows(V: np.ndarray, r: float, lengths=None) -> np.ndarray:
     """V_r of each row of V (rows, L), or of its first lengths[k] entries, in
     shell-major row chunks whose DP temporaries (6L floats a row) fit ``_DP_BUDGET``."""
     n, L = V.shape
-    out = np.empty(n)
+    out, root = np.empty(n), 1.0 / r
     chunk = max(1, _DP_BUDGET // max(6 * L, 1))
     for lo in range(0, n, chunk):
         mask = True if lengths is None else np.arange(L)[:, None] < lengths[lo : lo + chunk]
@@ -310,5 +309,5 @@ def _v_r_rows(V: np.ndarray, r: float, lengths=None) -> np.ndarray:
         best = np.max(_dp_chunk(rows, r), axis=0, initial=0.0, where=mask)
         # NumPy's array pow may differ from the scalar pow in the last bit,
         # so the root is taken per row as a Python scalar.
-        out[lo : lo + chunk] = [w ** (1.0 / r) for w in best.tolist()]
+        out[lo : lo + chunk] = [w**root for w in best.tolist()]
     return out

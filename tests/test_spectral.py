@@ -13,7 +13,7 @@ from polysum.geometry import (
     interval,
     triangulate,
 )
-from polysum.generators import random_polytope, random_trig_polynomial
+from polysum.generators import _box, random_polytope, random_trig_polynomial
 from polysum.spectral import (
     TrigPolynomial,
     breakpoints,
@@ -58,9 +58,9 @@ def _merge_by_unique(dim, freqs, coeffs):
 
 def test_trig_polynomial_merge_bit_identical_to_unique():
     rng = np.random.default_rng(3)
-    big = 2**63 - 1
+    big, neg0 = 2**63 - 1, complex(-0.0, -0.0)  # -0.0 - 0.0j has a +0.0 imaginary part
     cases = [(2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex)),
-             (3, np.array([[big, -big, 0]]), np.array([-0.0 - 0.0j]))]
+             (3, np.array([[big, -big, 0]]), np.array([neg0]))]
     for dim in (1, 2, 3, 4):
         for _ in range(30):
             n = int(rng.integers(1, 50))
@@ -71,6 +71,17 @@ def test_trig_polynomial_merge_bit_identical_to_unique():
             coeffs.real[rng.random(n) < 0.3] = -0.0
             coeffs.imag[rng.random(n) < 0.3] = -0.0
             cases.append((dim, freqs, coeffs))
+    # strictly increasing rows skip the sort and the merge; -0.0 parts must still
+    # come out +0.0, and a sorted input with a duplicate row must still merge
+    for dim, B in ((1, 5), (2, 3), (3, 2), (4, 1)):
+        box = _box(dim, B)
+        cases.append((dim, box, np.full(box.shape[0], neg0)))
+    extremes = np.array([[-big, -big], [-big, 0], [-big, big], [0, -big], [big, -big], [big, big]])
+    cases.append((2, extremes, np.full(6, neg0)))
+    dup = np.zeros(7, dtype=complex)
+    dup.real = [-0.0, 1.0, -0.0, -0.0, 0.0, -0.0, 4.0]
+    dup.imag = [-0.0, -0.0, 2.0, -0.0, 3.0, -0.0, -0.0]
+    cases.append((2, extremes[[0, 1, 1, 2, 3, 4, 5]], dup))
     for dim, freqs, coeffs in cases:
         f = TrigPolynomial(dim, freqs, coeffs)
         fr, merged = _merge_by_unique(dim, freqs, coeffs)
@@ -228,7 +239,8 @@ def test_family_values_on_grid_matches_pointwise_families():
     ]
     for P, g, M, at in cases:
         cuts, values = family_values_on_grid(g, P, M, at=at)
-        assert values.shape == (M**g.dim, cuts.shape[0]) and values.flags.c_contiguous
+        # the transpose of a contiguous shell-major array, the layout the variation DP reads
+        assert values.shape == (M**g.dim, cuts.shape[0]) and values.T.flags.c_contiguous
         direct = np.zeros_like(values)  # below 0 no frequency is kept
         direct[:, cuts >= 0.0] = partial_sum(g, P, cuts[cuts >= 0.0], grid_points(g.dim, M))
         assert np.max(np.abs(values - direct)) <= 1e-12

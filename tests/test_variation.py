@@ -287,6 +287,29 @@ def test_lorentz_p1_norm_two_level_closed_form():
     assert lorentz_p1_norm(h, p) == pytest.approx(expect, abs=1e-12)
 
 
+def _norms_by_unique(vals, p):
+    """Weak-L^p and Lorentz L^{p,1} norms from np.unique levels, counted by searchsorted."""
+    levels = np.unique(vals)
+    frac = (vals.size - np.searchsorted(np.sort(vals), levels, side="left")) / vals.size
+    weak = float(np.max(levels * frac ** (1.0 / p), initial=0.0))
+    pos = levels > 0.0
+    if not pos.any():
+        return weak, 0.0
+    widths = np.diff(np.concatenate([[0.0], levels[pos]]))
+    return weak, p * float(np.sum(widths * frac[pos] ** (1.0 / p)))
+
+
+def test_weak_and_lorentz_norms_equal_the_unique_levels_form():
+    rng = np.random.default_rng(8)
+    ties = rng.integers(0, 5, size=36) / 4.0  # ties and zeros
+    samples = [ties, rng.exponential(size=36), np.zeros(36), np.full(36, 2.5),
+               np.where(rng.random(36) < 0.4, 0.0, rng.exponential(size=36))]
+    for vals in samples:
+        h = GridSamples(2, 6, vals.reshape(6, 6))
+        for p in (1.0, 2.0, 3.5):
+            assert (weak_lp_norm(h, p), lorentz_p1_norm(h, p)) == _norms_by_unique(vals, p)
+
+
 def test_lp_norm_examples_and_chebyshev():
     const = GridSamples(1, 8, np.full(8, 3.0 + 4.0j))
     assert lp_norm(const, 2.0) == pytest.approx(5.0)
@@ -399,12 +422,35 @@ def test_v_r_field_bit_identical_in_numpys_buffered_regime():
             assert field[k] == _dp_by_matrix(values[k], r)
 
 
+def test_the_dp_reads_a_one_chunk_family_in_place(monkeypatch):
+    # the family is built shell-major, so a field or a ratio member that fits
+    # one point chunk hands it to the DP kernel without a transposed copy
+    build, dp = spectral.family_values_on_grid, variation._dp_chunk
+    families, shared = [], []
+
+    def family(*args, **kwargs):
+        families.append(build(*args, **kwargs))
+        return families[-1]
+
+    def chunk(V, r):
+        shared.append(np.shares_memory(V, families[-1][1]))
+        return dp(V, r)
+
+    monkeypatch.setattr(spectral, "family_values_on_grid", family)
+    monkeypatch.setattr(experiments, "family_values_on_grid", family)
+    monkeypatch.setattr(variation, "_dp_chunk", chunk)
+    v_r_field(random_trig_polynomial(2, 3, 0.8, seed=7), hypercube(2), 7, 3.0)
+    experiments.run_ratio_experiment(bandwidths=(2,), ensemble=1)
+    assert shared == [True, True]
+
+
 def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
-    # the DP holds 6L floats per point: the transposed copy and the complex
-    # differences 2L each, the moduli and the DP rows L each; the family is
-    # handed over precomputed, so the trace sees the DP alone.  A batch of its
-    # n rows as sequences also holds their zero-padded copy, a length mask per
-    # chunk and n Python floats; in one chunk its DP would take 1.8 MB
+    # the DP holds 6L floats per point: the shell-major copy of a family that
+    # spans several chunks and the complex differences 2L each, the moduli and
+    # the DP rows L each; the family is handed over precomputed, so the trace
+    # sees the DP alone.  A batch of its n rows as sequences also holds their
+    # zero-padded copy, a length mask per chunk and n Python floats; in one
+    # chunk its DP would take 1.8 MB
     P, f, M = random_polytope(2, 7, seed=16), random_trig_polynomial(2, 6, 1.0, seed=16), 15
     family = family_values_on_grid(f, P, M)
     n, L = family[1].shape
