@@ -22,16 +22,20 @@ from polysum.variation import lorentz_p1_norm, lp_norm, v_r_field, weak_lp_norm
 CORPUS = {
     **{f"rand2-{300 + k}": random_polytope(2, 4 + k % 5, seed=300 + k) for k in range(12)},
     **{f"rand3-{400 + k}": random_polytope(3, 4 + k % 3, seed=400 + k) for k in range(8)},
+    "square": hypercube(2),
     # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 drops n_1 = 3
-    "square": hypercube(2), "square-r1.009": hypercube(2, radius=1.009),
+    "square-r1.009": hypercube(2, radius=1.009),  # keep: carries the scaled-square freezing case
     "cross3": cross_polytope(3), "cube3": hypercube(3),
     # rational rows, whose float gauges split exact shells
     "pentagon": HPolytope(2, [[1, 2], [-3, 1], [1, -1], [-1, -2], [2, -5]], [5, 7, 3, 4, 11]),
-    "interval": interval(-1.0, 2.0), "square-r2": hypercube(2, radius=2.0),
-    "cube3-r1.009": hypercube(3, radius=1.009), "cube4": hypercube(4),
+    "interval": interval(-1.0, 2.0),  # keep: carries the freezing case with no x' coordinate
+    "square-r2": hypercube(2, radius=2.0),  # keep: carries the freezing case with |a_1| = 1/2
+    "cube3-r1.009": hypercube(3, radius=1.009),  # keep: carries the scaled 3-cube freezing case
+    "cube4": hypercube(4),  # keep: carries the 4-cube's fan sums and freezing
     "cross2": cross_polytope(2), "cross4": cross_polytope(4),
     "rand2-11": random_polytope(2, 12, seed=11), "rand3-10": random_polytope(3, 12, seed=10),
-    "rand4-34": random_polytope(4, 7, seed=34), "rand4-84": random_polytope(4, 7, seed=84),
+    "rand4-34": random_polytope(4, 7, seed=34),  # keep: carries the 4-d cover and disjointness case
+    "rand4-84": random_polytope(4, 7, seed=84),
 }
 # each check's BOUNDS entry, or a folded test's tolerance where that is tighter
 TOL = {**experiments.BOUNDS, "multiplier_partition": 0.0}

@@ -494,14 +494,21 @@ def test_verify_csv_identical_across_blas_thread_counts(square_file, coeff_file,
         "partial-sum": (["partial-sum", "--polytope", str(square_file), "--coeffs",
                          str(coeff_file), "--lam", "2.0", "--resolution", "40"], ["out"]),
     }
+    # BLAS reads its thread count when NumPy loads: one cold process per count
+    code = ("import json, sys\nfrom polysum import cli\n"
+            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
     outs = {}
     for threads in ("1", "4"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        for name, (argv, files) in jobs.items():
-            paths = [tmp_path / f"{name}-{flag}-{threads}.csv" for flag in files]
-            flags = [arg for flag, path in zip(files, paths) for arg in (f"--{flag}", str(path))]
-            subprocess.run([sys.executable, "-m", "polysum.cli", *argv, *flags],
-                           check=True, env=env, capture_output=True)
-            outs[name, threads] = [path.read_bytes() for path in paths]
+        paths = {name: [tmp_path / f"{name}-{flag}-{threads}.csv" for flag in files]
+                 for name, (_, files) in jobs.items()}
+        runs = [argv + [arg for flag, path in zip(files, paths[name])
+                        for arg in (f"--{flag}", str(path))]
+                for name, (argv, files) in jobs.items()]
+        run = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        for name in jobs:
+            outs[name, threads] = [path.read_bytes() for path in paths[name]]
     for name in jobs:
         assert outs[name, "1"] == outs[name, "4"], name

@@ -422,20 +422,6 @@ def test_triangulate_interval():
     assert bool(piece_contains(up, P, [0.0])) and bool(piece_contains(down, P, [0.0]))
 
 
-@pytest.mark.parametrize("dim,m,seed", [(2, 6, 31), (2, 8, 32), (3, 5, 33), (4, 7, 34)])
-def test_cover_and_disjointness_by_sampling(dim, m, seed):
-    P = random_polytope(dim, m, seed=seed)
-    pieces = triangulate(P)
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(10_000, dim))
-    X = X / np.maximum(gauge(P, X), 1e-12)[:, None] * rng.random(10_000)[:, None]
-    vals, srt, _ = experiments._row_table(P, X)
-    counts = np.sum(experiments._members(pieces, vals), axis=1)
-    assert experiments.cover(counts) == 0
-    assert np.sum(srt[:, -1] - srt[:, -2] > 1e-7) > 9000  # disjointness is not vacuous
-    assert experiments.disjoint(srt, counts) == 0
-
-
 # per-piece forms of the batched fan checks: one membership, gather and
 # product per piece, as the checks were first written
 def _piece_counts_per_piece(P, pieces, X):

@@ -10,7 +10,6 @@ from polysum.geometry import (
     cross_polytope,
     gauge,
     hypercube,
-    interval,
     triangulate,
 )
 from polysum.generators import _box, random_polytope, random_trig_polynomial
@@ -307,15 +306,6 @@ def test_partial_sum_by_pieces_rejects_bad_input():
             partial_sum_by_pieces(f, P, lam, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("seed", [15, 16])
-def test_piecewise_equals_direct_on_random_ensembles(seed):
-    P = random_polytope(2, 6, seed=seed)
-    f = random_trig_polynomial(2, 5, 0.6, seed=seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    X = rng.random(size=(20, 2))
-    assert experiments.piecewise_equals_direct(f, spectral._Shells(f, P), X) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # freezing
 
@@ -369,30 +359,6 @@ def test_freezing_identity_on_the_square():
                 frozen = halfspace_multiplier(g, pc.a[:1], float(lam) * pc.b).evaluate(x1)
                 worst = max(worst, abs(direct - frozen))
     assert worst <= 1e-12
-
-
-def test_fan_sums_and_freezing_in_four_dimensions():
-    # the freezing reduction is stated for every d; check it above d = 3
-    P = hypercube(4)
-    f = random_trig_polynomial(4, 2, 0.5, seed=41)
-    X = np.random.default_rng(42).random(size=(20, 4))
-    shells = spectral._Shells(f, P)
-    assert experiments.piecewise_equals_direct(f, shells, X) <= experiments.BOUNDS[
-        "piecewise_equals_direct"]
-    assert experiments.freezing_identity(f, P, triangulate(P), 5) <= experiments.BOUNDS[
-        "freezing_identity"]
-
-
-@pytest.mark.parametrize("P,f,resolution", [
-    (hypercube(2, radius=2.0), random_trig_polynomial(2, 4, 0.8, seed=20), 9),  # |a_1| = 1/2
-    # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 would drop n_1 = 3
-    (hypercube(2, radius=1.009), random_trig_polynomial(2, 6, 1.0, seed=5), 13),
-    (hypercube(3, radius=1.009), random_trig_polynomial(3, 3, 1.0, seed=7), 7),
-    (interval(-1.0, 2.0), random_trig_polynomial(1, 5, 1.0, seed=3), 11),  # no x' coordinate
-], ids=["square-r2", "square-r1.009", "cube3-r1.009", "interval"])
-def test_freezing_identity_on_scaled_cubes(P, f, resolution):
-    assert experiments.freezing_identity(f, P, triangulate(P), resolution) <= experiments.BOUNDS[
-        "freezing_identity"]
 
 
 def test_halfspace_multiplier_on_the_line_bruteforce_and_extremes():

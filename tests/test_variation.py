@@ -148,21 +148,6 @@ def test_bruteforce_at_the_length_cap():
         assert abs(v_r_bruteforce(v, r) - v_r_exact(v, r)) <= 1e-12 * v_r_exact(v, r)
 
 
-def test_dp_equals_bruteforce_on_random_complex_sequences():
-    rng = np.random.default_rng(1)
-    seqs = []
-    for _ in range(100):
-        L = int(rng.integers(1, 13))
-        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
-    assert experiments.dp_equals_bruteforce(seqs, R_LADDER) <= 1e-12
-
-
-def test_variation_monotone_in_r():
-    rng = np.random.default_rng(2)
-    seqs = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(50)]
-    assert experiments.r_monotonicity(seqs, variation._v_r_batch(seqs, 3.0)) <= 1e-12
-
-
 @given(
     vals=st.lists(st.floats(-5, 5), min_size=2, max_size=8),
     scale=st.floats(-3, 3),
@@ -188,15 +173,6 @@ def test_variation_dominates_endpoint_jump(vals):
     v = np.asarray(vals)
     for r in (1.0, 3.0):
         assert v_r_exact(v, r) >= abs(v[-1] - v[0]) - 1e-12
-
-
-def test_concatenation_never_decreases_variation():
-    rng = np.random.default_rng(3)
-    seqs, cuts = [], []
-    for _ in range(30):
-        seqs.append(rng.normal(size=11) + 1j * rng.normal(size=11))
-        cuts.append(int(rng.integers(1, 10)))
-    assert experiments.concatenation(seqs, cuts, variation._v_r_batch(seqs, 3.0)) <= 1e-12
 
 
 def test_sup_family_examples():
