@@ -1,10 +1,11 @@
 """Seeded verification suites and the empirical variation-ratio experiments.
 
 ``run_verify`` executes every module's invariant suite on seeded random
-instances and reports one row per check with its margin, passed when at most
-the ``BOUNDS`` entry of its kind.  The invariants that the acceptance gate and
-unit tests also check are plain functions here, each returning its worst
-margin.  ``run_ratio_experiment`` sweeps random coefficient ensembles over a
+instances and reports one row per check with its margin.  Each check kind is
+one row of ``CHECKS``, passed when its margin, a plain function here read on
+one instance's inputs, is at most its bound; the acceptance gate, the unit
+tests and the test corpus call the same functions.
+``run_ratio_experiment`` sweeps random coefficient ensembles over a
 bandwidth ladder and tabulates the ratio of the r-variation field's L^p norm
 to the function's; the design of that experiment (ensemble law, ladder) is
 illustrative, there is no external table to reproduce.  ``run_convergence``
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,35 +126,6 @@ def _config_comments(config: dict) -> list[str]:
 # Each returns its worst margin over the given instances; counts of violating
 # points are margins too.  Unit tests keep their own literal tolerances.
 
-BOUNDS = {
-    "gauge_homogeneity": 1e-12,
-    "sublevel_identity": 0,
-    "roundtrip": 1e-9,
-    "cover": 0,
-    "disjoint": 0,
-    "piece_bounded": 1e-9,
-    "assign_in_piece": 0,
-    "rotation": 1e-9,
-    "cone_rows_agree": 0,
-    "step_constancy": 1e-14,
-    "saturation": 1e-12,
-    "piecewise_equals_direct": 1e-12,
-    "multiplier_partition": 1e-15,
-    "linearity": 1e-12,
-    "parseval": 1e-10,
-    "freezing_identity": 1e-12,
-    "halfspace_cone_boundary": 0,
-    "dp_equals_bruteforce": 1e-12,
-    "r_monotonicity": 1e-12,
-    "scaling": 1e-12,
-    "maximal_control": 1e-12,
-    "concatenation": 1e-12,
-    "weak_le_strong": 1e-12,
-    "fubini_slices": 1e-14,
-    "field_vs_pointwise": 1e-12,
-    "distribution_range": 0,
-}
-
 
 def gauge_homogeneity(P: HPolytope, X, g, t) -> float:
     """Largest |gauge(t x) - t gauge(x)| / (1 + t gauge(x)) over the points X
@@ -218,6 +191,19 @@ def assign_in_piece(members, top) -> float:
     return float(np.sum(~members[np.arange(top.shape[0]), top]))
 
 
+def rotation(P: HPolytope, pieces, X) -> float:
+    """Largest defect of each piece's rotation R = ``rotation_to_e1``: |R^T R - I|,
+    |R normal - e_1|, |det R - 1| and |gauge of P - gauge of R P| at the points X."""
+    g, eye, errs = gauge(P, X), np.eye(P.dim), []
+    for pc in pieces:
+        R = rotation_to_e1(pc)
+        errs += [float(np.linalg.norm(R.T @ R - eye)),
+                 float(np.linalg.norm(R @ pc.normal - eye[0])),
+                 abs(float(np.linalg.det(R)) - 1.0),
+                 float(np.max(np.abs(g - gauge(HPolytope(P.dim, P.A @ R.T), X @ R.T))))]
+    return _worst(errs)
+
+
 def cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, seed: int,
                     stride: int) -> float:
     """Violations of the cone half-spaces of each piece k: its own ``count``
@@ -251,6 +237,12 @@ def step_constancy(f: TrigPolynomial, shells: _Shells, X) -> float:
     mids = 0.5 * (bps[:-1] + bps[1:])
     diff = _cutoff_sums(f, shells, mids, X, False) - _cutoff_sums(f, shells, bps[:-1], X, False)
     return float(np.max(np.abs(diff), initial=0.0))
+
+
+def saturation(f: TrigPolynomial, shells: _Shells, X, fX) -> float:
+    """Largest |partial sum at the last breakpoint - f| at X, with fX = f(X), from
+    f's shell plan ``shells``."""
+    return float(np.max(np.abs(_cutoff_sums(f, shells, shells.breakpoints[-1], X, False) - fX)))
 
 
 def piecewise_equals_direct(f: TrigPolynomial, shells: _Shells, X) -> float:
@@ -328,7 +320,7 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
             vals = np.asarray(n, dtype=float) @ P.A.T
             ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
             violations += int(ties < 2 or np.argmax(vals) >= pc.index)
-    return violations
+    return float(violations)
 
 
 def dp_equals_bruteforce(seqs, rs) -> float:
@@ -376,6 +368,13 @@ def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: f
     return _worst(abs(v - w) for v, w in zip(field.flat[::stride], _v_r_batch(fams, r)))
 
 
+def distribution_range(field: GridSamples, alphas) -> float:
+    """Largest distance of the distribution function of ``field`` from [0, 1] at
+    the levels ``alphas``; a NaN lies outside [0, 1] too, so it reads NaN."""
+    ds = [distribution_function(field, al) for al in alphas]
+    return _worst([0.0] + [max(-d, d - 1.0) for d in ds if not 0.0 <= d <= 1.0])
+
+
 def weak_le_strong(samples, ps) -> float:
     """Largest weak-L^p minus L^p norm over nonnegative grid samples and exponents."""
     return _worst(weak_lp_norm(h, p) - lp_norm(h, p) for h in samples for p in ps)
@@ -395,17 +394,56 @@ def parseval(f: TrigPolynomial, samples: GridSamples) -> float:
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# Rows (suite, kind, bound, detail key, margin) in verify.csv order.  A margin reads
+# one context, a namespace of one instance's inputs that verify or the corpus builds.
+
+CHECKS = [
+    ("geometry", "gauge_homogeneity", 1e-12, "max",
+     lambda c: gauge_homogeneity(c.P, c.X, c.g, c.t)),
+    ("geometry", "sublevel_identity", 0, "mismatches",
+     lambda c: sublevel_identity(c.P, c.X_level, c.g_level, c.factors)),
+    ("geometry", "roundtrip", 1e-9, "max", lambda c: roundtrip(c.P, c.X, c.g)),
+    ("geometry", "cover", 0, "uncovered", lambda c: cover(c.counts)),
+    ("geometry", "disjoint", 0, "overlaps", lambda c: disjoint(c.srt, c.counts)),
+    ("geometry", "piece_bounded", 1e-9, "max_excess",
+     lambda c: piece_bounded(c.P, c.pieces, c.piece_count, c.seed)),
+    ("geometry", "assign_in_piece", 0, "misses", lambda c: assign_in_piece(c.members, c.top)),
+    ("geometry", "rotation", 1e-9, "max", lambda c: rotation(c.P, c.pieces, c.X_rot)),
+    ("geometry", "cone_rows_agree", 0, "violations", lambda c: cone_rows_agree(
+        c.P, c.pieces, c.X_cone, c.srt_cone, c.top_cone, c.gap, c.cone_count, c.seed, c.stride)),
+    ("spectral", "step_constancy", 1e-14, "max", lambda c: step_constancy(c.f, c.shells, c.X)),
+    ("spectral", "saturation", 1e-12, "max", lambda c: saturation(c.f, c.shells, c.X, c.fX)),
+    ("spectral", "piecewise_equals_direct", 1e-12, "max",
+     lambda c: piecewise_equals_direct(c.f, c.shells, c.X)),
+    ("spectral", "multiplier_partition", 1e-15, "max",
+     lambda c: multiplier_partition(c.f, c.shells, c.pieces)),
+    ("spectral", "linearity", 1e-12, "max",
+     lambda c: linearity(c.f, c.shells, c.g, c.combo, c.lam, c.X, c.alpha, c.beta)),
+    ("spectral", "parseval", 1e-10, "err", lambda c: parseval(c.f, c.samples)),
+    ("spectral", "freezing_identity", 1e-12, "max",
+     lambda c: freezing_identity(c.f, c.P, c.pieces, c.M)),
+    ("spectral", "halfspace_cone_boundary", 0, "violations",
+     lambda c: halfspace_cone_boundary(c.f, c.P, c.pieces)),
+    ("variation", "dp_equals_bruteforce", 1e-12, "max",
+     lambda c: dp_equals_bruteforce(c.dp_seqs, c.rs)),
+    ("variation", "r_monotonicity", 1e-12, "max", lambda c: r_monotonicity(c.seqs, c.v3)),
+    ("variation", "scaling", 1e-12, "max", lambda c: scaling(c.seqs, c.cs, c.v3)),
+    ("variation", "maximal_control", 1e-12, "max", lambda c: maximal_control(c.seqs, c.v3)),
+    ("variation", "concatenation", 1e-12, "max", lambda c: concatenation(c.seqs, c.cuts, c.v3)),
+    ("variation", "weak_le_strong", 1e-12, "max", lambda c: weak_le_strong([c.grid], c.ps)),
+    ("variation", "fubini_slices", 1e-14, "max", lambda c: fubini_slices(c.grid, c.alphas)),
+    ("variation", "field_vs_pointwise", 1e-12, "max",
+     lambda c: field_vs_pointwise(c.h, c.P, c.field, c.r, c.stride)),
+    ("variation", "distribution_range", 0, "excess",
+     lambda c: distribution_range(c.field, c.levels)),
+]
+BOUNDS = {kind: bound for _, kind, bound, _, _ in CHECKS}
 
 
-def _checker(results: list[CheckResult], suite: str, label):
-    """The row appender of one suite and instance: ``check(kind, margin, key)``
-    names its row ``kind[label]`` (``kind`` when label is None) and passes it
-    when the margin is at most ``BOUNDS[kind]``."""
-    def check(kind: str, margin, key: str = "max") -> None:
-        name = kind if label is None else f"{kind}[{label}]"
-        results.append(CheckResult(suite, name, bool(margin <= BOUNDS[kind]),
-                                   f"{key}={float(margin):.3e}"))
-    return check
+def _kinds(suite: str, dim: int = 2) -> list[str]:
+    """The kinds of ``suite`` in dimension ``dim``: no 1-d normal -1 rotates to e_1."""
+    return [kind for s, kind, *_ in CHECKS if s == suite and (kind != "rotation" or dim > 1)]
 
 
 def _label_seed(label: str) -> int:
@@ -413,106 +451,63 @@ def _label_seed(label: str) -> int:
     return zlib.crc32(label.encode()) & 0xFFFF
 
 
-def _geometry_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
-                     rng) -> None:
-    check = _checker(results, "geometry", label)
+def _geometry_context(P: HPolytope, pieces, label: str, seed: int) -> SimpleNamespace:
+    """2000 points X of [-1.5, 1.5]^d from the instance's own stream, their gauges g
+    and scalars t, and one row table of X drawn radially into P for four fan checks."""
+    rng = np.random.default_rng((seed + 1000, _label_seed(label)))
     X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
     g = gauge(P, X)
-
     t = rng.uniform(0.0, 50.0, size=X.shape[0])
-    check("gauge_homogeneity", gauge_homogeneity(P, X, g, t))
-    check("sublevel_identity",
-          sublevel_identity(P, X[:50], gauge(P, X[:50]), (0.5, 1.0, 1.5)), "mismatches")
-    check("roundtrip", roundtrip(P, X, g))
-
     inside = X / np.maximum(g, 1e-12)[:, None] * rng.random(X.shape[0])[:, None]
-    vals, srt, top = _row_table(P, inside)  # one table for the four fan checks below
+    vals, srt, top = _row_table(P, inside)
     members = _members(pieces, vals)
-    counts = np.sum(members, axis=1)
-    check("cover", cover(counts), "uncovered")
-    check("disjoint", disjoint(srt, counts), "overlaps")
-    check("piece_bounded", piece_bounded(P, pieces, 400, _label_seed(label)), "max_excess")
-    check("assign_in_piece", assign_in_piece(members[:300], top[:300]), "misses")
-
-    if P.dim > 1:  # a 1-d normal -1 has no determinant +1 rotation to e_1
-        errs, sample = [], X[:200]
-        g_sample = gauge(P, sample)
-        for pc in pieces:
-            R = rotation_to_e1(pc)
-            P_rot = HPolytope(P.dim, P.A @ R.T)
-            errs += [
-                float(np.linalg.norm(R.T @ R - np.eye(P.dim))),
-                float(np.linalg.norm(R @ pc.normal - np.eye(P.dim)[0])),
-                abs(float(np.linalg.det(R)) - 1.0),
-                float(np.max(np.abs(g_sample - gauge(P_rot, sample @ R.T)))),
-            ]
-        check("rotation", _worst(errs))
-
-    check("cone_rows_agree",
-          cone_rows_agree(P, pieces, inside, srt, top, 1e-6, 200, _label_seed(label), 31),
-          "violations")
+    return SimpleNamespace(
+        P=P, pieces=pieces, seed=_label_seed(label), X=X, g=g, t=t,
+        X_level=X[:50], g_level=gauge(P, X[:50]), factors=(0.5, 1.0, 1.5),
+        srt=srt, counts=np.sum(members, axis=1), piece_count=400,
+        members=members[:300], top=top[:300], X_rot=X[:200],
+        X_cone=inside, srt_cone=srt, top_cone=top, gap=1e-6, cone_count=200, stride=31)
 
 
-def _spectral_draw(dim: int, seed: int):
+def _spectral_draw(dim: int, seed: int) -> SimpleNamespace:
     """What the spectral instances of one dimension share, drawn from ``seed``: f, g,
-    the points X, f(X), linearity's combination and f's Parseval margin."""
+    the points X, f(X), linearity's combination and f on its alias-free grid."""
     f, g = (random_trig_polynomial(dim, 6 if dim <= 2 else 3, 0.6, s) for s in (seed, seed + 1))
     X = np.random.default_rng(seed).random(size=(20, dim))
-    err = parseval(f, sample_grid(f, default_resolution(f.bandwidth)))
-    return f, g, X, f.evaluate(X), (1.5 - 0.5j) * f + (-0.75 + 0.25j) * g, err
+    alpha, beta = 1.5 - 0.5j, -0.75 + 0.25j
+    return SimpleNamespace(f=f, g=g, X=X, fX=f.evaluate(X), combo=alpha * f + beta * g,
+                           alpha=alpha, beta=beta,
+                           samples=sample_grid(f, default_resolution(f.bandwidth)))
 
 
-def _spectral_checks(results: list[CheckResult], P: HPolytope, pieces, label: str,
-                     draw) -> None:
-    check = _checker(results, "spectral", label)
-    f, g, X, fX, combo, parseval_err = draw
-    shells = _Shells(f, P)
-    bps = shells.breakpoints
-
-    check("step_constancy", step_constancy(f, shells, X))
-    check("saturation", float(np.max(np.abs(_cutoff_sums(f, shells, bps[-1], X, False) - fX))))
-    check("piecewise_equals_direct", piecewise_equals_direct(f, shells, X))
-    check("multiplier_partition", multiplier_partition(f, shells, pieces))
-    lam = float(bps[len(bps) // 2])
-    check("linearity", linearity(f, shells, g, combo, lam, X, 1.5 - 0.5j, -0.75 + 0.25j))
-    check("parseval", parseval_err, "err")
+def _spectral_context(P: HPolytope, pieces, draw: SimpleNamespace) -> SimpleNamespace:
+    """One spectral instance: its dimension's draw, its own shell plan of f and
+    linearity's cutoff, the middle breakpoint."""
+    shells = _Shells(draw.f, P)
+    lam = float(shells.breakpoints[len(shells.breakpoints) // 2])
+    return SimpleNamespace(**vars(draw), P=P, pieces=pieces, shells=shells, lam=lam)
 
 
-def _variation_checks(results: list[CheckResult], seed: int) -> None:
-    check = _checker(results, "variation", None)
+def _variation_context(seed: int) -> SimpleNamespace:
+    """60 short sequences for the exhaustive DP, 40 more with scalars, cut indices and
+    their V_3 batch, a 9 x 9 grid sample, and the r = 3 field of a 2-d polynomial."""
     rng = np.random.default_rng(seed)
-
-    seqs = []
+    dp_seqs = []
     for _ in range(60):
         L = rng.integers(2, 11)
-        seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
-    check("dp_equals_bruteforce", dp_equals_bruteforce(seqs, (1.0, 2.0, 3.0)))
-
+        dp_seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
     seqs, cs, cuts = [], [], []
     for _ in range(40):
         L = int(rng.integers(2, 14))
         seqs.append(rng.normal(size=L) + 1j * rng.normal(size=L))
         cs.append(complex(rng.normal(), rng.normal()))
         cuts.append(int(rng.integers(1, L)))
-    v3 = _v_r_batch(seqs, 3.0)  # one V_3 batch for the four checks below
-    check("r_monotonicity", r_monotonicity(seqs, v3))
-    check("scaling", scaling(seqs, cs, v3))
-    check("maximal_control", maximal_control(seqs, v3))
-    check("concatenation", concatenation(seqs, cuts, v3))
-
-    h = GridSamples(2, 9, rng.exponential(size=(9, 9)))
-    check("weak_le_strong", weak_le_strong([h], (1.0, 1.5, 2.0, 3.0)))
-    check("fubini_slices", fubini_slices(h, (0.0, 0.3, 1.0, 2.5)))
-
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 3, 0.8, seed + 7)
-    field = v_r_field(f, P, default_resolution(3), 3.0)
-    check("field_vs_pointwise", field_vs_pointwise(f, P, field, 3.0, 7))
-
-    ds = [distribution_function(field, al) for al in (0.0, 0.5, 1.0)]
-    # a NaN lies outside [0, 1] too, so its row reads NaN
-    check("distribution_range", _worst([0.0] + [max(-d, d - 1.0) for d in ds
-                                                if not 0.0 <= d <= 1.0]), "excess")
+    P, h = hypercube(2), random_trig_polynomial(2, 3, 0.8, seed + 7)
+    return SimpleNamespace(
+        dp_seqs=dp_seqs, rs=(1.0, 2.0, 3.0), seqs=seqs, cs=cs, cuts=cuts, v3=_v_r_batch(seqs, 3.0),
+        grid=GridSamples(2, 9, rng.exponential(size=(9, 9))), ps=(1.0, 1.5, 2.0, 3.0),
+        alphas=(0.0, 0.3, 1.0, 2.5), h=h, P=P, field=v_r_field(h, P, default_resolution(3), 3.0),
+        r=3.0, stride=7, levels=(0.0, 0.5, 1.0))
 
 
 def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[CheckResult]]:
@@ -538,25 +533,29 @@ def run_verify(seed: int = 42, out=None, polytope_file=None) -> tuple[int, list[
     ]
 
     pieces = {label: triangulate(P) for label, P in instances}
-    results: list[CheckResult] = []
-    for label, P in instances:
-        rng = np.random.default_rng((seed + 1000, _label_seed(label)))
-        _geometry_checks(results, P, pieces[label], label, rng)
-    draws = {}  # one spectral draw per dimension: every instance of it reads the same
-    for label, P in instances:
-        if label in ("file", "square", "cross2", "rand2b", "rand3"):
-            if P.dim not in draws:
-                draws[P.dim] = _spectral_draw(P.dim, seed + 17)
-            _spectral_checks(results, P, pieces[label], label, draws[P.dim])
+    runs = [(label, _geometry_context(P, pieces[label], label, seed), _kinds("geometry", P.dim))
+            for label, P in instances]
+    # freezing_identity[square] and the unlabelled halfspace_cone_boundary each draw their own f
+    own_f = {"freezing_identity": ("square", random_trig_polynomial(2, 6, 0.7, seed + 23)),
+             "halfspace_cone_boundary": (None, random_trig_polynomial(2, 4, 1.0, seed + 29))}
+    shared = [kind for kind in _kinds("spectral") if kind not in own_f]
+    spectral = [(label, P) for label, P in instances if label not in ("cube3", "rand2a")]
+    # one spectral draw per dimension: every instance of it reads the same
+    draws = {dim: _spectral_draw(dim, seed + 17) for dim in {P.dim for _, P in spectral}}
+    runs += [(label, _spectral_context(P, pieces[label], draws[P.dim]), shared)
+             for label, P in spectral]
     square = dict(instances)["square"]
-    f = random_trig_polynomial(2, 6, 0.7, seed + 23)
-    _checker(results, "spectral", "square")(
-        "freezing_identity", freezing_identity(f, square, pieces["square"], 13))
-    f = random_trig_polynomial(2, 4, 1.0, seed + 29)
-    _checker(results, "spectral", None)(
-        "halfspace_cone_boundary", halfspace_cone_boundary(f, square, pieces["square"]),
-        "violations")
-    _variation_checks(results, seed + 31)
+    runs += [(label, SimpleNamespace(f=f, P=square, pieces=pieces["square"], M=13), [kind])
+             for kind, (label, f) in own_f.items()]
+    runs.append((None, _variation_context(seed + 31), _kinds("variation")))
+
+    results: list[CheckResult] = []
+    for label, context, kinds in runs:
+        for suite, kind, bound, key, margin in CHECKS:
+            if kind in kinds:
+                value = margin(context)
+                name = kind if label is None else f"{kind}[{label}]"
+                results.append(CheckResult(suite, name, value <= bound, f"{key}={value:.3e}"))
 
     status = 0 if all(r.passed for r in results) else 1
     if out is not None:

@@ -54,10 +54,14 @@ def _assert_margins(check, margins, strict=True):
     assert failing <= known and (not strict or failing == known), margins
 
 
+ROWS = {kind: margin for _, kind, _, _, margin in experiments.CHECKS}
+
+
 @cache
 def _sampled(label):
-    """10^4 seeded points X of the box [-1.5, 1.5]^d with gauges g and scalars t,
-    and the row table and piece membership of X drawn radially into P."""
+    """The geometry context: 10^4 seeded points X of the box [-1.5, 1.5]^d with
+    gauges g and scalars t, the row table and piece membership of X drawn
+    radially into P, and the row table of X itself for cone_rows_agree."""
     P, seed = CORPUS[label], experiments._label_seed(label)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.5, 1.5, size=(10_000, P.dim))
@@ -66,28 +70,26 @@ def _sampled(label):
     vals, srt, top = experiments._row_table(P, inside)
     pieces = triangulate(P)
     members = experiments._members(pieces, vals)
-    return SimpleNamespace(P=P, pieces=pieces, seed=seed, X=X, g=g, t=rng.uniform(0, 50, g.shape),
-                           srt=srt, top=top, members=members, counts=np.sum(members, axis=1))
+    _, srt_X, top_X = experiments._row_table(P, X)
+    return SimpleNamespace(
+        P=P, pieces=pieces, seed=seed, X=X, g=g, t=rng.uniform(0, 50, g.shape), X_level=X,
+        g_level=g, factors=(0.5, 1.0, 2.0), srt=srt, counts=np.sum(members, axis=1),
+        piece_count=2000, members=members, top=top, X_rot=X, X_cone=X, srt_cone=srt_X,
+        top_cone=top_X, gap=1e-7, cone_count=500, stride=1)
 
 
-GEOMETRY = {
-    "gauge_homogeneity": lambda s: experiments.gauge_homogeneity(s.P, s.X, s.g, s.t),
-    "sublevel_identity": lambda s: experiments.sublevel_identity(s.P, s.X, s.g, (0.5, 1.0, 2.0)),
-    "roundtrip": lambda s: experiments.roundtrip(s.P, s.X, s.g),
-    "cover": lambda s: experiments.cover(s.counts),
-    # vacuous unless over 90% of the points are off piece boundaries
-    "disjoint": lambda s: (experiments.disjoint(s.srt, s.counts)
-                           if np.mean(s.srt[:, -1] - s.srt[:, -2] > 1e-7) > 0.9 else np.inf),
-    "piece_bounded": lambda s: experiments.piece_bounded(s.P, s.pieces, 2000, s.seed),
-    "assign_in_piece": lambda s: experiments.assign_in_piece(s.members, s.top),
-    "cone_rows_agree": lambda s: experiments.cone_rows_agree(
-        s.P, s.pieces, s.X, *experiments._row_table(s.P, s.X)[1:], 1e-7, 500, s.seed, 1),
-}
-
-
-@pytest.mark.parametrize("check", GEOMETRY)
+@pytest.mark.parametrize("check", experiments._kinds("geometry"))
 def test_geometry_check_on_the_corpus(check):
-    _assert_margins(check, {label: GEOMETRY[check](_sampled(label)) for label in CORPUS})
+    _assert_margins(check, {label: ROWS[check](_sampled(label)) for label, P in CORPUS.items()
+                            if check in experiments._kinds("geometry", P.dim)})
+
+
+def test_disjoint_is_not_vacuous_on_the_corpus():
+    # disjoint reads only the points off piece boundaries: over 90% of them
+    for label in CORPUS:
+        srt = _sampled(label).srt
+        share = np.mean(srt[:, -1] - srt[:, -2] > 1e-7)
+        assert share > 0.9, (label, share)
 
 
 # f's bandwidth B per dimension and a smaller one b for the variation field,
@@ -98,36 +100,25 @@ ALPHA, BETA = 1.25 - 0.5j, -0.4 + 2.0j
 
 @cache
 def _draw(label, seed, density):
-    """f, g and the field's h from seeds seed, seed + 1 and seed + 2, f's shell
-    plan, the grid sizes of f and h, and 20 random points."""
+    """The spectral context: f, g and the field's h from seeds seed, seed + 1 and
+    seed + 2, f's shell plan, 20 random points, linearity at nine cutoffs from 0
+    to the last breakpoint, most of them between breakpoints, and h's r = 2.5 field."""
     P, (B, b) = CORPUS[label], BANDWIDTHS[CORPUS[label].dim]
     f, g, h = (random_trig_polynomial(P.dim, w, density, seed + k) for k, w in enumerate((B, B, b)))
-    return SimpleNamespace(P=P, pieces=triangulate(P), f=f, g=g, h=h, shells=spectral._Shells(f, P),
-                           M=2 * B + 1, Mh=2 * b + 1, X=np.random.default_rng(seed).random((20, P.dim)))
+    X, shells = np.random.default_rng(seed).random((20, P.dim)), spectral._Shells(f, P)
+    return SimpleNamespace(
+        P=P, pieces=triangulate(P), f=f, g=g, h=h, shells=shells, M=2 * B + 1, X=X,
+        fX=f.evaluate(X), combo=ALPHA * f + BETA * g, alpha=ALPHA, beta=BETA,
+        lam=np.linspace(0.0, shells.breakpoints[-1], 9), samples=sample_grid(f, 2 * B + 1),
+        field=v_r_field(h, P, 2 * b + 1, 2.5), r=2.5, stride=1)
 
 
-SPECTRAL = {
-    "step_constancy": lambda s: experiments.step_constancy(s.f, s.shells, s.X),
-    "piecewise_equals_direct": lambda s: experiments.piecewise_equals_direct(s.f, s.shells, s.X),
-    "multiplier_partition": lambda s: experiments.multiplier_partition(s.f, s.shells, s.pieces),
-    # nine cutoffs from 0 to the last breakpoint, most of them between breakpoints
-    "linearity": lambda s: experiments.linearity(
-        s.f, s.shells, s.g, ALPHA * s.f + BETA * s.g,
-        np.linspace(0.0, s.shells.breakpoints[-1], 9), s.X, ALPHA, BETA),
-    "freezing_identity": lambda s: experiments.freezing_identity(s.f, s.P, s.pieces, s.M),
-    "halfspace_cone_boundary": lambda s: experiments.halfspace_cone_boundary(s.f, s.P, s.pieces),
-    "field_vs_pointwise": lambda s: experiments.field_vs_pointwise(
-        s.h, s.P, v_r_field(s.h, s.P, s.Mh, 2.5), 2.5, 1),
-    "parseval": lambda s: experiments.parseval(s.f, sample_grid(s.f, s.M)),
-}
-
-
-@pytest.mark.parametrize("check", SPECTRAL)
+@pytest.mark.parametrize("check", experiments._kinds("spectral") + ["field_vs_pointwise"])
 @given(seed=st.integers(0, 2**32 - 3), density=st.floats(0.2, 1.0))
 @example(seed=0, density=1.0)
 @settings(max_examples=1, deadline=None)
 def test_spectral_check_on_the_corpus(check, seed, density):
-    _assert_margins(check, {label: SPECTRAL[check](_draw(label, seed, density)) for label in CORPUS},
+    _assert_margins(check, {label: ROWS[check](_draw(label, seed, density)) for label in CORPUS},
                     strict=density == 1.0)
 
 

@@ -5,8 +5,7 @@ import polysum
 from polysum import cli, experiments, fileio, generators, geometry, spectral, variation
 from polysum.experiments import (
     BOUNDS,
-    _spectral_checks,
-    _spectral_draw,
+    CHECKS,
     concatenation,
     default_resolution,
     dp_equals_bruteforce,
@@ -102,26 +101,38 @@ def test_run_verify_batches_its_variation_dp(monkeypatch):
     assert len(calls) == 13
 
 
-def test_verify_spectral_rows_equal_the_checks_on_their_own_draw_and_plan(monkeypatch):
-    # verify draws f, g and X once per dimension; each instance's margins must
-    # equal the checks run on that instance's own draw and plan, bit for bit
+@pytest.fixture
+def row_margins(monkeypatch):
+    """Each kind's margins in the order verify computes them, recorded by
+    wrapping the margin of every ``CHECKS`` row."""
     margins = {}
-    checker = experiments._checker
 
-    def recording(results, suite, label):
-        check = checker(results, suite, label)
-
-        def record(kind, margin, key="max"):
-            margins[f"{kind}[{label}]"] = float(margin)
-            check(kind, margin, key)
+    def recording(kind, margin):
+        def record(context):
+            margins.setdefault(kind, []).append(margin(context))
+            return margins[kind][-1]
         return record
 
-    monkeypatch.setattr(experiments, "_checker", recording)
+    monkeypatch.setattr(experiments, "CHECKS", [row[:4] + (recording(row[1], row[4]),)
+                                                for row in CHECKS])
+    return margins
+
+
+def test_every_verify_margin_is_a_float(row_margins):
+    status, results = run_verify(seed=42)
+    assert status == 0 and sum(map(len, row_margins.values())) == len(results)
+    assert {kind: {type(m) for m in ms} for kind, ms in row_margins.items()} == {
+        kind: {float} for kind in BOUNDS}
+
+
+def test_verify_spectral_rows_equal_the_checks_on_their_own_draw_and_plan(row_margins):
+    # verify draws f, g and X once per dimension; each instance's margins must
+    # equal the checks run on that instance's own draw and plan, bit for bit
     run_verify(seed=7)
     seed = 7 + 17
-    for label, P in (("square", hypercube(2)), ("cross2", cross_polytope(2)),
-                     ("rand2b", random_polytope(2, 8, 7 + 1)),
-                     ("rand3", random_polytope(3, 5, 7 + 2))):
+    for i, (label, P) in enumerate((("square", hypercube(2)), ("cross2", cross_polytope(2)),
+                                    ("rand2b", random_polytope(2, 8, 7 + 1)),
+                                    ("rand3", random_polytope(3, 5, 7 + 2)))):
         B = 6 if P.dim <= 2 else 3
         f = random_trig_polynomial(P.dim, B, 0.6, seed)
         g = random_trig_polynomial(P.dim, B, 0.6, seed + 1)
@@ -138,11 +149,20 @@ def test_verify_spectral_rows_equal_the_checks_on_their_own_draw_and_plan(monkey
             "parseval": parseval(f, sample_grid(f, default_resolution(B))),
         }
         for kind, margin in expected.items():
-            assert margins[f"{kind}[{label}]"] == margin, (label, kind)
+            assert row_margins[kind][i] == margin, (label, kind)
 
 
 _F = random_trig_polynomial(2, 5, 0.7, seed=1)
 _X = np.random.default_rng(2).random((5, 2))
+
+
+def _spectral_rows():
+    """The six rows of verify's spectral instances, on one context of the square."""
+    P = hypercube(2)
+    context = experiments._spectral_context(P, triangulate(P), experiments._spectral_draw(2, 59))
+    return [margin(context) for _, kind, _, _, margin in CHECKS if kind in (
+        "step_constancy", "saturation", "piecewise_equals_direct", "multiplier_partition",
+        "linearity", "parseval")]
 
 
 # (gauge passes, owner-row passes) over the support of f
@@ -156,12 +176,11 @@ _X = np.random.default_rng(2).random((5, 2))
     (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
                                 3.0, 7), (1, 0)),
     # one plan each for f, g and their combination in linearity
-    (lambda: _spectral_checks([], hypercube(2), triangulate(hypercube(2)), "square",
-                              _spectral_draw(2, 59)), (3, 1)),
+    (_spectral_rows, (3, 1)),
     # f's plan, then one of each of the two +-e_1 pieces' restrictions
     (lambda: freezing_identity(_F, hypercube(2), triangulate(hypercube(2)), 11), (3, 1)),
 ], ids=["family_at_point", "run_convergence", "step_constancy", "piecewise_equals_direct",
-        "multiplier_partition", "field_vs_pointwise", "_spectral_checks", "freezing_identity"])
+        "multiplier_partition", "field_vs_pointwise", "spectral_rows", "freezing_identity"])
 def test_one_shell_plan_per_call(gauge_calls, monkeypatch, call, passes):
     owner_calls = []
 
@@ -227,6 +246,19 @@ def test_each_check_has_one_form():
     for module in (polysum, cli, experiments, fileio, generators, geometry, spectral, variation):
         names = set(vars(module))
         assert sorted(name for name in names if "_" + name in names) == [], module.__name__
+    # one CHECKS row per kind, each kind a public check function, and no bound moved
+    kinds = [kind for _, kind, _, _, _ in CHECKS]
+    assert len(set(kinds)) == len(kinds) == 26
+    assert all(not kind.startswith("_") and callable(getattr(experiments, kind)) for kind in kinds)
+    assert BOUNDS == {
+        "gauge_homogeneity": 1e-12, "sublevel_identity": 0, "roundtrip": 1e-9, "cover": 0,
+        "disjoint": 0, "piece_bounded": 1e-9, "assign_in_piece": 0, "rotation": 1e-9,
+        "cone_rows_agree": 0, "step_constancy": 1e-14, "saturation": 1e-12,
+        "piecewise_equals_direct": 1e-12, "multiplier_partition": 1e-15, "linearity": 1e-12,
+        "parseval": 1e-10, "freezing_identity": 1e-12, "halfspace_cone_boundary": 0,
+        "dp_equals_bruteforce": 1e-12, "r_monotonicity": 1e-12, "scaling": 1e-12,
+        "maximal_control": 1e-12, "concatenation": 1e-12, "weak_le_strong": 1e-12,
+        "fubini_slices": 1e-14, "field_vs_pointwise": 1e-12, "distribution_range": 0}
 
 
 def test_run_verify_includes_polytope_file(tmp_path):
