@@ -5,7 +5,7 @@ converge.  ``COMMANDS`` declares each one once: its help text, its handler
 and its options.  An option is a row ``(name, converter, default)``, with
 ``REQUIRED`` as the default of an option that must be given; a name without
 ``--`` is a positional.  ``main`` builds the parser of the invoked
-subcommand only, from its rows; ``build_parser`` builds every subcommand's
+subcommand only, once per process; ``build_parser`` builds every subcommand's
 parser, which only -h, a missing or an unknown subcommand needs.  Either adds
 each row with no argparse ``type``, so a flag arrives as a string, and
 ``_options`` takes each option from its flag, else from the JSON config file
@@ -21,6 +21,7 @@ a fixed seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -232,14 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str) -> argparse.ArgumentParser:
+    return _add_options(argparse.ArgumentParser(prog=f"polysum {command}"), COMMANDS[command][2])
+
+
 def _parse(argv) -> tuple[str, argparse.Namespace]:
     """The invoked subcommand and its arguments.  An argv that starts with a
     subcommand is parsed by that subcommand's parser alone; anything else
     (-h, no or an unknown subcommand) goes to the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"polysum {argv[0]}")
-        return argv[0], _add_options(parser, COMMANDS[argv[0]][2]).parse_args(argv[1:])
+        return argv[0], _parser(argv[0]).parse_args(argv[1:])
     args = build_parser().parse_args(argv)
     return args.command, args
 

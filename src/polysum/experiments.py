@@ -44,7 +44,7 @@ from .spectral import (
     _Shells,
     _cutoff_sums,
     _frozen_rows,
-    _grid_family,
+    _grid_sums,
     _halfspace_keep,
     family_values_on_grid,
     grid_points,
@@ -277,7 +277,7 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
     grid point, on the pieces with facet normal +-e_1 (where freezing is defined).
     Every x' row freezes at once, as ``freeze`` does; the frozen sum at lam keeps
     the n_1 with a_1 n_1 <= lam b, for all x' and lam at once.  One shell plan
-    of f serves the breakpoints and every piece's frequencies."""
+    of f serves the breakpoints and every piece's frequencies and shells."""
     M = resolution
     shells = _Shells(f, P)
     bps = shells.breakpoints
@@ -291,7 +291,7 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
             continue
         own = shells.owner == pc.index
         restricted = TrigPolynomial(f.dim, f.freqs[own], f.coeffs[own])
-        _, vals = family_values_on_grid(restricted, P, M, at=bps)
+        vals = _grid_sums(restricted, shells.index[own], bps.shape[0], M)
         lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
         rows = (frozen[:, None, :] * keep).reshape(frozen.shape[0] * bps.shape[0], -1)
@@ -687,8 +687,8 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     f = smooth_polynomial(dim, bandwidth)
     M = default_resolution(bandwidth)
     shells = _Shells(f, P)  # one plan: the tail splits shells as the family does
-    bps, values = _grid_family(f, shells, M)
-    g = shells.gauge
+    bps = shells.breakpoints
+    values = _grid_sums(f, shells.index, bps.shape[0], M)
     final = values[:, -1]
     abs_c = np.abs(f.coeffs)
     rows = []
@@ -696,7 +696,7 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     for k, lam in enumerate(bps):
         err = float(np.max(np.abs(values[:, k] - final)))
         running = min(running, err)
-        tail = float(np.sum(abs_c[g > lam]))
+        tail = float(np.sum(abs_c[shells.index > k]))
         rows.append((k, float(lam), err, running, tail))
     if out is not None:
         config = {"bandwidth": bandwidth, "dim": dim, "resolution": M}

@@ -15,15 +15,13 @@ __all__ = [
 ]
 
 
-def random_polytope(
-    dim: int,
-    m: int,
-    seed,
-    margin: float = 0.1,
-    max_tries: int = 200,
-) -> HPolytope:
+_MARGIN = 0.1  # least distance from the origin to every facet plane
+_MAX_TRIES = 200  # draws before random_polytope gives up
+
+
+def random_polytope(dim: int, m: int, seed) -> HPolytope:
     """Hull of m random unit-sphere points, rejected until the origin is
-    interior with distance >= margin to every facet plane.
+    interior with distance >= _MARGIN to every facet plane.
 
     Returns the normalized irredundant half-space form for any d >= 2; d = 2
     gives an m-gon, d = 3 a simplicial polytope with up to 2m-4 facets.
@@ -33,7 +31,7 @@ def random_polytope(
     if m < dim + 1:
         raise ValueError("need at least d+1 generating points")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pts = rng.normal(size=(m, dim))
         norms = np.linalg.norm(pts, axis=1)
         if np.any(norms < 1e-9):
@@ -44,9 +42,9 @@ def random_polytope(
         except ValueError:
             continue
         # rows are scaled to b = 1, so the plane distance is 1/|a_i|
-        if np.all(1.0 / np.linalg.norm(P.A, axis=1) >= margin):
+        if np.all(1.0 / np.linalg.norm(P.A, axis=1) >= _MARGIN):
             return P
-    raise ValueError("rejection budget exhausted; loosen the margin or reseed")
+    raise ValueError("rejection budget exhausted; reseed")
 
 
 def _box(dim: int, bandwidth: int) -> np.ndarray:

@@ -4,13 +4,13 @@ A cutoff at parameter ``lam`` keeps the frequencies whose gauge is at most
 ``lam`` (closed condition), so as ``lam`` sweeps the half-line the partial
 sums at a fixed point form a right-continuous step function whose jumps sit
 at the finitely many gauge values of the support; those values are the
-breakpoints.  One shell plan decides each frequency's gauge and owner row (its
-fan piece) for every operator.
+breakpoints.  One shell plan decides each frequency's gauge, shell (its
+breakpoint index) and owner row (its fan piece) for every operator.
 
 On the alias-free grid j/M (M >= 2B+1) every frequency has its own residue
-n mod M, so one inverse FFT of the scattered coefficients evaluates a whole
-family exactly to rounding: ``family_values_on_grid`` and ``sample_grid`` take
-that route.  Arbitrary points (``evaluate``, ``partial_sum``,
+n mod M, so one inverse FFT of the coefficients scattered by shell evaluates a
+whole family exactly to rounding (``family_values_on_grid``; ``sample_grid``
+is its one-shell case).  Arbitrary points (``evaluate``, ``partial_sum``,
 ``partial_sum_by_pieces``, ``family_at_point``) are summed directly,
 O(#coeffs * #points), and serve as the oracle for the grid route; points go
 in chunks, so the phase matrix never holds more than ``_CHUNK_BUDGET``
@@ -151,7 +151,10 @@ class TrigPolynomial:
         return int(np.max(np.abs(self.freqs), initial=0))
 
     def coeff(self, n) -> complex:
-        n = np.asarray(n, dtype=np.int64).reshape(-1)
+        """c(n), 0 off the support; n must be dim integers."""
+        n = _int_freqs(n).reshape(-1)
+        if n.shape[0] != self.dim:
+            raise ValueError(f"frequency {n.tolist()} does not have {self.dim} entries")
         hits = np.all(self.freqs == n, axis=1)
         idx = np.nonzero(hits)[0]
         return complex(self.coeffs[idx[0]]) if idx.size else 0.0j
@@ -179,9 +182,9 @@ class TrigPolynomial:
 
 
 class _Shells:
-    """Shell plan of f under P: each frequency's gauge, owner row (lowest index
-    attaining the gauge) and the breakpoints.  Fields are computed on first
-    use, so an operator pays only for what it reads."""
+    """Shell plan of f under P: the breakpoints and each frequency's gauge, shell
+    index into them and owner row (lowest index attaining the gauge).  Fields
+    are computed on first use, so an operator pays only for what it reads."""
 
     def __init__(self, f: TrigPolynomial, P: HPolytope):
         if f.dim != P.dim:
@@ -200,6 +203,11 @@ class _Shells:
     @cached_property
     def breakpoints(self) -> np.ndarray:
         return np.unique(np.concatenate([[0.0], self.gauge]))
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Each frequency's shell, the breakpoint it enters at: ``breakpoints[index] == gauge``."""
+        return np.searchsorted(self.breakpoints, self.gauge)
 
 
 def _cutoff_sums(f: TrigPolynomial, shells: _Shells, lam, x, by_pieces: bool):
@@ -270,41 +278,31 @@ def grid_points(dim: int, resolution: int) -> np.ndarray:
 
 def _grid_sums(f: TrigPolynomial, slots: np.ndarray, n_slots: int, resolution: int):
     """Values of shape (M^d, n_slots), rows in grid_points order: column k is
-    the sum of c(n) exp(2 pi i n.j/M) over the frequencies with slot <= k;
-    slots >= n_slots drop out.  Needs M >= 2B+1, so that the residues n mod M
+    the sum of c(n) exp(2 pi i n.j/M) over the frequencies with slot <= k, for
+    slots in range(n_slots).  Needs M >= 2B+1, so that the residues n mod M
     of distinct frequencies differ and one scatter places every coefficient.
     Built shell-major, as (n_slots,) + (M,)*d, cumulated over the shells and
     transformed over the grid axes in place, so the peak stays near the size of
     the result, which is the transpose view of the (n_slots, M^d) array."""
-    keep = slots < n_slots
+    if resolution < 2 * f.bandwidth + 1:
+        raise ValueError("aliasing: grid resolution must be at least 2B+1")
     A = np.zeros((n_slots,) + (resolution,) * f.dim, dtype=complex)
-    A[(slots[keep],) + tuple((f.freqs[keep] % resolution).T)] = f.coeffs[keep]
+    A[(slots,) + tuple((f.freqs % resolution).T)] = f.coeffs
     np.cumsum(A, axis=0, out=A)
     np.fft.ifftn(A, axes=range(1, f.dim + 1), norm="forward", out=A)
     return A.reshape(n_slots, resolution**f.dim).T
 
 
-def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int, at=None):
+def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int):
     """Family values at every breakpoint for every grid point.
 
-    Returns (cutoffs, values) with values of shape (M^d, len(cutoffs)), a
-    transpose view whose contiguous column k holds the partial sum at the
-    k-th cutoff.  The cutoffs default to the breakpoints of f but any
-    nondecreasing array without NaN works.  Needs resolution >= 2B+1.
+    Returns (breakpoints, values) with values of shape (M^d, L), a transpose
+    view whose contiguous column k holds the partial sum at the k-th
+    breakpoint; each frequency enters at its shell.  Needs resolution >= 2B+1.
     """
-    return _grid_family(f, _Shells(f, P), resolution, at)
-
-
-def _grid_family(f: TrigPolynomial, shells: _Shells, resolution: int, at=None):
-    """:func:`family_values_on_grid` on the caller's shell plan."""
-    if resolution < 2 * f.bandwidth + 1:
-        raise ValueError("aliasing: grid resolution must be at least 2B+1")
-    bps = shells.breakpoints if at is None else np.asarray(at, dtype=float).reshape(-1)
-    if np.isnan(bps).any() or np.any(bps[1:] < bps[:-1]):
-        raise ValueError("cutoffs must be nondecreasing and not NaN")
-    # a frequency counts from the first cutoff its gauge does not exceed
-    slots = np.searchsorted(bps, shells.gauge, side="left")
-    return bps, _grid_sums(f, slots, bps.shape[0], resolution)
+    shells = _Shells(f, P)
+    bps = shells.breakpoints
+    return bps, _grid_sums(f, shells.index, bps.shape[0], resolution)
 
 
 def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):
@@ -396,7 +394,5 @@ def halfspace_multiplier(f: TrigPolynomial, a, c: float) -> TrigPolynomial:
 
 def sample_grid(f: TrigPolynomial, resolution: int) -> GridSamples:
     """Evaluate f at every grid point j/M; requires M >= 2B+1 (no aliasing)."""
-    if resolution < 2 * f.bandwidth + 1:
-        raise ValueError("aliasing: grid resolution must be at least 2B+1")
     vals = _grid_sums(f, np.zeros(len(f), dtype=np.intp), 1, resolution)
     return GridSamples(f.dim, resolution, vals.reshape((resolution,) * f.dim))

@@ -122,6 +122,13 @@ def test_spectral_check_on_the_corpus(check, seed, density):
                     strict=density == 1.0)
 
 
+def test_shell_index_places_each_gauge_at_its_breakpoint():
+    # the one numbering of shells that every grid route reads
+    for label in CORPUS:
+        shells = _draw(label, 0, 1.0).shells
+        assert np.array_equal(shells.breakpoints[shells.index], shells.gauge), label
+
+
 def test_f_on_the_grid_is_the_family_last_column():
     """The identity ``run_ratio_experiment`` reads f by, on every instance, and
     its rows against a reference that transforms the grid twice per member."""

@@ -375,28 +375,29 @@ def _built_parsers(monkeypatch):
     return built
 
 
-def test_cli_surface(monkeypatch, capsys):
-    # the parser that main builds for each subcommand, and build_parser's subparser
-    built = _built_parsers(monkeypatch)
-    surface = {}
+def test_cli_surface(capsys):
+    # the parser that main parses each subcommand with, and build_parser's subparser
     for command in _SURFACE:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: polysum {command} [-h]")
-        (parser,) = built
-        surface[command] = _surface(parser)
-        built.clear()
-    assert surface == _SURFACE
+    assert {command: _surface(cli._parser(command)) for command in _SURFACE} == _SURFACE
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert {command: _surface(p) for command, p in sub.choices.items()} == _SURFACE
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio", "--bogus"])
+    assert exc.value.code == 2
+    assert "polysum ratio: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
-def test_cli_builds_one_parser_per_job(monkeypatch, tmp_path):
+def test_cli_builds_each_subcommand_parser_once(monkeypatch, tmp_path):
+    cli._parser.cache_clear()
     built = _built_parsers(monkeypatch)
-    assert cli.main(["ratio", "--bandwidths", "2", "--ensemble", "1",
-                     "--out", str(tmp_path / "ratio.csv")]) == 0
+    for _ in range(2):  # two jobs in one process
+        assert cli.main(["ratio", "--bandwidths", "2", "--ensemble", "1",
+                         "--out", str(tmp_path / "ratio.csv")]) == 0
     assert len(built) == 1
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polysum import generators
 from polysum.geometry import gauge, piece_contains, triangulate
 from polysum.generators import (
     _box,
@@ -36,14 +37,16 @@ def test_random_polytope_small_polygon():
     assert gauge(P, np.zeros(2)) == 0.0
 
 
-def test_random_polytope_rejects_bad_arguments():
+def test_random_polytope_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError):
         random_polytope(1, 4, seed=0)
     with pytest.raises(ValueError):
         random_polytope(2, 2, seed=0)
-    with pytest.raises(ValueError):
-        # 4 chords of the unit circle cannot all stay that close to the center
-        random_polytope(2, 4, seed=0, margin=0.95, max_tries=5)
+    # 4 chords of the unit circle cannot all stay that close to the center
+    monkeypatch.setattr(generators, "_MARGIN", 0.95)
+    monkeypatch.setattr(generators, "_MAX_TRIES", 5)
+    with pytest.raises(ValueError, match="rejection budget exhausted; reseed"):
+        random_polytope(2, 4, seed=0)
 
 
 def test_random_trig_polynomial_full_density_support():

@@ -1,7 +1,9 @@
 """The package surface: every name a polysum module exports in ``__all__``
-exists, so star imports work, and polysum runs without loading SciPy."""
+exists, so star imports work, every function the benchmark's tracer wraps
+still exists, and polysum runs without loading SciPy."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -20,6 +22,18 @@ def test_all_entries_resolve():
         if absent:
             missing[name] = absent
     assert len(names) > 5 and missing == {}
+
+
+def test_every_traced_name_resolves():
+    # a traced run looks each LAYERS name up with getattr, so a removed one breaks it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for layer in tracer.LAYERS.values()
+               for module, names in layer.items() for name in names
+               if not callable(getattr(importlib.import_module(f"polysum.{module}"), name, None))]
+    assert len(tracer.LAYERS) > 10 and missing == []
 
 
 def test_polysum_does_not_import_scipy():

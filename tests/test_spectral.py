@@ -26,6 +26,7 @@ from polysum.spectral import (
     partial_sum_by_pieces,
     sample_grid,
 )
+from polysum.variation import v_r_field
 
 
 def _eval_bruteforce(f, x):
@@ -45,6 +46,14 @@ def test_trig_polynomial_merges_duplicates_and_sorts():
     assert f.coeff((5, 5)) == 0.0
     assert f.bandwidth == 1
     assert [n for n, _ in f] == [(0, 1), (1, 0)]
+
+
+def test_coeff_rejects_a_wrong_length_or_non_integer_frequency():
+    f = TrigPolynomial(2, {(1, 0): 2.0, (1, 1): 3.0})
+    for n in ((1,), (1, 0, 0), (1.5, 0), (True, 0)):  # (1,) used to broadcast to (1, 1)
+        with pytest.raises(ValueError):
+            f.coeff(n)
+    assert f.coeff(np.array([1, 0])) == 2.0 and f.coeff((0, 0)) == 0.0
 
 
 def _merge_by_unique(dim, freqs, coeffs):
@@ -225,29 +234,18 @@ def test_family_at_point_trivial_cases():
 def test_family_values_on_grid_matches_pointwise_families():
     # the FFT route against direct masked sums at every column
     f = random_trig_polynomial(2, 3, 0.7, seed=13)
-    bps = breakpoints(f, hypercube(2))
-    # repeated cutoffs, cutoffs between breakpoints, a negative one, one past the last
-    between = np.array([-0.5, 0.0, 0.0, (bps[1] + bps[2]) / 2, bps[2], bps[2], bps[-1] + 1.0])
     cases = [
-        (hypercube(2), f, 9, None),
-        (hypercube(2), f, 9, between),
-        (random_polytope(2, 7, seed=15), f, 8, None),
-        (hypercube(1), random_trig_polynomial(1, 5, 0.8, seed=16), 11, None),
-        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3, None),  # L = 1
-        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3, [-1.0, 0.0, 1.0]),
+        (hypercube(2), f, 9),
+        (random_polytope(2, 7, seed=15), f, 8),
+        (hypercube(1), random_trig_polynomial(1, 5, 0.8, seed=16), 11),
+        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3),  # L = 1
     ]
-    for P, g, M, at in cases:
-        cuts, values = family_values_on_grid(g, P, M, at=at)
+    for P, g, M in cases:
+        cuts, values = family_values_on_grid(g, P, M)
+        assert np.array_equal(cuts, breakpoints(g, P))
         # the transpose of a contiguous shell-major array, the layout the variation DP reads
         assert values.shape == (M**g.dim, cuts.shape[0]) and values.T.flags.c_contiguous
-        direct = np.zeros_like(values)  # below 0 no frequency is kept
-        direct[:, cuts >= 0.0] = partial_sum(g, P, cuts[cuts >= 0.0], grid_points(g.dim, M))
-        assert np.max(np.abs(values - direct)) <= 1e-12
-    with pytest.raises(ValueError):
-        family_values_on_grid(f, hypercube(2), 2 * f.bandwidth)  # aliasing
-    for at in ([0.0, 2.0, 1.0], [0.0, np.nan, 1.0]):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            family_values_on_grid(f, hypercube(2), 9, at=at)
+        assert np.max(np.abs(values - partial_sum(g, P, cuts, grid_points(g.dim, M)))) <= 1e-12
 
 
 def test_family_values_on_grid_peak_memory_near_the_values_matrix():
@@ -259,17 +257,6 @@ def test_family_values_on_grid_peak_memory_near_the_values_matrix():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 2 * values.nbytes + 2**20, (peak, values.nbytes)
-
-
-def test_family_values_on_grid_custom_cutoffs():
-    P = hypercube(2)
-    f = random_trig_polynomial(2, 3, 0.7, seed=14)
-    cuts = np.array([0.0, 0.5, 1.0, 2.0, 7.0])
-    _, values = family_values_on_grid(f, P, 9, at=cuts)
-    pts = grid_points(2, 9)
-    for k in (3, 30):
-        direct = partial_sum(f, P, cuts, pts[k])
-        assert np.max(np.abs(values[k] - direct)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +462,17 @@ def test_sample_grid_matches_direct_evaluation():
         assert np.max(np.abs(s.flat - f.evaluate(grid_points(f.dim, M)))) <= 1e-12
 
 
-def test_sample_grid_aliasing_guard():
-    f = random_trig_polynomial(1, 3, 1.0, seed=24)
-    with pytest.raises(ValueError):
-        sample_grid(f, 6)
-    sample_grid(f, 7)
+def test_grid_routes_aliasing_guard():
+    # every grid route scatters through _grid_sums, which holds the one guard
+    routes = [lambda f, M: sample_grid(f, M),
+              lambda f, M: family_values_on_grid(f, hypercube(f.dim), M),
+              lambda f, M: v_r_field(f, hypercube(f.dim), M, 3.0)]
+    for f in (random_trig_polynomial(1, 3, 1.0, seed=24), random_trig_polynomial(2, 3, 1.0, seed=9)):
+        B = f.bandwidth
+        for route in routes:
+            with pytest.raises(ValueError, match="aliasing"):
+                route(f, 2 * B)
+            route(f, 2 * B + 1)
 
 
 def _direct_evaluators(P, f, X):
