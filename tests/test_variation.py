@@ -449,6 +449,13 @@ def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
         assert peak <= 8 * n + 8 * budget + 32768 + extra, (peak, extra)
 
 
+def test_v_r_field_aliasing_guard():
+    f = random_trig_polynomial(2, 3, 1.0, seed=9)
+    with pytest.raises(ValueError, match="aliasing"):
+        v_r_field(f, hypercube(2), 2 * f.bandwidth, 3.0)
+    v_r_field(f, hypercube(2), 2 * f.bandwidth + 1, 3.0)
+
+
 def test_parseval_under_the_grid_measure():
     f = random_trig_polynomial(2, 4, 0.7, seed=10)
     s = sample_grid(f, 2 * f.bandwidth + 1)
