@@ -11,9 +11,11 @@ each row with no argparse ``type``, so a flag arrives as a string, and
 ``_options`` takes each option from its flag, else from the JSON config file
 (--config), else its default.  A flag and a config entry go through the
 same converter, and a value the converter cannot take exits 2 as ``bad value
-for <key>``.  A row whose converter is ``None`` is a path that a config file
+for <key>``; a config value keeps its JSON type, so only a path takes a
+string there.  A row whose converter is ``None`` is a path that a config file
 cannot set (--out, --norms-out, triangulate's polytope) and reaches the
-handler as given; a subcommand with any other row also takes --config.
+handler as given; a subcommand with any other row also takes --config, and a
+config key that names none of those rows exits 2 before any work.
 Every CSV output embeds the resolved configuration as '#' comment lines, and
 a fixed seed gives byte-identical output.
 """
@@ -186,13 +188,18 @@ COMMANDS = {
 def _options(rows, args) -> dict:
     """Each row's flag, else its config entry, else its default, keyed by
     the handler's keyword; a flag or config value goes through the row's
-    converter, and a value it cannot take is a ValueError naming the key."""
+    converter, and a value it cannot take is a ValueError naming the key.
+    A config string other than a path, and a config key that no row with a
+    converter names, are ValueErrors too."""
     config = {}
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(config) - {row[0].lstrip("-") for row in rows if row[1] is not None})
+    if unknown:
+        raise ValueError(f"config cannot set {', '.join(unknown)}: no such config option here")
     values = {}
     for name, convert, default, *_ in rows:
         key = name.lstrip("-")
@@ -205,8 +212,11 @@ def _options(rows, args) -> dict:
                 raise ValueError(f"missing required option --{key}")
             values[attr] = default
         else:
-            val = config[key] if val is None else val
             try:
+                if val is None:
+                    val = config[key]
+                    if isinstance(val, str) and convert is not _path:
+                        raise TypeError("a config value keeps its JSON type, not a string")
                 values[attr] = convert(val)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {key}: {val!r} ({exc})") from None

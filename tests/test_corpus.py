@@ -2,7 +2,11 @@
 that takes a polytope run on all of it, so that a hard instance meets every
 check: differential testing (W. M. McKeeman, Digital Technical Journal 10,
 1998).  The first 25 instances are those of the batched fan test in
-test_geometry.py, in its order; new ones go at the end."""
+test_geometry.py, in its order; new ones go at the end.  ``PAIRS`` runs each
+fast form that has a direct oracle on every instance in the same way.  To add a
+pair, add a row ``name: (tolerance, margin)``, where the margin reads a
+``_draw`` context and returns the largest difference of the fast form from its
+oracle; a pair that fails on an instance goes into ``KNOWN``."""
 
 import itertools
 from functools import cache
@@ -15,8 +19,10 @@ from hypothesis import strategies as st
 
 from polysum import experiments, spectral
 from polysum.generators import random_polytope, random_trig_polynomial
-from polysum.geometry import HPolytope, cross_polytope, gauge, hypercube, interval, triangulate
-from polysum.spectral import family_values_on_grid, sample_grid
+from polysum.geometry import (HPolytope, cross_polytope, gauge, h_from_vertices, hypercube,
+                              interval, triangulate, vertices_from_h)
+from polysum.spectral import (family_values_on_grid, grid_points, partial_sum,
+                              partial_sum_by_pieces, sample_grid)
 from polysum.variation import lorentz_p1_norm, lp_norm, v_r_field, weak_lp_norm
 
 CORPUS = {
@@ -25,7 +31,8 @@ CORPUS = {
     "square": hypercube(2),
     # a_1 = 1/1.009 and fl(fl(3 a_1) / a_1) < 3: a cutoff divided by a_1 drops n_1 = 3
     "square-r1.009": hypercube(2, radius=1.009),  # keep: carries the scaled-square freezing case
-    "cross3": cross_polytope(3), "cube3": hypercube(3),
+    "cross3": cross_polytope(3),
+    "cube3": hypercube(3),  # keep: its round trip merges each polar vertex, found 4 times
     # rational rows, whose float gauges split exact shells
     "pentagon": HPolytope(2, [[1, 2], [-3, 1], [1, -1], [-1, -2], [2, -5]], [5, 7, 3, 4, 11]),
     "interval": interval(-1.0, 2.0),  # keep: carries the freezing case with no x' coordinate
@@ -37,8 +44,48 @@ CORPUS = {
     "rand4-34": random_polytope(4, 7, seed=34),  # keep: carries the 4-d cover and disjointness case
     "rand4-84": random_polytope(4, 7, seed=84),
 }
-# each check's BOUNDS entry, or a folded test's tolerance where that is tighter
-TOL = {**experiments.BOUNDS, "multiplier_partition": 0.0}
+
+
+def _family_vs_direct(s):
+    """The grid family against direct masked sums at every breakpoint and grid point."""
+    cuts, values = family_values_on_grid(s.f, s.P, s.M)
+    return np.max(np.abs(values - partial_sum(s.f, s.P, cuts, grid_points(s.P.dim, s.M))))
+
+
+def _cutoff_array_vs_loop(s):
+    """Both direct sums on the breakpoint array against one call per cutoff, relative
+    to the loop's largest value, at 32 breakpoints from the first to the last (all when
+    fewer): one call at every breakpoint of every instance would be 13,374 calls."""
+    bps, worst = s.shells.breakpoints, 0.0
+    cols = np.unique(np.linspace(0, bps.shape[0] - 1, 32).astype(int))
+    for op in (partial_sum, partial_sum_by_pieces):
+        looped = np.stack([op(s.f, s.P, float(bps[k]), s.X) for k in cols], axis=-1)
+        batched = op(s.f, s.P, bps, s.X)[:, cols]
+        worst = max(worst, np.max(np.abs(batched - looped)) / np.max(np.abs(looped)))
+    return worst
+
+
+def _vertex_roundtrip(s):
+    """P's rows against ``h_from_vertices(vertices_from_h(P))``'s, each matched to the
+    nearest returned row, since rows may come back reordered; inf unless one to one."""
+    A = h_from_vertices(vertices_from_h(s.P)).A
+    D = np.max(np.abs(A[:, None] - s.P.A), axis=2)  # (returned, given)
+    match = np.argmin(D, axis=0)
+    one_to_one = A.shape == s.P.A.shape and np.unique(match).size == s.P.m
+    return np.max(D[match, np.arange(s.P.m)]) if one_to_one else np.inf
+
+
+# fast form -> (tolerance, margin on a spectral context)
+PAIRS = {
+    "family_values_on_grid": (1e-12, _family_vs_direct),
+    "sample_grid": (1e-12, lambda s: np.max(np.abs(
+        s.samples.flat - s.f.evaluate(grid_points(s.P.dim, s.M))))),
+    "cutoff_array": (1e-14, _cutoff_array_vs_loop),
+    "vertex_roundtrip": (1e-12, _vertex_roundtrip),
+}
+# each check's BOUNDS entry (or a folded test's, where tighter) and each pair's tolerance
+TOL = {**experiments.BOUNDS, "multiplier_partition": 0.0,
+       **{pair: tol for pair, (tol, _) in PAIRS.items()}}
 # Float-rounding defects that exact integer shells and cone walls are to mend:
 # a split exact shell leaves no float between its two breakpoints, and a float
 # wall drops a boundary frequency that its piece owns.  At density 1 every draw
@@ -122,6 +169,11 @@ def test_spectral_check_on_the_corpus(check, seed, density):
                     strict=density == 1.0)
 
 
+@pytest.mark.parametrize("pair", PAIRS)
+def test_fast_form_equals_its_oracle_on_the_corpus(pair):
+    _assert_margins(pair, {label: PAIRS[pair][1](_draw(label, 0, 1.0)) for label in CORPUS})
+
+
 def test_shell_index_places_each_gauge_at_its_breakpoint():
     # the one numbering of shells that every grid route reads
     for label in CORPUS:
@@ -134,8 +186,10 @@ def test_f_on_the_grid_is_the_family_last_column():
     its rows against a reference that transforms the grid twice per member."""
     for label in CORPUS:
         s = _draw(label, 0, 1.0)
-        assert np.array_equal(family_values_on_grid(s.f, s.P, s.M)[1][:, -1],
-                              sample_grid(s.f, s.M).flat), label
+        cuts, values = family_values_on_grid(s.f, s.P, s.M)
+        # the transpose of a contiguous shell-major array, the layout the variation DP reads
+        assert np.array_equal(cuts, s.shells.breakpoints) and values.T.flags.c_contiguous, label
+        assert np.array_equal(values[:, -1], sample_grid(s.f, s.M).flat), label
     r, p = 3.0, 2.0
     for dim, density, seed in itertools.product((1, 2, 3), (1.0, 0.5), (0, 7)):
         rows = []

@@ -297,11 +297,13 @@ def test_run_ratio_experiment_small():
     assert keys == sorted(keys)
 
 
-def test_run_ratio_experiment_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        run_ratio_experiment(bandwidths=(2,), ensemble=1, r=2.0)
-    with pytest.raises(ValueError):
-        run_ratio_experiment(bandwidths=(2,), ensemble=1, r=3.0, p=1.2)
+def test_ratio_experiment_rejects_bad_arguments():
+    bad = [{"r": 2.0}, {"r": float("nan")}, {"r": float("inf")}, {"p": 1.4}, {"p": float("inf")},
+           {"ensemble": 0}, {"bandwidths": ()}, {"bandwidths": (-2,)}, {"seed": -1}]
+    # 2 < r < inf, r' = 1.5 <= p < inf, ensemble >= 1, bandwidths >= 1, seed >= 0
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            run_ratio_experiment(**{"bandwidths": (2,), "ensemble": 1, **kwargs})
 
 
 def test_smooth_polynomial_coefficients():

@@ -259,7 +259,7 @@ _EXIT_2 = [
            cfg=json.dumps({key: value}))
       for argv, key, value in ((["verify"], "seed", [1]), (["ratio"], "bandwidths", 5),
                                (_PS, "lam", None), (_VF, "r", [3]), (["converge"], "dim", None))),
-    # config numbers once truncated or coerced (the first bad key in option order is named)
+    # config numbers once truncated, coerced or read from strings (first bad key named)
     *(_row(f"config_{name}", [*argv, "--config", "{cfg}", *_OUT], f"bad value for {key}:",
            cfg=json.dumps(config))
       for name, argv, key, config in (
@@ -268,7 +268,13 @@ _EXIT_2 = [
           ("resolution_float", _PS, "resolution", {"resolution": 7.9}),
           ("bandwidth_bool", ["converge"], "bandwidth", {"bandwidth": True, "dim": 1.9}),
           ("r_bool", _VF, "r", {"r": True}),
-          ("lam_bool", _PS, "lam", {"lam": False}))),
+          ("lam_bool", _PS, "lam", {"lam": False}),
+          *((f"{key}_string", ["ratio", "--ensemble", "1"], key, {key: text})
+            for key, text in (("seed", "7"), ("r", "3.5"), ("bandwidths", "2"))))),
+    # config keys that name no config option of the subcommand: a typo or a flag-only path
+    *(_row(f"config_key_{key}", ["ratio", "--ensemble", "1", "--config", "{cfg}", *_OUT],
+           f"config cannot set {key}", cfg=json.dumps({key: value}))
+      for key, value in (("sed", 7), ("out", "x.csv"))),
     _row("flag_seed_float", ["verify", "--seed", "1.5", *_OUT], "bad value for seed:"),
     _row("verify_negative_seed", ["verify", "--seed", "-1", *_OUT], "seed must be nonnegative"),
     _row("ratio_negative_bandwidth", ["ratio", "--bandwidths=-2", "--ensemble", "1", *_OUT],
@@ -295,7 +301,7 @@ _BAD_POLYTOPE_ROWS = [
     for command, argv in _BAD_POLYTOPE_ARGV.items()
     for kind, A in sorted(_BAD_POLYTOPES.items())
 ]
-assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9 + 7
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9 + 7 + 5
 
 
 def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):

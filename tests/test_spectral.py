@@ -166,21 +166,6 @@ def test_partial_sum_errors():
         partial_sum(TrigPolynomial(3, {(0, 0, 0): 1.0}), P, 1.0, [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("P,f", [
-    (random_polytope(2, 7, seed=61), random_trig_polynomial(2, 5, 0.7, seed=62)),
-    (random_polytope(3, 6, seed=63), random_trig_polynomial(3, 3, 0.6, seed=64)),
-], ids=["2d", "3d"])
-def test_cutoff_array_equals_the_scalar_loop(P, f):
-    # each column is its own masked sum, so it matches a call per cutoff to rounding
-    bps = breakpoints(f, P)
-    X = np.random.default_rng(65).random((15, f.dim))
-    for op in (partial_sum, partial_sum_by_pieces):
-        batched = op(f, P, bps, X)
-        looped = np.stack([op(f, P, float(lam), X) for lam in bps], axis=-1)
-        assert batched.shape == (15, bps.shape[0])
-        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
-
-
 def test_cutoff_array_shapes():
     P = hypercube(2)
     f = random_trig_polynomial(2, 3, 0.8, seed=66)
@@ -220,6 +205,8 @@ def test_family_at_point_trivial_cases():
     const = TrigPolynomial(2, {(0, 0): 3.0 - 1.0j})
     fam = family_at_point(const, P, [0.2, 0.7])
     assert fam.breakpoints.size == 0 and fam.values.tolist() == [3.0 - 1.0j]
+    cuts, values = family_values_on_grid(const, P, 3)  # L = 1 on the grid
+    assert cuts.tolist() == [0.0] and values.tolist() == [[3.0 - 1.0j]] * 9
 
     c = 1.5j
     single = TrigPolynomial(2, {(2, -1): c})
@@ -228,23 +215,6 @@ def test_family_at_point_trivial_cases():
     assert fam.values.shape == (2,)
     assert fam.values[0] == 0.0
     assert abs(fam.values[1] - single.evaluate(x)) <= 1e-15
-
-
-def test_family_values_on_grid_matches_pointwise_families():
-    # the FFT route against direct masked sums at every column
-    f = random_trig_polynomial(2, 3, 0.7, seed=13)
-    cases = [
-        (hypercube(2), f, 9),
-        (random_polytope(2, 7, seed=15), f, 8),
-        (hypercube(1), random_trig_polynomial(1, 5, 0.8, seed=16), 11),
-        (hypercube(2), TrigPolynomial(2, {(0, 0): 2.0 - 0.5j}), 3),  # L = 1
-    ]
-    for P, g, M in cases:
-        cuts, values = family_values_on_grid(g, P, M)
-        assert np.array_equal(cuts, breakpoints(g, P))
-        # the transpose of a contiguous shell-major array, the layout the variation DP reads
-        assert values.shape == (M**g.dim, cuts.shape[0]) and values.T.flags.c_contiguous
-        assert np.max(np.abs(values - partial_sum(g, P, cuts, grid_points(g.dim, M)))) <= 1e-12
 
 
 def test_family_values_on_grid_peak_memory_near_the_values_matrix():
@@ -454,13 +424,6 @@ def test_sample_grid_constant_and_roots_of_unity():
     assert np.allclose(s.values, [1.0, 1.0j, -1.0, -1.0j], atol=1e-15)
 
 
-def test_sample_grid_matches_direct_evaluation():
-    for f in (random_trig_polynomial(2, 6, 0.5, seed=21), random_trig_polynomial(3, 2, 1.0, seed=22)):
-        M = 2 * f.bandwidth + 1
-        s = sample_grid(f, M)
-        assert np.max(np.abs(s.flat - f.evaluate(grid_points(f.dim, M)))) <= 1e-12
-
-
 def test_sample_grid_aliasing_guard():
     f = random_trig_polynomial(1, 3, 1.0, seed=24)
     with pytest.raises(ValueError, match="aliasing"):
@@ -469,11 +432,14 @@ def test_sample_grid_aliasing_guard():
 
 
 def test_family_values_on_grid_aliasing_guard():
-    # family_values_on_grid scatters through _grid_sums, which holds the one guard
-    f = random_trig_polynomial(2, 3, 1.0, seed=9)
+    # family_values_on_grid scatters through _grid_sums, which holds the one guard;
+    # from 2B+1 on every grid, an even one too, matches the direct sums
+    f, P = random_trig_polynomial(2, 3, 1.0, seed=9), hypercube(2)
     with pytest.raises(ValueError, match="aliasing"):
-        family_values_on_grid(f, hypercube(2), 2 * f.bandwidth)
-    family_values_on_grid(f, hypercube(2), 2 * f.bandwidth + 1)
+        family_values_on_grid(f, P, 2 * f.bandwidth)
+    for M in (2 * f.bandwidth + 1, 2 * f.bandwidth + 2):
+        cuts, values = family_values_on_grid(f, P, M)
+        assert np.max(np.abs(values - partial_sum(f, P, cuts, grid_points(2, M)))) <= 1e-12
 
 
 def _direct_evaluators(P, f, X):

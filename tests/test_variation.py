@@ -454,22 +454,3 @@ def test_v_r_field_aliasing_guard():
     with pytest.raises(ValueError, match="aliasing"):
         v_r_field(f, hypercube(2), 2 * f.bandwidth, 3.0)
     v_r_field(f, hypercube(2), 2 * f.bandwidth + 1, 3.0)
-
-
-def test_parseval_under_the_grid_measure():
-    f = random_trig_polynomial(2, 4, 0.7, seed=10)
-    s = sample_grid(f, 2 * f.bandwidth + 1)
-    assert abs(lp_norm(s, 2.0) ** 2 - float(np.sum(np.abs(f.coeffs) ** 2))) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# ratio experiment arguments
-
-
-def test_ratio_experiment_rejects_bad_arguments():
-    bad = [{"r": 2.0}, {"r": float("nan")}, {"r": float("inf")}, {"p": 1.4}, {"p": float("inf")},
-           {"ensemble": 0}, {"bandwidths": ()}, {"bandwidths": (-2,)}, {"seed": -1}]
-    # 2 < r < inf, r' = 1.5 <= p < inf, ensemble >= 1, bandwidths >= 1, seed >= 0
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            experiments.run_ratio_experiment(**{"bandwidths": (2,), "ensemble": 1, **kwargs})
