@@ -29,12 +29,13 @@ import sys
 
 from . import experiments, fileio
 from .geometry import triangulate
-from .spectral import partial_sum, sample_grid, grid_points
+from .spectral import partial_sum, grid_points
 from .variation import (
     GridSamples,
+    _field_and_samples,
+    _norm_exponent,
     lorentz_p1_norm,
     lp_norm,
-    v_r_field,
     weak_lp_norm,
 )
 
@@ -114,11 +115,13 @@ def _cmd_partial_sum(polytope, coeffs, lam, resolution, out) -> int:
 
 def _cmd_variation_field(polytope, coeffs, r, p, resolution, out, norms_out) -> int:
     P, f, M = _grid_job("variation-field", polytope, coeffs, resolution, out)
-    field = v_r_field(f, P, M, r)
+    if norms_out is not None:  # a bad --p fails before any grid work
+        _norm_exponent(p)
+    field, samples = _field_and_samples(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]
-    if norms_out is not None:  # norms first: a bad --p must write no file
-        samples = sample_grid(f, M)
+    fileio.write_field_csv(field, out, comments)
+    if norms_out is not None:
         f_lp = lp_norm(samples, p)
         field_lp = lp_norm(field, p)
         entries = [
@@ -129,8 +132,6 @@ def _cmd_variation_field(polytope, coeffs, r, p, resolution, out, norms_out) -> 
             ("f_lorentz_p1", p, r, lorentz_p1_norm(samples.abs(), p)),
             ("ratio", p, r, field_lp / f_lp if f_lp > 0 else 0.0),
         ]
-    fileio.write_field_csv(field, out, comments)
-    if norms_out is not None:
         fileio.write_norm_summary_csv(norms_out, entries, comments)
     return 0
 

@@ -44,9 +44,7 @@ from .spectral import (
     _Shells,
     _cutoff_sums,
     _frozen_rows,
-    _grid_sums,
     _halfspace_keep,
-    family_values_on_grid,
     grid_points,
     halfspace_multiplier,
     partial_sum,
@@ -60,8 +58,8 @@ from .variation import (
     lp_norm,
     sup_family,
     _bruteforce_batch,
+    _field_and_samples,
     _v_r_batch,
-    _v_r_rows,
     v_r_field,
     weak_lp_norm,
 )
@@ -289,10 +287,8 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
             n1, frozen = _frozen_rows(f, shells, pc, xprimes)
         except ValueError:  # not axis-aligned: freezing is undefined on this piece
             continue
-        own = shells.owner == pc.index
-        restricted = TrigPolynomial(f.dim, f.freqs[own], f.coeffs[own])
-        vals = _grid_sums(restricted, shells.index[own], bps.shape[0], M)
-        lines = vals.reshape(M, -1, bps.shape[0])  # (M, x' rows, L): x_1 lines
+        # the piece's family at f's shells, as (M, x' rows, L): x_1 lines
+        lines = shells.family(M, shells.owner == pc.index).reshape(M, -1, bps.shape[0])
         keep = _halfspace_keep(n1, pc.a[:1], bps * pc.b)  # (L, N_1)
         rows = (frozen[:, None, :] * keep).reshape(frozen.shape[0] * bps.shape[0], -1)
         sums = _direct_sum([(n1, rows)], xs).reshape(lines.shape)
@@ -586,11 +582,10 @@ def run_ratio_experiment(
     """Tabulate ||V_r(S_lam f)||_p / ||f||_p over a random ensemble per bandwidth.
 
     Requires 2 < r < inf, p >= r' = r/(r-1), bandwidths >= 1 and a
-    nonnegative seed.  Each member's grid is transformed once: the step
-    family feeds the variation DP, and its last column is f on the grid, bit
-    for bit what ``sample_grid`` returns.  Headline statistics are the
-    per-bandwidth medians, reported alongside maxima so a single outlier draw
-    cannot dominate the table.
+    nonnegative seed.  Each member's grid is transformed once, for both the
+    variation field and f (``_field_and_samples``).  Headline statistics are
+    the per-bandwidth medians, reported alongside maxima so a single outlier
+    draw cannot dominate the table.
     """
     if not 2.0 < r < np.inf:
         raise ValueError("variation exponent must exceed 2 and be finite")
@@ -621,42 +616,19 @@ def run_ratio_experiment(
         for member in range(ensemble):
             child = np.random.SeedSequence((seed, B, member))
             f = random_trig_polynomial(dim, B, density, child)
-            _, values = family_values_on_grid(f, P, M)
-            fs = GridSamples(dim, M, np.abs(values[:, -1]))  # f on the grid: the last column
-            f_lp = lp_norm(fs, p)
-            field = GridSamples(dim, M, _v_r_rows(values, r))
-            vr_lp = lp_norm(field, p)
-            ratio = vr_lp / f_lp if f_lp > 0.0 else 0.0
-            rows.append(
-                RatioRow(
-                    member=member,
-                    bandwidth=B,
-                    r=r,
-                    p=p,
-                    f_lp=f_lp,
-                    vr_lp=vr_lp,
-                    ratio=ratio,
-                    vr_weak=weak_lp_norm(field, p),
-                    f_lorentz=lorentz_p1_norm(fs, p),
-                )
-            )
-    medians = {
-        B: float(np.median([row.ratio for row in rows if row.bandwidth == B]))
-        for B in bandwidths
-    }
-    maxima = {
-        B: float(np.max([row.ratio for row in rows if row.bandwidth == B]))
-        for B in bandwidths
-    }
+            field, fs = _field_and_samples(f, P, M, r)
+            fs = fs.abs()
+            f_lp, vr_lp = lp_norm(fs, p), lp_norm(field, p)
+            rows.append(RatioRow(member, B, r, p, f_lp, vr_lp, vr_lp / f_lp if f_lp > 0.0 else 0.0,
+                                 weak_lp_norm(field, p), lorentz_p1_norm(fs, p)))
+    ratios = {B: [row.ratio for row in rows if row.bandwidth == B] for B in bandwidths}
+    medians = {B: float(np.median(v)) for B, v in ratios.items()}
+    maxima = {B: float(np.max(v)) for B, v in ratios.items()}
     report = RatioReport(rows=rows, medians=medians, maxima=maxima, config=config)
     if out is not None:
         comments = _config_comments(config)
-        comments += [
-            f"median_ratio B={B}: {fileio.format_number(medians[B])}" for B in bandwidths
-        ]
-        comments += [
-            f"max_ratio B={B}: {fileio.format_number(maxima[B])}" for B in bandwidths
-        ]
+        comments += [f"{name}_ratio B={B}: {fileio.format_number(stat[B])}"
+                     for name, stat in (("median", medians), ("max", maxima)) for B in bandwidths]
         columns = [c.name for c in fields(RatioRow)]
         cells = ([getattr(row, c) for c in columns] for row in rows)
         fileio.write_csv(out, comments, columns, cells)
@@ -688,7 +660,7 @@ def run_convergence(bandwidth: int = 8, dim: int = 2, out=None) -> list[tuple]:
     M = default_resolution(bandwidth)
     shells = _Shells(f, P)  # one plan: the tail splits shells as the family does
     bps = shells.breakpoints
-    values = _grid_sums(f, shells.index, bps.shape[0], M)
+    values = shells.family(M)
     final = values[:, -1]
     abs_c = np.abs(f.coeffs)
     rows = []

@@ -9,8 +9,10 @@ breakpoint index) and owner row (its fan piece) for every operator.
 
 On the alias-free grid j/M (M >= 2B+1) every frequency has its own residue
 n mod M, so one inverse FFT of the coefficients scattered by shell evaluates a
-whole family exactly to rounding (``family_values_on_grid``; ``sample_grid``
-is its one-shell case).  Arbitrary points (``evaluate``, ``partial_sum``,
+whole family exactly to rounding (``sample_grid`` is its one-shell case).  The
+shell plan builds the family of every grid job; its last column is f on the
+grid, bit for bit ``sample_grid``, so ``ratio`` and ``variation-field`` read f
+from it and transform their grid once.  Arbitrary points (``evaluate``, ``partial_sum``,
 ``partial_sum_by_pieces``, ``family_at_point``) are summed directly,
 O(#coeffs * #points), and serve as the oracle for the grid route; points go
 in chunks, so the phase matrix never holds more than ``_CHUNK_BUDGET``
@@ -184,11 +186,13 @@ class TrigPolynomial:
 class _Shells:
     """Shell plan of f under P: the breakpoints and each frequency's gauge, shell
     index into them and owner row (lowest index attaining the gauge).  Fields
-    are computed on first use, so an operator pays only for what it reads."""
+    are computed on first use, so an operator pays only for what it reads;
+    :meth:`family` is the one route from (f, P, M) to a grid job's family."""
 
     def __init__(self, f: TrigPolynomial, P: HPolytope):
         if f.dim != P.dim:
             raise ValueError("dimension mismatch between polynomial and polytope")
+        self.f = f
         self.P = P
         self.points = f.freqs.astype(float)
 
@@ -208,6 +212,14 @@ class _Shells:
     def index(self) -> np.ndarray:
         """Each frequency's shell, the breakpoint it enters at: ``breakpoints[index] == gauge``."""
         return np.searchsorted(self.breakpoints, self.gauge)
+
+    def family(self, resolution: int, keep=None) -> np.ndarray:
+        """The family on the grid, laid out as :func:`_grid_sums`' (M^d, L) values;
+        with a mask ``keep``, of the kept frequencies only, each at its shell of f."""
+        f, slots = self.f, self.index
+        if keep is not None:
+            f, slots = TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep]), slots[keep]
+        return _grid_sums(f, slots, self.breakpoints.shape[0], resolution)
 
 
 def _cutoff_sums(f: TrigPolynomial, shells: _Shells, lam, x, by_pieces: bool):
@@ -301,8 +313,7 @@ def family_values_on_grid(f: TrigPolynomial, P: HPolytope, resolution: int):
     breakpoint; each frequency enters at its shell.  Needs resolution >= 2B+1.
     """
     shells = _Shells(f, P)
-    bps = shells.breakpoints
-    return bps, _grid_sums(f, shells.index, bps.shape[0], resolution)
+    return shells.breakpoints, shells.family(resolution)
 
 
 def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):

@@ -188,6 +188,11 @@ def _nonneg_values(h: GridSamples) -> np.ndarray:
     return vals.reshape(-1)
 
 
+def _norm_exponent(p: float) -> None:
+    if not 1.0 <= p < np.inf:
+        raise ValueError("norm exponent must satisfy 1 <= p < inf")
+
+
 def distribution_function(h: GridSamples, alpha: float) -> float:
     """Measure of {h >= alpha} under the uniform grid probability measure."""
     if not alpha >= 0.0:
@@ -211,8 +216,7 @@ def weak_lp_norm(h: GridSamples, p: float) -> float:
     The distribution function is a right-continuous step function on a grid,
     so the supremum is attained at a distinct sample value.
     """
-    if not 1.0 <= p < np.inf:
-        raise ValueError("norm exponent must satisfy 1 <= p < inf")
+    _norm_exponent(p)
     levels, frac = _level_fractions(_nonneg_values(h))
     return float(np.max(levels * frac ** (1.0 / p), initial=0.0))
 
@@ -223,8 +227,7 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
     The distribution function is constant between consecutive distinct sample
     values, so the integral is a finite sum.
     """
-    if not 1.0 <= p < np.inf:
-        raise ValueError("norm exponent must satisfy 1 <= p < inf")
+    _norm_exponent(p)
     levels, frac = _level_fractions(_nonneg_values(h))
     levels, frac = levels[levels > 0.0], frac[levels > 0.0]
     if not levels.size:
@@ -235,8 +238,7 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
 
 def lp_norm(h: GridSamples, p: float) -> float:
     """L^p norm (cell volume * sum |h|^p)^{1/p}; accepts complex samples."""
-    if not 1.0 <= p < np.inf:
-        raise ValueError("norm exponent must satisfy 1 <= p < inf")
+    _norm_exponent(p)
     vals = np.abs(h.flat)
     return float((h.cell_volume * np.sum(vals**p)) ** (1.0 / p))
 
@@ -286,15 +288,25 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
     shell-major ``(L, points)`` form, read in place or copied chunk by chunk,
     so step j is one pass over the contiguous rows of the earlier i < j.  Each
     point's value is bit-identical to :func:`v_r_exact` on its family (same
-    differences, powers and maxima, root taken per point as a scalar).
-    Requires 1 <= r < inf and resolution >= 2B+1.
+    differences, powers and maxima, root taken per point as a scalar).  One
+    transform also gives f on the grid (``_field_and_samples``, for the norm
+    ratio).  Requires 1 <= r < inf and resolution >= 2B+1.
     """
+    return _field_and_samples(f, P, resolution, r)[0]
+
+
+def _field_and_samples(f, P, resolution: int, r: float) -> tuple[GridSamples, GridSamples]:
+    """:func:`v_r_field` and f on the grid from one ``family_values_on_grid``,
+    looked up at call time: f is a copy of the family's last column, bit for
+    bit ``sample_grid``, so the family dies on return."""
     from .spectral import family_values_on_grid
 
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
     _, values = family_values_on_grid(f, P, resolution)
-    return GridSamples(f.dim, resolution, _v_r_rows(values, r).reshape((resolution,) * f.dim))
+    grid = (resolution,) * f.dim
+    field = GridSamples(f.dim, resolution, _v_r_rows(values, r).reshape(grid))
+    return field, GridSamples(f.dim, resolution, values[:, -1].reshape(grid).copy())
 
 
 def _v_r_rows(V: np.ndarray, r: float, lengths=None) -> np.ndarray:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from polysum import cli
+from polysum import cli, spectral
 from polysum.fileio import (
     format_number,
     load_coefficients,
@@ -48,7 +48,7 @@ def test_polytope_roundtrip(tmp_path, square_file):
     assert P.dim == 2 and P.m == 4
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(100, 2))
-    assert np.allclose(gauge(P, X), np.max(np.abs(X), axis=1))
+    assert np.allclose(gauge(P, X), np.max(np.abs(X), axis=1), rtol=0, atol=0)
 
 
 def test_polytope_accepts_unnormalized_h_rows(tmp_path):
@@ -180,7 +180,7 @@ def test_cli_missing_out_fails_before_computing(square_file, coeff_file, monkeyp
         raise AssertionError("computed before checking --out")
 
     monkeypatch.setattr(cli, "partial_sum", computed)
-    monkeypatch.setattr(cli, "v_r_field", computed)
+    monkeypatch.setattr(cli, "_field_and_samples", computed)
     assert cli.main([command, "--polytope", str(square_file), "--coeffs", str(coeff_file)]) == 2
     assert "pass --out" in capsys.readouterr().err
 
@@ -326,6 +326,37 @@ def test_cli_bad_input_exits_2(square_file, coeff_file, tmp_path, capsys, argv, 
 def test_cli_rejects_bad_polytope_file_writing_nothing(square_file, coeff_file, tmp_path, capsys,
                                                        argv, inputs, err, absent):
     _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent)
+
+
+def test_cli_bad_p_fails_before_any_grid_work(square_file, coeff_file, tmp_path, monkeypatch,
+                                             capsys):
+    def built(*args):
+        raise AssertionError("family built before checking --p")
+
+    monkeypatch.setattr(spectral, "family_values_on_grid", built)
+    _assert_exit_2(square_file, coeff_file, tmp_path, capsys, [*_VF, *_OUT, "--p", "0.5", *_NORMS],
+                   {}, "norm exponent", ("out", "norms"))
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ([*_VF, *_OUT, *_NORMS], 1),
+    (["ratio", "--bandwidths", "2,3", "--ensemble", "2"], 4),
+    (["converge", "--bandwidth", "3", *_OUT], 1),
+], ids=["variation-field", "ratio", "converge"])
+def test_each_grid_job_transforms_its_grid_once_per_family(square_file, coeff_file, tmp_path,
+                                                          monkeypatch, capsys, argv, calls):
+    # variation-field reads f from its family's last column, as ratio does per member
+    kernel, seen = spectral._grid_sums, []
+
+    def counted(*args):
+        seen.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "_grid_sums", counted)
+    paths = {"square": square_file, "coeffs": coeff_file,
+             "out": tmp_path / "out.csv", "norms": tmp_path / "norms.csv"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 0
+    assert len(seen) == calls
 
 
 # every numeric option and a literal it must reject: 1.5 for an integer, true for a float

@@ -42,7 +42,7 @@ def test_gauge_of_square_is_sup_norm():
     assert gauge(P, [0.5, -0.25]) == 0.5
     rng = np.random.default_rng(0)
     X = rng.uniform(-3, 3, size=(200, 2))
-    assert np.allclose(gauge(P, X), np.max(np.abs(X), axis=1), atol=1e-14)
+    assert np.allclose(gauge(P, X), np.max(np.abs(X), axis=1), rtol=0, atol=1e-14)
 
 
 def test_gauge_zero_vector():
@@ -55,7 +55,7 @@ def test_gauge_of_cross_polytope_is_l1_norm():
     assert gauge(P, [1.0, 2.0]) == pytest.approx(3.0, abs=1e-14)
     rng = np.random.default_rng(1)
     X = rng.uniform(-2, 2, size=(100, 2))
-    assert np.allclose(gauge(P, X), np.sum(np.abs(X), axis=1), atol=1e-13)
+    assert np.allclose(gauge(P, X), np.sum(np.abs(X), axis=1), rtol=0, atol=1e-13)
 
 
 def test_gauge_dimension_mismatch():
@@ -130,7 +130,7 @@ def test_contains_array_of_dilates():
 def test_vertices_of_square():
     V = vertices_from_h(hypercube(2)).vertices
     expect = np.array(sorted([(-1, -1), (-1, 1), (1, -1), (1, 1)]))
-    assert np.allclose(_sorted_rows(V), expect, atol=1e-12)
+    assert np.allclose(_sorted_rows(V), expect, rtol=0, atol=1e-12)
 
 
 def test_vertices_of_interval():
@@ -164,7 +164,7 @@ def test_h_from_vertices_cross_polytope():
     assert P.m == 4
     rng = np.random.default_rng(5)
     X = rng.uniform(-2, 2, size=(200, 2))
-    assert np.allclose(gauge(P, X), np.sum(np.abs(X), axis=1), atol=1e-12)
+    assert np.allclose(gauge(P, X), np.sum(np.abs(X), axis=1), rtol=0, atol=1e-12)
 
 
 def test_h_from_vertices_circle_roundtrip():
@@ -291,7 +291,7 @@ def test_facets_of_square_and_cube():
     fs3 = facets(P3, vertices_from_h(P3))
     assert len(fs3) == 6 and all(f.vertices.shape == (4, 3) for f in fs3)
     for f in fs3:
-        assert np.allclose(f.vertices @ f.a, f.b, atol=1e-12)
+        assert np.allclose(f.vertices @ f.a, f.b, rtol=0, atol=1e-12)
 
 
 def test_facets_cover_boundary_samples():
@@ -371,7 +371,7 @@ def test_triangulate_square_is_the_classic_fan():
     assert len(pieces) == 4
     for pc in pieces:
         assert pc.vertices.shape == (2, 2)
-        assert np.allclose(pc.vertices @ pc.a, 1.0, atol=1e-12)
+        assert np.allclose(pc.vertices @ pc.a, 1.0, rtol=0, atol=1e-12)
         # apex at the origin: scaled-down generators stay in the piece
         assert bool(piece_contains(pc, P, 0.5 * pc.vertices.mean(axis=0)))
         assert bool(piece_contains(pc, P, np.zeros(2)))
@@ -513,12 +513,12 @@ def test_piece_assign_matches_definitional_membership():
 
 def test_rotation_identity_when_normal_is_e1():
     f = Facet(index=0, a=np.array([2.0, 0.0]), b=1.0, vertices=np.array([[0.5, -1], [0.5, 1]]))
-    assert np.allclose(rotation_to_e1(f), np.eye(2), atol=1e-15)
+    assert np.allclose(rotation_to_e1(f), np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_rotation_pi_for_minus_e1():
     R = rotation_to_e1(np.array([-1.0, 0.0]))
-    assert np.allclose(R, [[-1, 0], [0, -1]], atol=1e-15)
+    assert np.allclose(R, [[-1, 0], [0, -1]], rtol=0, atol=1e-15)
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -541,13 +541,13 @@ def test_rotation_maps_facet_plane_to_positive_constant():
         imgs = f.vertices @ R.T
         c = imgs[0, 0]
         assert c > 0
-        assert np.allclose(imgs[:, 0], c, atol=1e-10)
+        assert np.allclose(imgs[:, 0], c, rtol=0, atol=1e-10)
 
 
 def test_rotation_errors():
     with pytest.raises(ValueError):
         rotation_to_e1(np.zeros(3))
-    assert np.allclose(rotation_to_e1(np.array([2.0])), np.eye(1))
+    assert np.allclose(rotation_to_e1(np.array([2.0])), np.eye(1), rtol=0, atol=0)
     with pytest.raises(ValueError):
         rotation_to_e1(np.array([-1.0]))
 
@@ -560,16 +560,16 @@ def test_cone_halfspaces_first_quadrant():
     P = cross_polytope(2)  # row 0 is (1, 1): facet conv{e1, e2}
     pc = triangulate(P)[0]
     rows = _sorted_rows(cone_halfspaces(pc, P))
-    assert np.allclose(rows, [[-1, 0], [0, -1]], atol=1e-12)
+    assert np.allclose(rows, [[-1, 0], [0, -1]], rtol=0, atol=1e-12)
 
 
 def test_cone_halfspaces_halfline_1d():
     P = interval(-2.0, 3.0)
     pieces = triangulate(P)
     up = pieces[0] if pieces[0].vertices[0, 0] > 0 else pieces[1]
-    assert np.allclose(cone_halfspaces(up, P), [[-1.0]])
+    assert np.allclose(cone_halfspaces(up, P), [[-1.0]], rtol=0, atol=0)
     down = pieces[1] if up is pieces[0] else pieces[0]
-    assert np.allclose(cone_halfspaces(down, P), [[1.0]])
+    assert np.allclose(cone_halfspaces(down, P), [[1.0]], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("P,dot,count", [

@@ -417,11 +417,11 @@ def test_halfspace_cone_boundary_equals_its_dict_form(k):
 def test_sample_grid_constant_and_roots_of_unity():
     const = TrigPolynomial(2, {(0, 0): 2.5 - 1.0j})
     s = sample_grid(const, 5)
-    assert np.allclose(s.values, 2.5 - 1.0j)
+    assert np.allclose(s.values, 2.5 - 1.0j, rtol=0, atol=0)
 
     f = TrigPolynomial(1, {(1,): 1.0})
     s = sample_grid(f, 4)
-    assert np.allclose(s.values, [1.0, 1.0j, -1.0, -1.0j], atol=1e-15)
+    assert np.allclose(s.values, [1.0, 1.0j, -1.0, -1.0j], rtol=0, atol=1e-15)
 
 
 def test_sample_grid_aliasing_guard():

@@ -413,7 +413,6 @@ def test_the_dp_reads_a_one_chunk_family_in_place(monkeypatch):
         return dp(V, r)
 
     monkeypatch.setattr(spectral, "family_values_on_grid", family)
-    monkeypatch.setattr(experiments, "family_values_on_grid", family)
     monkeypatch.setattr(variation, "_dp_chunk", chunk)
     v_r_field(random_trig_polynomial(2, 3, 0.8, seed=7), hypercube(2), 7, 3.0)
     experiments.run_ratio_experiment(bandwidths=(2,), ensemble=1)
