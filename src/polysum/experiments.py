@@ -312,10 +312,9 @@ def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
         comp[kept] = composed.coeffs  # a subset of f's sorted support keeps its order
         own = owner == pc.index
         violations += int(np.sum(np.abs(comp[own] - f.coeffs[own]) > 0.0))
-        for n in f.freqs[kept & ~own]:
-            vals = np.asarray(n, dtype=float) @ P.A.T
-            ties = np.sum(np.abs(vals - vals.max()) <= 1e-12)
-            violations += int(ties < 2 or np.argmax(vals) >= pc.index)
+        vals = f.freqs[kept & ~own].astype(float) @ P.A.T  # one row per frequency
+        ties = np.sum(np.abs(vals - vals.max(axis=1, keepdims=True)) <= 1e-12, axis=1)
+        violations += int(np.sum((ties < 2) | (np.argmax(vals, axis=1) >= pc.index)))
     return float(violations)
 
 

@@ -6,10 +6,11 @@ half-line equals the r-variation of the finite value sequence at the jump
 points; :func:`v_r_exact` computes that by dynamic programming and
 :func:`v_r_bruteforce` by exhaustive enumeration of every index subset as a
 bitmask, capped at length 16.  The DP has one kernel, ``_dp_chunk``, over
-the contiguous rows of a shell-major ``(L, columns)`` array, and one chunk
-loop, ``_v_r_rows``, over row chunks within a fixed budget of temporaries: a batch
-of sequences is its zero-padded rows, :func:`v_r_exact` a batch of one and
-:func:`v_r_field` one row per grid point.  Norms and distribution functions
+the contiguous rows of a shell-major ``(L, columns)`` array, and one chunk loop,
+``_v_r_columns``, over column chunks within a fixed budget of temporaries:
+a batch of sequences is its zero-padded columns, :func:`v_r_exact` a batch
+of one and :func:`v_r_field` one column per grid point; every root is C's
+``pow``, as the scalar ``w ** (1 / r)``.  Norms and distribution functions
 use the uniform probability measure on the sampling grid, with no
 interpolation, so identities like the Fubini slice reordering hold exactly.
 """
@@ -119,17 +120,17 @@ def v_r_exact(values, r: float) -> float:
 
 
 def _v_r_batch(seqs, r: float) -> list[float]:
-    """:func:`v_r_exact` of each sequence, as the zero-padded rows of one
-    :func:`_v_r_rows` call: row j of the DP reads only rows i < j, so a
+    """:func:`v_r_exact` of each sequence, as the zero-padded columns of one
+    :func:`_v_r_columns` call: row j of the DP reads only rows i < j, so a
     sequence's answer is the largest W of its own first L_k entries."""
     if not 1.0 <= r < np.inf:
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
-    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
-    lengths = np.array([v.shape[0] for v in rows], dtype=np.intp)
-    V = np.zeros((len(rows), lengths.max(initial=0)), dtype=complex)
-    for k, v in enumerate(rows):
-        V[k, : v.shape[0]] = v
-    return _v_r_rows(V, r, lengths).tolist()
+    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
+    lengths = np.array([v.shape[0] for v in cols], dtype=np.intp)
+    V = np.zeros((lengths.max(initial=0), len(cols)), dtype=complex)
+    for k, v in enumerate(cols):
+        V[: v.shape[0], k] = v
+    return _v_r_columns(V, r, lengths).tolist()
 
 
 def v_r_bruteforce(values, r: float) -> float:
@@ -153,7 +154,7 @@ def _bruteforce_batch(seqs, rs) -> list[list[float]]:
     rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
     if any(v.shape[0] > BRUTE_FORCE_CAP for v in rows):
         raise ValueError(f"brute force capped at length {BRUTE_FORCE_CAP}")
-    best = {}
+    best = np.empty((len(rs), len(rows)))  # largest gap sum of each pair
     for L in {v.shape[0] for v in rows}:
         ks = [k for k, v in enumerate(rows) if v.shape[0] == L]
         v = np.stack([rows[k] for k in ks])
@@ -166,9 +167,8 @@ def _bruteforce_batch(seqs, rs) -> list[list[float]]:
             acc[:, lo + 1 : 2 * lo] = acc[:, 1:lo] + D[:, last[1:lo], j]
             last[lo : 2 * lo] = j
         # a NaN chain never beats the running best of a left-to-right scan
-        pairs = [(e, k) for e in range(len(rs)) for k in ks]
-        best.update(zip(pairs, np.nanmax(acc, axis=1).tolist()))
-    return [[best[e, k] ** (1.0 / r) for k in range(len(rows))] for e, r in enumerate(rs)]
+        best[:, ks] = np.nanmax(acc, axis=1).reshape(len(rs), len(ks))
+    return np.float_power(best, 1.0 / np.array(rs, dtype=float)[:, None]).tolist()
 
 
 def sup_family(values) -> float:
@@ -285,12 +285,12 @@ def v_r_field(f, P, resolution: int, r: float) -> GridSamples:
 
     Evaluates the step family of partial sums at every grid point and runs
     the :func:`v_r_exact` recursion for all points at once on the family's
-    shell-major ``(L, points)`` form, read in place or copied chunk by chunk,
-    so step j is one pass over the contiguous rows of the earlier i < j.  Each
-    point's value is bit-identical to :func:`v_r_exact` on its family (same
-    differences, powers and maxima, root taken per point as a scalar).  One
-    transform also gives f on the grid (``_field_and_samples``, for the norm
-    ratio).  Requires 1 <= r < inf and resolution >= 2B+1.
+    shell-major ``(L, points)`` form, one column per point, read in place or
+    copied chunk by chunk, so step j is one pass over the contiguous rows of
+    the earlier i < j.  Each point's value is bit-identical to
+    :func:`v_r_exact` on its family (same differences, powers, maxima and
+    root).  One transform also gives f on the grid (``_field_and_samples``,
+    for the norm ratio).  Requires 1 <= r < inf and resolution >= 2B+1.
     """
     return _field_and_samples(f, P, resolution, r)[0]
 
@@ -305,21 +305,21 @@ def _field_and_samples(f, P, resolution: int, r: float) -> tuple[GridSamples, Gr
         raise ValueError("variation exponent must satisfy 1 <= r < inf")
     _, values = family_values_on_grid(f, P, resolution)
     grid = (resolution,) * f.dim
-    field = GridSamples(f.dim, resolution, _v_r_rows(values, r).reshape(grid))
+    field = GridSamples(f.dim, resolution, _v_r_columns(values.T, r).reshape(grid))
     return field, GridSamples(f.dim, resolution, values[:, -1].reshape(grid).copy())
 
 
-def _v_r_rows(V: np.ndarray, r: float, lengths=None) -> np.ndarray:
-    """V_r of each row of V (rows, L), or of its first lengths[k] entries, in
-    shell-major row chunks whose DP temporaries (6L floats a row) fit ``_DP_BUDGET``."""
-    n, L = V.shape
-    out, root = np.empty(n), 1.0 / r
+def _v_r_columns(V: np.ndarray, r: float, lengths=None) -> np.ndarray:
+    """V_r of each column of a shell-major V (L, columns), or of its first
+    lengths[k] entries, in column chunks whose DP temporaries (6L floats a
+    column) fit ``_DP_BUDGET``; a chunk is copied only when V spans several.
+    The roots are one ``np.float_power``, which calls C's ``pow`` as the
+    scalar ``w ** (1 / r)`` does; ``np.power`` may differ in the last bit."""
+    L, n = V.shape
+    best = np.empty(n)
     chunk = max(1, _DP_BUDGET // max(6 * L, 1))
     for lo in range(0, n, chunk):
         mask = True if lengths is None else np.arange(L)[:, None] < lengths[lo : lo + chunk]
-        rows = np.ascontiguousarray(V[lo : lo + chunk].T)  # shell-major
-        best = np.max(_dp_chunk(rows, r), axis=0, initial=0.0, where=mask)
-        # NumPy's array pow may differ from the scalar pow in the last bit,
-        # so the root is taken per row as a Python scalar.
-        out[lo : lo + chunk] = [w**root for w in best.tolist()]
-    return out
+        cols = np.ascontiguousarray(V[:, lo : lo + chunk])
+        best[lo : lo + chunk] = np.max(_dp_chunk(cols, r), axis=0, initial=0.0, where=mask)
+    return np.float_power(best, 1.0 / r)

@@ -400,23 +400,33 @@ def test_v_r_field_bit_identical_in_numpys_buffered_regime():
 
 def test_the_dp_reads_a_one_chunk_family_in_place(monkeypatch):
     # the family is built shell-major, so a field or a ratio member that fits
-    # one point chunk hands it to the DP kernel without a transposed copy
-    build, dp = spectral.family_values_on_grid, variation._dp_chunk
-    families, shared = [], []
+    # one point chunk hands it to the DP kernel without a transposed copy; a
+    # batch pads its sequences as the columns of a shell-major array, so a
+    # batch of one chunk hands the kernel that padded array itself
+    build, drive, dp = spectral.family_values_on_grid, variation._v_r_columns, variation._dp_chunk
+    sources, shared = [], []
 
     def family(*args, **kwargs):
-        families.append(build(*args, **kwargs))
-        return families[-1]
+        built = build(*args, **kwargs)
+        sources.append(built[1])
+        return built
+
+    def columns(V, r, lengths=None):
+        if lengths is not None:  # a batch: the padded array is the source
+            sources.append(V)
+        return drive(V, r, lengths)
 
     def chunk(V, r):
-        shared.append(np.shares_memory(V, families[-1][1]))
+        shared.append(np.shares_memory(V, sources[-1]))
         return dp(V, r)
 
     monkeypatch.setattr(spectral, "family_values_on_grid", family)
+    monkeypatch.setattr(variation, "_v_r_columns", columns)
     monkeypatch.setattr(variation, "_dp_chunk", chunk)
     v_r_field(random_trig_polynomial(2, 3, 0.8, seed=7), hypercube(2), 7, 3.0)
     experiments.run_ratio_experiment(bandwidths=(2,), ensemble=1)
-    assert shared == [True, True]
+    variation._v_r_batch([np.arange(5.0), np.ones(3), 1j * np.arange(4.0)], 3.0)
+    assert shared == [True, True, True]
 
 
 def test_v_r_field_dp_memory_stays_within_budget(monkeypatch):
