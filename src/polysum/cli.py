@@ -33,7 +33,7 @@ from .spectral import partial_sum, grid_points
 from .variation import (
     GridSamples,
     _field_and_samples,
-    _norm_exponent,
+    _exponent,
     lorentz_p1_norm,
     lp_norm,
     weak_lp_norm,
@@ -115,8 +115,7 @@ def _cmd_partial_sum(polytope, coeffs, lam, resolution, out) -> int:
 
 def _cmd_variation_field(polytope, coeffs, r, p, resolution, out, norms_out) -> int:
     P, f, M = _grid_job("variation-field", polytope, coeffs, resolution, out)
-    if norms_out is not None:  # a bad --p fails before any grid work
-        _norm_exponent(p)
+    _exponent("p", p)  # a bad --p fails before any grid work
     field, samples = _field_and_samples(f, P, M, r)
     resolved = {"r": r, "p": p, "resolution": M, "dim": f.dim}
     comments = ["config " + json.dumps(resolved, sort_keys=True)]

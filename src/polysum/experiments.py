@@ -42,8 +42,6 @@ from .spectral import (
     TrigPolynomial,
     _direct_sum,
     _Shells,
-    _cutoff_sums,
-    _frozen_rows,
     _halfspace_keep,
     grid_points,
     halfspace_multiplier,
@@ -227,47 +225,48 @@ def cone_rows_agree(P: HPolytope, pieces, X, srt, top, gap: float, count: int, s
     return float(violations)
 
 
-def step_constancy(f: TrigPolynomial, shells: _Shells, X) -> float:
+def step_constancy(shells: _Shells, X) -> float:
     """Largest |partial sum at the midpoint - at the left end| at X over the
     intervals between consecutive breakpoints of f (0 when there are none),
     from f's shell plan ``shells``."""
     bps = shells.breakpoints
     mids = 0.5 * (bps[:-1] + bps[1:])
-    diff = _cutoff_sums(f, shells, mids, X, False) - _cutoff_sums(f, shells, bps[:-1], X, False)
+    diff = shells.sums(mids, X) - shells.sums(bps[:-1], X)
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-def saturation(f: TrigPolynomial, shells: _Shells, X, fX) -> float:
+def saturation(shells: _Shells, X, fX) -> float:
     """Largest |partial sum at the last breakpoint - f| at X, with fX = f(X), from
     f's shell plan ``shells``."""
-    return float(np.max(np.abs(_cutoff_sums(f, shells, shells.breakpoints[-1], X, False) - fX)))
+    return float(np.max(np.abs(shells.sums(shells.breakpoints[-1], X) - fX)))
 
 
-def piecewise_equals_direct(f: TrigPolynomial, shells: _Shells, X) -> float:
+def piecewise_equals_direct(shells: _Shells, X) -> float:
     """Largest |fan-wise - direct| partial sum at X over every breakpoint of f,
     from f's shell plan ``shells``."""
     bps = shells.breakpoints
-    diff = _cutoff_sums(f, shells, bps, X, True) - _cutoff_sums(f, shells, bps, X, False)
+    diff = shells.sums(bps, X, by_pieces=True) - shells.sums(bps, X)
     return float(np.max(np.abs(diff)))
 
 
-def multiplier_partition(f: TrigPolynomial, shells: _Shells, pieces) -> float:
+def multiplier_partition(shells: _Shells, pieces) -> float:
     """Largest |coefficient| of the sum of the cone multipliers of f minus f,
     from f's shell plan ``shells``."""
+    f = shells.f
     keeps = [shells.owner == pc.index for pc in pieces]
     diff = TrigPolynomial(f.dim, np.concatenate([f.freqs[k] for k in keeps] + [f.freqs]),
                           np.concatenate([f.coeffs[k] for k in keeps] + [-1.0 * f.coeffs]))
     return float(np.max(np.abs(diff.coeffs), initial=0.0))
 
 
-def linearity(f: TrigPolynomial, shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial,
-              lam, X, alpha, beta) -> float:
+def linearity(shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial, lam, X, alpha,
+              beta) -> float:
     """Largest |S(alpha f + beta g) - alpha S f - beta S g| at X and the cutoff(s) lam,
     from f's shell plan ``shells`` and the combination ``combo`` = alpha f + beta g."""
     P = shells.P
     return float(np.max(np.abs(
         partial_sum(combo, P, lam, X)
-        - alpha * _cutoff_sums(f, shells, lam, X, False) - beta * partial_sum(g, P, lam, X))))
+        - alpha * shells.sums(lam, X) - beta * partial_sum(g, P, lam, X))))
 
 
 def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) -> float:
@@ -284,7 +283,7 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
     margins = [0.0]  # the margin when no piece is axis-aligned
     for pc in pieces:
         try:
-            n1, frozen = _frozen_rows(f, shells, pc, xprimes)
+            n1, frozen = shells.frozen(pc, xprimes)
         except ValueError:  # not axis-aligned: freezing is undefined on this piece
             continue
         # the piece's family at f's shells, as (M, x' rows, L): x_1 lines
@@ -359,7 +358,7 @@ def field_vs_pointwise(f: TrigPolynomial, P: HPolytope, field: GridSamples, r: f
     over every ``stride``-th grid point of the r-variation field of f."""
     pts = grid_points(f.dim, field.resolution)[::stride]
     shells = _Shells(f, P)
-    fams = _cutoff_sums(f, shells, shells.breakpoints, pts, by_pieces=False)
+    fams = shells.sums(shells.breakpoints, pts)
     return _worst(abs(v - w) for v, w in zip(field.flat[::stride], _v_r_batch(fams, r)))
 
 
@@ -407,14 +406,14 @@ CHECKS = [
     ("geometry", "rotation", 1e-9, "max", lambda c: rotation(c.P, c.pieces, c.X_rot)),
     ("geometry", "cone_rows_agree", 0, "violations", lambda c: cone_rows_agree(
         c.P, c.pieces, c.X_cone, c.srt_cone, c.top_cone, c.gap, c.cone_count, c.seed, c.stride)),
-    ("spectral", "step_constancy", 1e-14, "max", lambda c: step_constancy(c.f, c.shells, c.X)),
-    ("spectral", "saturation", 1e-12, "max", lambda c: saturation(c.f, c.shells, c.X, c.fX)),
+    ("spectral", "step_constancy", 1e-14, "max", lambda c: step_constancy(c.shells, c.X)),
+    ("spectral", "saturation", 1e-12, "max", lambda c: saturation(c.shells, c.X, c.fX)),
     ("spectral", "piecewise_equals_direct", 1e-12, "max",
-     lambda c: piecewise_equals_direct(c.f, c.shells, c.X)),
+     lambda c: piecewise_equals_direct(c.shells, c.X)),
     ("spectral", "multiplier_partition", 1e-15, "max",
-     lambda c: multiplier_partition(c.f, c.shells, c.pieces)),
+     lambda c: multiplier_partition(c.shells, c.pieces)),
     ("spectral", "linearity", 1e-12, "max",
-     lambda c: linearity(c.f, c.shells, c.g, c.combo, c.lam, c.X, c.alpha, c.beta)),
+     lambda c: linearity(c.shells, c.g, c.combo, c.lam, c.X, c.alpha, c.beta)),
     ("spectral", "parseval", 1e-10, "err", lambda c: parseval(c.f, c.samples)),
     ("spectral", "freezing_identity", 1e-12, "max",
      lambda c: freezing_identity(c.f, c.P, c.pieces, c.M)),

@@ -5,7 +5,7 @@ A cutoff at parameter ``lam`` keeps the frequencies whose gauge is at most
 sums at a fixed point form a right-continuous step function whose jumps sit
 at the finitely many gauge values of the support; those values are the
 breakpoints.  One shell plan decides each frequency's gauge, shell (its
-breakpoint index) and owner row (its fan piece) for every operator.
+breakpoint index) and owner row (its fan piece), and S_lam f on every route.
 
 On the alias-free grid j/M (M >= 2B+1) every frequency has its own residue
 n mod M, so one inverse FFT of the coefficients scattered by shell evaluates a
@@ -185,9 +185,11 @@ class TrigPolynomial:
 
 class _Shells:
     """Shell plan of f under P: the breakpoints and each frequency's gauge, shell
-    index into them and owner row (lowest index attaining the gauge).  Fields
-    are computed on first use, so an operator pays only for what it reads;
-    :meth:`family` is the one route from (f, P, M) to a grid job's family."""
+    index into them and owner row (lowest index attaining the gauge), computed
+    on first use.  It decides S_lam f on every route: shell k is kept at lam iff
+    ``breakpoints[k] <= lam``, and only ``breakpoints`` and ``index`` read the
+    gauge.  :meth:`family`, :meth:`sums` and :meth:`frozen` are the grid, direct
+    and freezing routes from (f, P)."""
 
     def __init__(self, f: TrigPolynomial, P: HPolytope):
         if f.dim != P.dim:
@@ -221,26 +223,41 @@ class _Shells:
             f, slots = TrigPolynomial(f.dim, f.freqs[keep], f.coeffs[keep]), slots[keep]
         return _grid_sums(f, slots, self.breakpoints.shape[0], resolution)
 
+    def sums(self, lam, x, by_pieces: bool = False):
+        """Masked direct sums at each cutoff of ``lam`` (a scalar or a 1-d array):
+        weight row k keeps the shells that lam_k has entered, split by owner row
+        when ``by_pieces``.  Frequencies that no cutoff keeps are left out of the
+        phases.  Shapes as for :func:`partial_sum`."""
+        f, cutoffs = self.f, np.asarray(lam, dtype=float)
+        if cutoffs.ndim > 1:
+            raise ValueError("cutoffs must be a scalar or a 1-d array")
+        if not np.all(cutoffs >= 0.0):
+            raise ValueError("cutoff parameter must be nonnegative")
+        x = _as_points(x, f.dim)
+        keep = self.index < np.searchsorted(self.breakpoints, cutoffs, "right").reshape(-1, 1)
+        live = keep.any(axis=0)
+        rows = (self.owner == k for k in range(self.P.m)) if by_pieces else [True]
+        parts = [(f.freqs[sel], f.coeffs[sel] * keep[:, sel]) for sel in (live & r for r in rows)]
+        values = _direct_sum(parts, x)
+        if cutoffs.ndim:
+            return values
+        return complex(values[0]) if x.ndim == 1 else values[..., 0]
 
-def _cutoff_sums(f: TrigPolynomial, shells: _Shells, lam, x, by_pieces: bool):
-    """Masked direct sums at each cutoff of ``lam`` (a scalar or a 1-d array):
-    weight row k keeps the coefficients with gauge <= lam_k, split by owner
-    row when ``by_pieces``.  Frequencies that no cutoff keeps are left out of
-    the phases.  Shapes as for :func:`partial_sum`."""
-    cutoffs = np.asarray(lam, dtype=float)
-    if cutoffs.ndim > 1:
-        raise ValueError("cutoffs must be a scalar or a 1-d array")
-    if not np.all(cutoffs >= 0.0):
-        raise ValueError("cutoff parameter must be nonnegative")
-    x = _as_points(x, f.dim)
-    keep = shells.gauge <= cutoffs.reshape(-1, 1)  # (K, N)
-    live = keep.any(axis=0)
-    rows = (shells.owner == k for k in range(shells.P.m)) if by_pieces else [True]
-    parts = [(f.freqs[sel], f.coeffs[sel] * keep[:, sel]) for sel in (live & r for r in rows)]
-    values = _direct_sum(parts, x)
-    if cutoffs.ndim:
-        return values
-    return complex(values[0]) if x.ndim == 1 else values[..., 0]
+    def frozen(self, piece: Facet, xprimes: np.ndarray):
+        """The piece's frequencies collapsed onto n_1 at each x' row of xprimes.
+
+        Returns (n1, rows): the piece's distinct n_1, shape (N_1, 1), and rows of
+        shape (len(xprimes), N_1), entry (x', n_1) the sum over its frequencies
+        (n_1, n') of c(n) exp(2 pi i x'.n').  Needs a facet normal of +-e_1."""
+        if not _axis_aligned(piece.a):
+            raise ValueError("freezing needs a facet normal of +-e_1; rotations do not "
+                             "preserve the integer lattice")
+        f, sel = self.f, self.owner == piece.index
+        n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
+        weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (xprimes @ f.freqs[sel, 1:].T))
+        rows = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
+        np.add.at(rows, (slice(None), inverse.reshape(-1)), weights)
+        return n1, rows
 
 
 def partial_sum(f: TrigPolynomial, P: HPolytope, lam, x):
@@ -251,7 +268,7 @@ def partial_sum(f: TrigPolynomial, P: HPolytope, lam, x):
     nonnegative scalar or a 1-d array of K cutoffs; an array adds a trailing
     axis of length K, column k holding the partial sum at lam[k].
     """
-    return _cutoff_sums(f, _Shells(f, P), lam, x, by_pieces=False)
+    return _Shells(f, P).sums(lam, x)
 
 
 def breakpoints(f: TrigPolynomial, P: HPolytope) -> np.ndarray:
@@ -274,7 +291,7 @@ def family_at_point(f: TrigPolynomial, P: HPolytope, x) -> StepFunction:
     if x.ndim != 1:
         raise ValueError("one point at a time; use family_values_on_grid for batches")
     bps = shells.breakpoints
-    return StepFunction(bps[1:], _cutoff_sums(f, shells, bps, x, by_pieces=False))
+    return StepFunction(bps[1:], shells.sums(bps, x))
 
 
 def _lattice(dim: int, side: int) -> np.ndarray:
@@ -324,33 +341,13 @@ def partial_sum_by_pieces(f: TrigPolynomial, P: HPolytope, lam, x):
     sum with every frequency counted once.  Cutoffs and shapes as for
     :func:`partial_sum`.
     """
-    return _cutoff_sums(f, _Shells(f, P), lam, x, by_pieces=True)
+    return _Shells(f, P).sums(lam, x, by_pieces=True)
 
 
 def _axis_aligned(a: np.ndarray) -> bool:
     """Whether the facet row a is a nonzero multiple of e_1, relative to |a_1|:
     then the piece's cone cutoff is a pure n_1 threshold on the lattice."""
     return bool(a[0] != 0.0 and np.linalg.norm(a[1:]) <= 1e-12 * abs(a[0]))
-
-
-def _frozen_rows(f: TrigPolynomial, shells: _Shells, piece: Facet, xprimes: np.ndarray):
-    """The piece's frequencies, by f's shell plan, collapsed onto n_1 at each x'
-    row of xprimes.
-
-    Returns (n1, rows): the piece's distinct n_1, shape (N_1, 1), and rows of
-    shape (len(xprimes), N_1), entry (x', n_1) the sum over its frequencies
-    (n_1, n') of c(n) exp(2 pi i x'.n').  Needs a facet normal of +-e_1."""
-    if not _axis_aligned(piece.a):
-        raise ValueError(
-            "freezing needs a facet normal of +-e_1; rotations do not preserve "
-            "the integer lattice"
-        )
-    sel = shells.owner == piece.index
-    n1, inverse = np.unique(f.freqs[sel, :1], axis=0, return_inverse=True)
-    weights = f.coeffs[sel] * np.exp(_TWO_PI_I * (xprimes @ f.freqs[sel, 1:].T))
-    rows = np.zeros((xprimes.shape[0], n1.shape[0]), dtype=complex)
-    np.add.at(rows, (slice(None), inverse.reshape(-1)), weights)
-    return n1, rows
 
 
 def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynomial:
@@ -367,7 +364,7 @@ def freeze(f: TrigPolynomial, P: HPolytope, piece: Facet, xprime) -> TrigPolynom
     xprime = np.asarray(xprime, dtype=float).reshape(-1)
     if xprime.shape[0] != f.dim - 1:
         raise ValueError("x' must have d-1 coordinates")
-    n1, rows = _frozen_rows(f, _Shells(f, P), piece, xprime[None])
+    n1, rows = _Shells(f, P).frozen(piece, xprime[None])
     return TrigPolynomial(1, n1, rows[0])
 
 

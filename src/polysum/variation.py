@@ -107,6 +107,13 @@ class GridSamples:
         return GridSamples(self.dim, self.resolution, np.abs(self.values))
 
 
+def _exponent(symbol: str, *values: float) -> None:
+    """The one rule for the variation exponent r and the norm exponent p: 1 <= q < inf."""
+    if not all(1.0 <= q < np.inf for q in values):  # NaN fails it too
+        raise ValueError(f"{'variation' if symbol == 'r' else 'norm'} exponent must satisfy "
+                         f"1 <= {symbol} < inf")
+
+
 def v_r_exact(values, r: float) -> float:
     """r-variation of a value sequence: sup over subsequences of the l^r norm
     of consecutive differences.
@@ -123,8 +130,7 @@ def _v_r_batch(seqs, r: float) -> list[float]:
     """:func:`v_r_exact` of each sequence, as the zero-padded columns of one
     :func:`_v_r_columns` call: row j of the DP reads only rows i < j, so a
     sequence's answer is the largest W of its own first L_k entries."""
-    if not 1.0 <= r < np.inf:
-        raise ValueError("variation exponent must satisfy 1 <= r < inf")
+    _exponent("r", r)
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
     lengths = np.array([v.shape[0] for v in cols], dtype=np.intp)
     V = np.zeros((lengths.max(initial=0), len(cols)), dtype=complex)
@@ -149,8 +155,7 @@ def _bruteforce_batch(seqs, rs) -> list[list[float]]:
     """:func:`v_r_bruteforce` of each sequence at each exponent of ``rs``, as
     one list per exponent: the (exponent, sequence) pairs of equal length are
     the rows of one chain sweep, and chains never mix across rows."""
-    if not all(1.0 <= r < np.inf for r in rs):
-        raise ValueError("variation exponent must satisfy 1 <= r < inf")
+    _exponent("r", *rs)
     rows = [np.asarray(v, dtype=complex).reshape(-1) for v in seqs]
     if any(v.shape[0] > BRUTE_FORCE_CAP for v in rows):
         raise ValueError(f"brute force capped at length {BRUTE_FORCE_CAP}")
@@ -188,11 +193,6 @@ def _nonneg_values(h: GridSamples) -> np.ndarray:
     return vals.reshape(-1)
 
 
-def _norm_exponent(p: float) -> None:
-    if not 1.0 <= p < np.inf:
-        raise ValueError("norm exponent must satisfy 1 <= p < inf")
-
-
 def distribution_function(h: GridSamples, alpha: float) -> float:
     """Measure of {h >= alpha} under the uniform grid probability measure."""
     if not alpha >= 0.0:
@@ -216,7 +216,7 @@ def weak_lp_norm(h: GridSamples, p: float) -> float:
     The distribution function is a right-continuous step function on a grid,
     so the supremum is attained at a distinct sample value.
     """
-    _norm_exponent(p)
+    _exponent("p", p)
     levels, frac = _level_fractions(_nonneg_values(h))
     return float(np.max(levels * frac ** (1.0 / p), initial=0.0))
 
@@ -227,7 +227,7 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
     The distribution function is constant between consecutive distinct sample
     values, so the integral is a finite sum.
     """
-    _norm_exponent(p)
+    _exponent("p", p)
     levels, frac = _level_fractions(_nonneg_values(h))
     levels, frac = levels[levels > 0.0], frac[levels > 0.0]
     if not levels.size:
@@ -238,7 +238,7 @@ def lorentz_p1_norm(h: GridSamples, p: float) -> float:
 
 def lp_norm(h: GridSamples, p: float) -> float:
     """L^p norm (cell volume * sum |h|^p)^{1/p}; accepts complex samples."""
-    _norm_exponent(p)
+    _exponent("p", p)
     vals = np.abs(h.flat)
     return float((h.cell_volume * np.sum(vals**p)) ** (1.0 / p))
 
@@ -301,8 +301,7 @@ def _field_and_samples(f, P, resolution: int, r: float) -> tuple[GridSamples, Gr
     bit ``sample_grid``, so the family dies on return."""
     from .spectral import family_values_on_grid
 
-    if not 1.0 <= r < np.inf:
-        raise ValueError("variation exponent must satisfy 1 <= r < inf")
+    _exponent("r", r)
     _, values = family_values_on_grid(f, P, resolution)
     grid = (resolution,) * f.dim
     field = GridSamples(f.dim, resolution, _v_r_columns(values.T, r).reshape(grid))

@@ -175,10 +175,18 @@ def test_fast_form_equals_its_oracle_on_the_corpus(pair):
 
 
 def test_shell_index_places_each_gauge_at_its_breakpoint():
-    # the one numbering of shells that every grid route reads
+    # the one numbering of shells that every route reads: once a plan has numbered
+    # its shells, the direct sums keep each frequency by its shell, not its float
+    # gauge, so a gauge moved one ulp above its breakpoint leaves them unchanged
     for label in CORPUS:
-        shells = _draw(label, 0, 1.0).shells
+        s = _draw(label, 0, 1.0)
+        shells = s.shells
         assert np.array_equal(shells.breakpoints[shells.index], shells.gauge), label
+        moved = spectral._Shells(s.f, s.P)
+        moved.index  # numbers the shells from the unmoved gauges
+        moved.gauge = np.nextafter(moved.gauge, np.inf)
+        bps = shells.breakpoints
+        assert np.array_equal(moved.sums(bps, s.X), shells.sums(bps, s.X)), label
 
 
 def test_f_on_the_grid_is_the_family_last_column():

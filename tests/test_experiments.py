@@ -140,11 +140,11 @@ def test_verify_spectral_rows_equal_the_checks_on_their_own_draw_and_plan(row_ma
         bps = breakpoints(f, P)
         shells = spectral._Shells(f, P)
         expected = {
-            "step_constancy": step_constancy(f, shells, X),
+            "step_constancy": step_constancy(shells, X),
             "saturation": float(np.max(np.abs(partial_sum(f, P, bps[-1], X) - f.evaluate(X)))),
-            "piecewise_equals_direct": piecewise_equals_direct(f, shells, X),
-            "multiplier_partition": multiplier_partition(f, shells, triangulate(P)),
-            "linearity": linearity(f, shells, g, (1.5 - 0.5j) * f + (-0.75 + 0.25j) * g,
+            "piecewise_equals_direct": piecewise_equals_direct(shells, X),
+            "multiplier_partition": multiplier_partition(shells, triangulate(P)),
+            "linearity": linearity(shells, g, (1.5 - 0.5j) * f + (-0.75 + 0.25j) * g,
                                    float(bps[len(bps) // 2]), X, 1.5 - 0.5j, -0.75 + 0.25j),
             "parseval": parseval(f, sample_grid(f, default_resolution(B))),
         }
@@ -169,10 +169,10 @@ def _spectral_rows():
 @pytest.mark.parametrize("call, passes", [
     (lambda: family_at_point(_F, hypercube(2), [0.1, 0.3]), (1, 0)),
     (lambda: run_convergence(bandwidth=5, dim=2), (1, 0)),
-    (lambda: step_constancy(_F, spectral._Shells(_F, hypercube(2)), _X), (1, 0)),
-    (lambda: piecewise_equals_direct(_F, spectral._Shells(_F, hypercube(2)), _X), (1, 1)),
-    (lambda: multiplier_partition(_F, spectral._Shells(_F, hypercube(2)),
-                                  triangulate(hypercube(2))), (0, 1)),
+    (lambda: step_constancy(spectral._Shells(_F, hypercube(2)), _X), (1, 0)),
+    (lambda: piecewise_equals_direct(spectral._Shells(_F, hypercube(2)), _X), (1, 1)),
+    (lambda: multiplier_partition(spectral._Shells(_F, hypercube(2)), triangulate(hypercube(2))),
+     (0, 1)),
     (lambda: field_vs_pointwise(_F, hypercube(2), GridSamples(2, 11, np.zeros((11, 11))),
                                 3.0, 7), (1, 0)),
     # one plan each for f, g and their combination in linearity

@@ -248,6 +248,7 @@ _EXIT_2 = [
     _row("r_inf", [*_VF, *_OUT, "--r", "inf"], "variation exponent"),
     _row("p_nan", [*_VF, *_OUT, "--p", "nan", *_NORMS], "norm exponent", ("out", "norms")),
     _row("p_below_one", [*_VF, *_OUT, "--p", "0.5", *_NORMS], "norm exponent", ("out", "norms")),
+    _row("p_below_one_without_norms", [*_VF, *_OUT, "--p", "0.5"], "norm exponent"),
     _row("lam_nan", [*_PS, *_OUT, "--lam", "nan"], "cutoff parameter must be nonnegative"),
     _row("verify_corrupt_polytope", ["verify", "--polytope", "{bad}", *_OUT], bad="{broken"),
     _row("ratio_r_two", ["ratio", "--r", "2.0", "--bandwidths", "2", "--ensemble", "1", *_OUT],
@@ -301,7 +302,7 @@ _BAD_POLYTOPE_ROWS = [
     for command, argv in _BAD_POLYTOPE_ARGV.items()
     for kind, A in sorted(_BAD_POLYTOPES.items())
 ]
-assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 33 + 5 + 9 + 7 + 5
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 34 + 5 + 9 + 7 + 5
 
 
 def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):

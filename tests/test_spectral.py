@@ -197,7 +197,7 @@ def test_partial_sum_constant_between_breakpoints():
     # a constant has L = 1: no interval between breakpoints to check, so its margin is 0
     h = TrigPolynomial(2, {(0, 0): 1.0})
     X = np.random.default_rng(10).random(size=(10, 2))
-    assert experiments.step_constancy(h, spectral._Shells(h, hypercube(2)), X) == 0.0
+    assert experiments.step_constancy(spectral._Shells(h, hypercube(2)), X) == 0.0
 
 
 def test_family_at_point_trivial_cases():
