@@ -44,7 +44,6 @@ from .spectral import (
     _Shells,
     _halfspace_keep,
     grid_points,
-    halfspace_multiplier,
     partial_sum,
     sample_grid,
 )
@@ -251,12 +250,10 @@ def piecewise_equals_direct(shells: _Shells, X) -> float:
 
 def multiplier_partition(shells: _Shells, pieces) -> float:
     """Largest |coefficient| of the sum of the cone multipliers of f minus f,
-    from f's shell plan ``shells``."""
-    f = shells.f
-    keeps = [shells.owner == pc.index for pc in pieces]
-    diff = TrigPolynomial(f.dim, np.concatenate([f.freqs[k] for k in keeps] + [f.freqs]),
-                          np.concatenate([f.coeffs[k] for k in keeps] + [-1.0 * f.coeffs]))
-    return float(np.max(np.abs(diff.coeffs), initial=0.0))
+    from f's shell plan ``shells``: (count - 1) c(n), with count(n) the pieces
+    that own n."""
+    count = sum(shells.owner == pc.index for pc in pieces)
+    return float(np.max(np.abs((count - 1) * shells.f.coeffs), initial=0.0))
 
 
 def linearity(shells: _Shells, g: TrigPolynomial, combo: TrigPolynomial, lam, X, alpha,
@@ -298,22 +295,20 @@ def freezing_identity(f: TrigPolynomial, P: HPolytope, pieces, resolution: int) 
 def halfspace_cone_boundary(f: TrigPolynomial, P: HPolytope, pieces) -> float:
     """Frequencies where the composed closed half-space cutoffs of a piece's cone
     differ from its assigned cone cutoff other than on a boundary shared with a
-    lower-indexed piece.  Both cutoffs are read as masks over f's support."""
-    owner = _Shells(f, P).owner
-    key = np.dtype((np.void, f.freqs.itemsize * f.dim))  # one byte string per frequency
+    lower-indexed piece.  Both cutoffs are keep-masks over f's support: the AND
+    of the walls' half-spaces and the shell plan's owner row."""
+    shells = _Shells(f, P)
+    owner, nonzero = shells.owner, f.coeffs != 0
     violations = 0
     for pc in pieces:
-        composed = f
-        for a in cone_halfspaces(pc, P):
-            composed = halfspace_multiplier(composed, a, 0.0)
-        kept = np.isin(f.freqs.view(key).ravel(), composed.freqs.view(key).ravel())
-        comp = np.zeros(len(f), dtype=complex)
-        comp[kept] = composed.coeffs  # a subset of f's sorted support keeps its order
+        kept = np.logical_and.reduce(
+            [_halfspace_keep(f.freqs, a, 0.0) for a in cone_halfspaces(pc, P)])
         own = owner == pc.index
-        violations += int(np.sum(np.abs(comp[own] - f.coeffs[own]) > 0.0))
-        vals = f.freqs[kept & ~own].astype(float) @ P.A.T  # one row per frequency
+        violations += int(np.sum(own & ~kept & nonzero))  # dropped with a nonzero coefficient
+        other = kept & ~own  # kept by the walls, owned by another piece
+        vals = shells.points[other] @ P.A.T  # one row per frequency
         ties = np.sum(np.abs(vals - vals.max(axis=1, keepdims=True)) <= 1e-12, axis=1)
-        violations += int(np.sum((ties < 2) | (np.argmax(vals, axis=1) >= pc.index)))
+        violations += int(np.sum((ties < 2) | (owner[other] > pc.index)))
     return float(violations)
 
 

@@ -189,6 +189,22 @@ def test_shell_index_places_each_gauge_at_its_breakpoint():
         assert np.array_equal(moved.sums(bps, s.X), shells.sums(bps, s.X)), label
 
 
+def test_fan_checks_build_no_polynomial(monkeypatch):
+    # both cone checks read keep-masks over f's support and its plan's owner row
+    s, init, built = _draw("pentagon", 0, 1.0), spectral.TrigPolynomial.__init__, []
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(spectral.TrigPolynomial, "__init__", counted)
+    experiments.halfspace_cone_boundary(s.f, s.P, s.pieces)
+    experiments.multiplier_partition(s.shells, s.pieces)
+    assert built == []
+    spectral.cone_multiplier(s.f, s.pieces[0], s.P)  # the count sees a constructor call
+    assert built == [1]
+
+
 def test_f_on_the_grid_is_the_family_last_column():
     """The identity ``run_ratio_experiment`` reads f by, on every instance, and
     its rows against a reference that transforms the grid twice per member."""

@@ -293,6 +293,17 @@ _EXIT_2 = [
           ("re_bool", _one_term("[1, 0]", "true"), "'re' must be JSON numbers"),
           ("re_string", _one_term("[1, 0]", '"1.5"'), "'re' must be JSON numbers"),
           ("re_beyond_float", _one_term("[1, 0]", "1" + "0" * 400), "too large"))),
+    # non-finite polytope data, a config that is no JSON object, an entry without "n"
+    _row("polytope_A_nan", ["partial-sum", "--polytope", "{bad}", *_PS[3:], *_OUT],
+         "non-finite constraint data",
+         bad='{"dim": 2, "H": {"A": [[NaN, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}}'),
+    _row("polytope_vertex_inf", ["partial-sum", "--polytope", "{bad}", *_PS[3:], *_OUT],
+         "non-finite vertex data",
+         bad='{"dim": 2, "V": {"vertices": [[Infinity, 0], [-1, 0], [0, 1], [0, -1]]}}'),
+    _row("config_array", ["verify", "--config", "{cfg}", *_OUT],
+         "config file must hold a JSON object", cfg="[1, 2]"),
+    _row("coeffs_without_n", [*_PS[:4], "{bad}", *_OUT], "malformed coefficient file",
+         bad='{"dim": 2, "coeffs": [{"re": 1.0, "im": 0.0}]}'),
 ]
 # coefficients of the polytope's dimension, so only the polytope is at fault
 _BAD_POLYTOPE_ROWS = [
@@ -302,7 +313,7 @@ _BAD_POLYTOPE_ROWS = [
     for command, argv in _BAD_POLYTOPE_ARGV.items()
     for kind, A in sorted(_BAD_POLYTOPES.items())
 ]
-assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 34 + 5 + 9 + 7 + 5
+assert len(_EXIT_2) + len(_BAD_POLYTOPE_ROWS) == 34 + 5 + 9 + 7 + 5 + 4
 
 
 def _assert_exit_2(square_file, coeff_file, tmp_path, capsys, argv, inputs, err, absent):

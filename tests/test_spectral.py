@@ -354,6 +354,11 @@ def test_cone_multiplier_identity_zero_and_partition():
     for pc in pieces:
         part = cone_multiplier(f, pc, P)
         assert dict(cone_multiplier(part, pc, P)) == dict(part)  # idempotent
+    # the fan's multipliers sum to f; without piece 0, to f less piece 0's part
+    shells = spectral._Shells(f, P)
+    assert experiments.multiplier_partition(shells, pieces) == 0.0
+    missing = np.max(np.abs(cone_multiplier(f, pieces[0], P).coeffs))
+    assert missing > 0.0 and experiments.multiplier_partition(shells, pieces[1:]) == missing
 
 
 def test_halfspace_multiplier_examples():
@@ -392,18 +397,25 @@ def _halfspace_cone_boundary_by_dicts(f, P, pieces):
     return violations
 
 
-# the last two pair a polytope with another's fan, so many frequencies violate
-_BOUNDARY_CASES = [(hypercube(2), None), (cross_polytope(2), None),
-                   (random_polytope(2, 7, 3), None), (hypercube(3), None),
-                   (cross_polytope(3), None), (hypercube(2), cross_polytope(2)),
-                   (cross_polytope(2), hypercube(2))]
+# (P, another polytope whose fan is used, frequencies where f holds an explicit 0):
+# cases 5 and 6 pair a polytope with another's fan, so many frequencies violate;
+# the walls of the scaled square drop the diagonals (+-3, +-3) that pieces 0 and 1
+# own, which violate unless f's coefficient there is 0
+_BOUNDARY_CASES = [(hypercube(2), None, ()), (cross_polytope(2), None, ()),
+                   (random_polytope(2, 7, 3), None, ()), (hypercube(3), None, ()),
+                   (cross_polytope(3), None, ()), (hypercube(2), cross_polytope(2), ()),
+                   (cross_polytope(2), hypercube(2), ()),
+                   (hypercube(2, radius=1.009), None, ((3, 3), (3, -3), (-3, 3), (-3, -3)))]
 
 
 @pytest.mark.parametrize("k", range(len(_BOUNDARY_CASES)))
 def test_halfspace_cone_boundary_equals_its_dict_form(k):
-    P, Q = _BOUNDARY_CASES[k]
+    P, Q, zeros = _BOUNDARY_CASES[k]
     pieces = triangulate(P if Q is None else Q)
-    f = random_trig_polynomial(P.dim, 4 if P.dim == 2 else 2, 1.0, seed=k)
+    g = random_trig_polynomial(P.dim, 4 if P.dim == 2 else 2, 1.0, seed=k)
+    assert _halfspace_cone_boundary_by_dicts(g, P, pieces) >= len(zeros)
+    f = g + TrigPolynomial(P.dim, {n: -g.coeff(n) for n in zeros})  # c + (-c) = 0, kept
+    assert len(f) == len(g)
     expected = _halfspace_cone_boundary_by_dicts(f, P, pieces)
     assert experiments.halfspace_cone_boundary(f, P, pieces) == expected
     assert (expected > 0) == (Q is not None)
